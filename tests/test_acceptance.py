@@ -29,11 +29,12 @@ from topokry.fem import Material, Mesh
 from topokry.problem import load_problem
 from util import random_singular_psd, random_spd, sparse_from_dense
 
-CONFIG = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "configs",
-    "two_bar_truss.cfg",
-)
+TESTS = os.path.dirname(os.path.abspath(__file__))
+CONFIGS = os.path.join(os.path.dirname(TESTS), "configs")
+CONFIG = os.path.join(CONFIGS, "two_bar_truss.cfg")
+# density.pgm and history.csv of cli.run on the shipped configs, one
+# directory per run; an intended output change re-baselines them.
+GOLDEN = os.path.join(TESTS, "golden")
 COMBOS = [("cg", "oc"), ("cg", "conlin"), ("cr", "oc"), ("cr", "conlin")]
 ENERGY_WINDOW = (0.013, 0.024)
 
@@ -103,6 +104,7 @@ def truss_outputs(tmp_path_factory):
         out_dir = tmp_path_factory.mktemp(f"{method}_{rule}")
         code = run(spec, out_dir)
         outputs[(method, rule)] = {
+            "dir": out_dir,
             "exit": code,
             "summary": read_summary(out_dir / "summary.txt"),
             "pixels": read_pgm(out_dir / "density.pgm"),
@@ -292,3 +294,21 @@ def test_criterion_10_singularity_exercised(canonical_history, truss_outputs):
     ok = len(void_nodes) > 0 and all(code == 0 for code in exits)
     check(10, "singularity exercised, exit 0", ok,
           f"{len(void_nodes)} fully-void nodes, exits {exits}")
+
+
+def assert_matches_golden(out_dir, name):
+    for filename in ("density.pgm", "history.csv"):
+        with open(os.path.join(GOLDEN, name, filename), "rb") as handle:
+            expected = handle.read()
+        actual = (out_dir / filename).read_bytes()
+        assert actual == expected, f"{name}/{filename} differs from the golden copy"
+
+
+@pytest.mark.parametrize("combo", COMBOS, ids=lambda combo: combo_name(*combo))
+def test_golden_truss_outputs(truss_outputs, combo):
+    assert_matches_golden(truss_outputs[combo]["dir"], combo_name(*combo))
+
+
+def test_golden_smoke_outputs(tmp_path):
+    assert run(load_problem(os.path.join(CONFIGS, "smoke_2x2.cfg")), tmp_path) == 0
+    assert_matches_golden(tmp_path, "smoke_2x2")
