@@ -136,9 +136,6 @@ def main(argv=None) -> int:
 
     try:
         spec = load_problem(args.config)
-    except FileNotFoundError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 3

@@ -1,8 +1,14 @@
-"""Conjugate Gradient and Conjugate Residual solvers for symmetric positive
+"""Conjugate Gradient and Conjugate Residual solves of symmetric positive
 semidefinite systems, engineered to run without breakdown when zero-density
 elements make the stiffness matrix singular.
 
-Both solvers implement the classical recurrences
+One function, ``solve(a, b, x0, cfg)``, runs both; ``cfg.method`` picks
+the recurrences and ``cfg.preconditioning`` the scaling::
+
+    rep = solve(a, b)                                  # CG, x0 = 0
+    rep = solve(a, b, None, SolverConfig(method="cr", preconditioning="jacobi"))
+
+The two methods implement the classical recurrences
 
     CG:  alpha_k = (r_k, p_k) / (p_k, A p_k)
          beta_k  = -(r_{k+1}, A p_k) / (p_k, A p_k)
@@ -33,13 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SparseSymMatrix, as_vector
+from .linalg import DENSE_SIZE_LIMIT, SparseSymMatrix, as_vector
 
 CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
 STAGNATED = "stagnated_least_squares"
-
-RECORD_SIZE_LIMIT = 2000
 
 
 class NumericalFailure(RuntimeError):
@@ -99,28 +103,15 @@ class SolveReport:
     residual_vectors: list[np.ndarray] | None = None
 
 
-@dataclass
-class Preconditioner:
-    """Diagonal scaling values, one positive entry per DOF."""
-
-    diagonal: np.ndarray
-
-    def __post_init__(self):
-        d = as_vector(self.diagonal, name="preconditioner diagonal")
-        if d.size and d.min() <= 0.0:
-            raise ValueError("preconditioner entries must be positive")
-        self.diagonal = d
-
-
 def jacobi_preconditioner(
     a: SparseSymMatrix, breakdown_tolerance: float = 1e-14
-) -> Preconditioner:
-    """Reciprocal-diagonal preconditioner with pass-through for zero rows.
+) -> np.ndarray:
+    """Reciprocal diagonal of A with pass-through for zero rows.
 
     d_i = 1 / A(i,i) where the diagonal is meaningfully positive, and
     d_i = 1 where it is numerically zero, so zero-stiffness DOFs are left
-    unscaled.  A negative diagonal entry violates positive semidefiniteness
-    and raises.
+    unscaled; every entry is positive.  A negative diagonal entry violates
+    positive semidefiniteness and raises.
     """
     diag = a.diagonal()
     if diag.size and diag.min() < 0.0:
@@ -129,27 +120,13 @@ def jacobi_preconditioner(
     d = np.ones_like(diag)
     meaningful = diag > breakdown_tolerance * scale
     d[meaningful] = 1.0 / diag[meaningful]
-    return Preconditioner(d)
-
-
-def _empty_report(record: bool) -> SolveReport:
-    return SolveReport(
-        solution=np.zeros(0),
-        status=CONVERGED,
-        iterations=0,
-        residual_history=[0.0],
-        final_relative_residual=0.0,
-        iterates=[np.zeros(0)] if record else None,
-        residual_vectors=[np.zeros(0)] if record else None,
-    )
+    return d
 
 
 def _iterate(matvec, n: int, b, x0, cfg: SolverConfig) -> SolveReport:
     """Run the plain CG/CR recurrences against an operator callable."""
-    if n == 0:
-        return _empty_report(cfg.record_iterates)
-    if cfg.record_iterates and n > RECORD_SIZE_LIMIT:
-        raise ValueError(f"iterate recording limited to n <= {RECORD_SIZE_LIMIT}")
+    if cfg.record_iterates and n > DENSE_SIZE_LIMIT:
+        raise ValueError(f"iterate recording limited to n <= {DENSE_SIZE_LIMIT}")
 
     max_iter = cfg.max_iterations if cfg.max_iterations is not None else n
     is_cr = cfg.method == "cr"
@@ -215,7 +192,21 @@ def _iterate(matvec, n: int, b, x0, cfg: SolverConfig) -> SolveReport:
     return report(status, max_iter)
 
 
-def _solve(a: SparseSymMatrix, b, x0, cfg: SolverConfig) -> SolveReport:
+def solve(
+    a: SparseSymMatrix, b, x0=None, cfg: SolverConfig | None = None
+) -> SolveReport:
+    """Solve A x = b for symmetric PSD A with CG or CR, per ``cfg.method``.
+
+    With the default x0 = 0, a consistent right-hand side (b in the range
+    of A) keeps every CG iterate in the range of A, which is what makes the
+    method safe on singular stiffness matrices.  For inconsistent b the CR
+    range-space residual still decreases monotonically while the null-space
+    residual stays at its initial value, so CR stagnates at a least-squares
+    solution of the consistent subsystem and reports
+    ``stagnated_least_squares``.  A 0-dimensional system converges in 0
+    iterations.
+    """
+    cfg = SolverConfig() if cfg is None else cfg
     n = a.dimension
     b = as_vector(b, n, "b")
     if x0 is None:
@@ -223,10 +214,10 @@ def _solve(a: SparseSymMatrix, b, x0, cfg: SolverConfig) -> SolveReport:
     else:
         x0 = as_vector(x0, n, "x0").copy()
 
-    if cfg.preconditioning == "jacobi" and n > 0:
-        pre = jacobi_preconditioner(a, cfg.breakdown_tolerance)
+    if cfg.preconditioning == "jacobi":
+        d = jacobi_preconditioner(a, cfg.breakdown_tolerance)
         if cfg.method == "cg":
-            s = np.sqrt(pre.diagonal)
+            s = np.sqrt(d)
             scaled = a.scaled(s).csr
             rep = _iterate(lambda v: scaled @ v, n, s * b, x0 / s, cfg)
             rep.solution = s * rep.solution
@@ -234,48 +225,7 @@ def _solve(a: SparseSymMatrix, b, x0, cfg: SolverConfig) -> SolveReport:
                 rep.iterates = [s * y for y in rep.iterates]
             return rep
         # CR: left application, iterate on the nonsymmetric M^-1 A
-        d = pre.diagonal
         mat = a.csr
         return _iterate(lambda v: d * (mat @ v), n, d * b, x0, cfg)
     mat = a.csr
     return _iterate(lambda v: mat @ v, n, b, x0, cfg)
-
-
-def cg_solve(
-    a: SparseSymMatrix, b, x0=None, cfg: SolverConfig | None = None
-) -> SolveReport:
-    """Conjugate Gradient solve of A x = b for symmetric PSD A.
-
-    With the default x0 = 0, a consistent right-hand side (b in the range
-    of A) keeps every iterate in the range of A, which is what makes the
-    method safe on singular stiffness matrices.
-    """
-    cfg = SolverConfig() if cfg is None else cfg
-    if cfg.method != "cg":
-        raise ValueError("cg_solve requires cfg.method == 'cg'")
-    return _solve(a, b, x0, cfg)
-
-
-def cr_solve(
-    a: SparseSymMatrix, b, x0=None, cfg: SolverConfig | None = None
-) -> SolveReport:
-    """Conjugate Residual solve of A x = b for symmetric PSD A.
-
-    For inconsistent b the range-space residual still decreases
-    monotonically while the null-space residual stays at its initial value,
-    so the solver stagnates at a least-squares solution of the consistent
-    subsystem and reports ``stagnated_least_squares``.
-    """
-    if cfg is None:
-        cfg = SolverConfig(method="cr")
-    if cfg.method != "cr":
-        raise ValueError("cr_solve requires cfg.method == 'cr'")
-    return _solve(a, b, x0, cfg)
-
-
-def solve(
-    a: SparseSymMatrix, b, x0=None, cfg: SolverConfig | None = None
-) -> SolveReport:
-    """Dispatch to cg_solve or cr_solve based on cfg.method."""
-    cfg = SolverConfig() if cfg is None else cfg
-    return cg_solve(a, b, x0, cfg) if cfg.method == "cg" else cr_solve(a, b, x0, cfg)

@@ -2,8 +2,10 @@
 
 Vectors are plain 1-D float64 numpy arrays and dense matrices are 2-D
 float64 numpy arrays; :func:`as_vector` / :func:`as_dense` validate them at
-API boundaries.  The dense solvers exist as test oracles and are limited to
-n <= 2000 by contract.
+API boundaries.  The dense solvers exist as test oracles and, like every
+dense test-scale tool, are limited to n <= DENSE_SIZE_LIMIT = 2000 by
+contract; :func:`as_small_square` and :func:`check_symmetric` hold the
+checks they share.
 """
 from __future__ import annotations
 
@@ -36,6 +38,29 @@ def as_dense(a, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
     if m.size and not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
+    return m
+
+
+def as_small_square(a, name: str = "matrix") -> np.ndarray:
+    """Validate a finite square 2-D array within the dense size limit."""
+    m = as_dense(a, name)
+    n, cols = m.shape
+    if n != cols:
+        raise ValueError(f"{name} must be square, got {m.shape}")
+    if n > DENSE_SIZE_LIMIT:
+        raise ValueError(
+            f"{name} is {n}x{n}; dense work is limited to n <= {DENSE_SIZE_LIMIT}"
+        )
+    return m
+
+
+def check_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Return a square array, raising unless it is symmetric to within
+    1e-12 of its largest entry."""
+    if m.size:
+        scale = np.abs(m).max()
+        if np.abs(m - m.T).max() > 1e-12 * max(scale, 1e-300):
+            raise ValueError(f"{name} must be symmetric")
     return m
 
 
@@ -160,12 +185,8 @@ def dense_solve(a, b, pivot_tol: float = 1e-14) -> np.ndarray:
     :class:`SingularMatrixError` when the best available pivot falls below
     ``pivot_tol`` times the largest entry of the initial matrix.
     """
-    a = as_dense(a, "a").copy()
-    n, m = a.shape
-    if n != m:
-        raise ValueError(f"matrix must be square, got {a.shape}")
-    if n > DENSE_SIZE_LIMIT:
-        raise ValueError(f"dense solver limited to n <= {DENSE_SIZE_LIMIT}")
+    a = as_small_square(a, "a").copy()
+    n = a.shape[0]
     b = as_vector(b, n, "b").copy()
     scale = np.abs(a).max() if n else 0.0
     if n and scale == 0.0:
@@ -192,15 +213,8 @@ def pseudo_solve(a, b, rank_tol: float = 1e-10) -> np.ndarray:
     Uses the symmetric eigendecomposition and drops eigenvalues with
     |lambda| <= rank_tol * |lambda|_max.  Test oracle for singular systems.
     """
-    a = as_dense(a, "a")
-    n, m = a.shape
-    if n != m:
-        raise ValueError(f"matrix must be square, got {a.shape}")
-    if n > DENSE_SIZE_LIMIT:
-        raise ValueError(f"dense solver limited to n <= {DENSE_SIZE_LIMIT}")
-    scale = np.abs(a).max() if n else 0.0
-    if n and np.abs(a - a.T).max() > 1e-12 * max(scale, 1e-300):
-        raise ValueError("pseudo_solve requires a symmetric matrix")
+    a = check_symmetric(as_small_square(a, "a"), "a")
+    n = a.shape[0]
     b = as_vector(b, n, "b")
     if n == 0:
         return np.zeros(0)

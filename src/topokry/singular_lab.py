@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .krylov import SolveReport
-from .linalg import DENSE_SIZE_LIMIT, SparseSymMatrix, as_dense
+from .linalg import SparseSymMatrix, as_small_square, check_symmetric
 
 
 class DecompositionError(RuntimeError):
@@ -46,18 +46,8 @@ class ComponentTraces:
 
 def _to_dense_symmetric(a, name: str = "matrix") -> np.ndarray:
     if isinstance(a, SparseSymMatrix):
-        dense = a.to_dense()
-    else:
-        dense = as_dense(a, name)
-    n, m = dense.shape
-    if n != m:
-        raise ValueError(f"{name} must be square, got {dense.shape}")
-    if n > DENSE_SIZE_LIMIT:
-        raise ValueError(f"decomposition limited to n <= {DENSE_SIZE_LIMIT}")
-    scale = np.abs(dense).max() if n else 0.0
-    if n and np.abs(dense - dense.T).max() > 1e-12 * max(scale, 1e-300):
-        raise ValueError(f"{name} must be symmetric")
-    return dense
+        a = a.to_dense()
+    return check_symmetric(as_small_square(a, name), name)
 
 
 def range_basis(a, rank_tol: float = 1e-10) -> RangeDecomposition:
@@ -137,12 +127,7 @@ def cr_bound_check(a, residual_history, slack: float = 1e-10) -> bool:
     within ``slack``, where M is the symmetric part of A.  Requires M
     positive definite.
     """
-    dense = as_dense(a, "a")
-    n, m = dense.shape
-    if n != m:
-        raise ValueError(f"matrix must be square, got {dense.shape}")
-    if n > DENSE_SIZE_LIMIT:
-        raise ValueError(f"bound check limited to n <= {DENSE_SIZE_LIMIT}")
+    dense = as_small_square(a, "a")
     sym = 0.5 * (dense + dense.T)
     eigs_m = np.linalg.eigvalsh(sym)
     if eigs_m.min() <= 0.0:

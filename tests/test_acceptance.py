@@ -13,15 +13,14 @@ from topokry import (
     DensityField,
     SolverConfig,
     assemble,
-    cg_solve,
     cr_bound_check,
-    cr_solve,
     decompose_history,
     dense_solve,
     optimize,
     pseudo_solve,
     range_basis,
     sensitivity,
+    solve,
     spmv,
 )
 from topokry.cli import run
@@ -169,12 +168,12 @@ def test_criterion_4_singular_solve_correctness():
         a = sparse_from_dense(dense)
         oracle = pseudo_solve(dense, b)
         oracle_norm = np.linalg.norm(oracle)
-        for method, solver in (("cg", cg_solve), ("cr", cr_solve)):
+        for method in ("cg", "cr"):
             cfg = SolverConfig(
                 method=method, rel_tolerance=1e-8,
                 max_iterations=n, preconditioning="none",
             )
-            rep = solver(a, b, None, cfg)
+            rep = solve(a, b, None, cfg)
             err = np.linalg.norm(q1.T @ (rep.solution - oracle)) / oracle_norm
             worst = max(worst, err)
             ok = ok and rep.status == "converged" and err <= 1e-7
@@ -196,7 +195,7 @@ def test_criterion_5_cr_least_squares_traces():
             method="cr", rel_tolerance=1e-8, max_iterations=3 * n,
             preconditioning="none", record_iterates=True,
         )
-        rep = cr_solve(sparse_from_dense(dense), b, None, cfg)
+        rep = solve(sparse_from_dense(dense), b, None, cfg)
         dec = range_basis(dense)
         traces = decompose_history(rep, dec)
         b_null = np.linalg.norm(dec.q_null.T @ b)
@@ -222,7 +221,7 @@ def test_criterion_6_cg_energy_error_monotone():
             method="cg", max_iterations=2 * n,
             preconditioning="none", record_iterates=True,
         )
-        rep = cg_solve(sparse_from_dense(dense), b, None, cfg)
+        rep = solve(sparse_from_dense(dense), b, None, cfg)
         errs = [
             float(np.sqrt((xk - x_star) @ (dense @ (xk - x_star))))
             for xk in rep.iterates
@@ -238,7 +237,7 @@ def test_criterion_7_cr_contraction_bound():
     for _ in range(20):
         dense = random_spd(rng, 15)
         b = rng.standard_normal(15)
-        rep = cr_solve(
+        rep = solve(
             sparse_from_dense(dense), b, None,
             SolverConfig(method="cr", preconditioning="none", max_iterations=100),
         )

@@ -10,9 +10,9 @@ from topokry import (
     apply_dirichlet,
     assemble,
     build_load,
-    cg_solve,
     element_stiffness,
     scatter_solution,
+    solve,
     spmv,
 )
 
@@ -227,7 +227,7 @@ class TestAssemble:
         )
         b = build_load(mesh, bc)
         a_red, b_red, _ = apply_dirichlet(a, b, bc)
-        rep = cg_solve(
+        rep = solve(
             a_red, b_red, None, SolverConfig(rel_tolerance=1e-8, max_iterations=2000)
         )
         assert rep.status == "converged"
@@ -257,8 +257,24 @@ class TestApplyDirichlet:
         assert reduced.dimension == 0
         assert b_red.size == 0
         assert dof_map.size == 0
-        rep = cg_solve(reduced, b_red, None, SolverConfig())
-        assert rep.status == "converged" and rep.solution.size == 0
+        for method in ("cg", "cr"):
+            for preconditioning in ("none", "jacobi"):
+                for record in (False, True):
+                    cfg = SolverConfig(
+                        method=method,
+                        preconditioning=preconditioning,
+                        record_iterates=record,
+                    )
+                    rep = solve(reduced, b_red, None, cfg)
+                    assert rep.status == "converged"
+                    assert rep.iterations == 0
+                    assert rep.residual_history == [0.0]
+                    assert rep.solution.size == 0
+                    if record:
+                        assert [v.size for v in rep.iterates] == [0]
+                        assert [v.size for v in rep.residual_vectors] == [0]
+                    else:
+                        assert rep.iterates is None and rep.residual_vectors is None
 
     def test_scattered_solution_satisfies_full_equilibrium(self):
         mesh = Mesh(3, 3, 3.0, 3.0)
@@ -271,7 +287,7 @@ class TestApplyDirichlet:
         )
         b = build_load(mesh, bc)
         a_red, b_red, dof_map = apply_dirichlet(a, b, bc)
-        rep = cg_solve(
+        rep = solve(
             a_red, b_red, None, SolverConfig(rel_tolerance=1e-12, max_iterations=5000)
         )
         x_full = scatter_solution(rep.solution, dof_map, mesh.n_dofs)

@@ -7,11 +7,10 @@ from topokry import (
     NumericalFailure,
     SolverConfig,
     SparseSymMatrix,
-    cg_solve,
-    cr_solve,
     dense_solve,
     jacobi_preconditioner,
     pseudo_solve,
+    solve,
 )
 from util import random_singular_psd, random_spd, sparse_from_dense
 
@@ -22,12 +21,12 @@ def plain(method, **kw):
 
 class TestJacobiPreconditioner:
     def test_reciprocal_diagonal(self):
-        pre = jacobi_preconditioner(SparseSymMatrix.from_diagonal([2.0, 4.0]))
-        np.testing.assert_allclose(pre.diagonal, [0.5, 0.25])
+        d = jacobi_preconditioner(SparseSymMatrix.from_diagonal([2.0, 4.0]))
+        np.testing.assert_allclose(d, [0.5, 0.25])
 
     def test_zero_diagonal_falls_back_to_one(self):
-        pre = jacobi_preconditioner(SparseSymMatrix.from_diagonal([1.0, 0.0]))
-        np.testing.assert_allclose(pre.diagonal, [1.0, 1.0])
+        d = jacobi_preconditioner(SparseSymMatrix.from_diagonal([1.0, 0.0]))
+        np.testing.assert_allclose(d, [1.0, 1.0])
 
     def test_negative_diagonal_raises(self):
         with pytest.raises(ValueError, match="PSD"):
@@ -50,8 +49,8 @@ class TestJacobiPreconditioner:
         a = assemble(mesh, spec.material, rho)
         a_red, b_red, _ = apply_dirichlet(a, build_load(mesh, bc), bc)
         base = dict(method="cg", rel_tolerance=1e-8, max_iterations=3000)
-        unpre = cg_solve(a_red, b_red, None, SolverConfig(preconditioning="none", **base))
-        pre = cg_solve(a_red, b_red, None, SolverConfig(preconditioning="jacobi", **base))
+        unpre = solve(a_red, b_red, None, SolverConfig(preconditioning="none", **base))
+        pre = solve(a_red, b_red, None, SolverConfig(preconditioning="jacobi", **base))
         assert pre.status == "converged"
         assert pre.iterations <= unpre.iterations
 
@@ -59,21 +58,21 @@ class TestJacobiPreconditioner:
 class TestCgSolve:
     def test_identity_one_iteration(self):
         b = np.array([3.0, -1.0, 2.0])
-        rep = cg_solve(SparseSymMatrix.identity(3), b, None, plain("cg"))
+        rep = solve(SparseSymMatrix.identity(3), b, None, plain("cg"))
         assert rep.status == "converged"
         assert rep.iterations == 1
         np.testing.assert_allclose(rep.solution, b, atol=1e-14)
 
     def test_diagonal_exact_termination(self):
         a = SparseSymMatrix.from_diagonal([1.0, 2.0, 3.0])
-        rep = cg_solve(a, [1.0, 2.0, 3.0], None, plain("cg"))
+        rep = solve(a, [1.0, 2.0, 3.0], None, plain("cg"))
         assert rep.status == "converged"
         assert rep.iterations <= 3
         np.testing.assert_allclose(rep.solution, [1.0, 1.0, 1.0], atol=1e-10)
 
     def test_singular_consistent_matches_pseudo_solve(self):
         a = SparseSymMatrix.from_diagonal([1.0, 2.0, 0.0])
-        rep = cg_solve(a, [3.0, 4.0, 0.0], None, plain("cg", rel_tolerance=1e-12))
+        rep = solve(a, [3.0, 4.0, 0.0], None, plain("cg", rel_tolerance=1e-12))
         assert rep.status == "converged"
         oracle = pseudo_solve(np.diag([1.0, 2.0, 0.0]), [3.0, 4.0, 0.0])
         np.testing.assert_allclose(rep.solution, oracle, atol=1e-10)
@@ -83,7 +82,7 @@ class TestCgSolve:
         rng = np.random.default_rng(37)
         dense = random_spd(rng, 50)
         b = rng.standard_normal(50)
-        rep = cg_solve(
+        rep = solve(
             sparse_from_dense(dense), b, None, plain("cg", max_iterations=500)
         )
         oracle = dense_solve(dense, b)
@@ -93,12 +92,12 @@ class TestCgSolve:
 
     def test_warm_start_at_solution(self):
         a = SparseSymMatrix.from_diagonal([1.0, 2.0])
-        rep = cg_solve(a, [1.0, 2.0], [1.0, 1.0], plain("cg"))
+        rep = solve(a, [1.0, 2.0], [1.0, 1.0], plain("cg"))
         assert rep.status == "converged"
         assert rep.iterations == 0
 
     def test_zero_rhs(self):
-        rep = cg_solve(SparseSymMatrix.identity(3), np.zeros(3), None, plain("cg"))
+        rep = solve(SparseSymMatrix.identity(3), np.zeros(3), None, plain("cg"))
         assert rep.status == "converged"
         assert rep.iterations == 0
         assert rep.final_relative_residual == 0.0
@@ -110,7 +109,7 @@ class TestCgSolve:
             dense = random_spd(rng, n)
             b = rng.standard_normal(n)
             cfg = plain("cg", rel_tolerance=1e-9, max_iterations=int(rng.integers(1, 3 * n)))
-            rep = cg_solve(sparse_from_dense(dense), b, None, cfg)
+            rep = solve(sparse_from_dense(dense), b, None, cfg)
             assert len(rep.residual_history) == rep.iterations + 1
             if rep.status == "converged":
                 assert rep.final_relative_residual <= cfg.rel_tolerance
@@ -119,7 +118,7 @@ class TestCgSolve:
 class TestCrSolve:
     def test_identity_one_iteration(self):
         b = np.array([1.0, 2.0])
-        rep = cr_solve(SparseSymMatrix.identity(2), b, None, plain("cr"))
+        rep = solve(SparseSymMatrix.identity(2), b, None, plain("cr"))
         assert rep.status == "converged"
         assert rep.iterations == 1
         np.testing.assert_allclose(rep.solution, b, atol=1e-14)
@@ -130,7 +129,7 @@ class TestCrSolve:
         # subsystem (range projection (1, 0)) and the true residual is the
         # null component of b
         a = SparseSymMatrix.from_diagonal([1.0, 0.0])
-        rep = cr_solve(a, [1.0, 1.0], None, plain("cr"))
+        rep = solve(a, [1.0, 1.0], None, plain("cr"))
         assert rep.status == "stagnated_least_squares"
         assert rep.solution[0] == pytest.approx(1.0, abs=1e-14)
         assert rep.residual_history[-1] == pytest.approx(1.0, abs=1e-14)
@@ -139,7 +138,7 @@ class TestCrSolve:
         rng = np.random.default_rng(43)
         dense, q1, _ = random_singular_psd(rng, 30, 5)
         b = dense @ rng.standard_normal(30)
-        rep = cr_solve(
+        rep = solve(
             sparse_from_dense(dense), b, None,
             plain("cr", rel_tolerance=1e-10, max_iterations=300),
         )
@@ -157,7 +156,7 @@ class TestCrSolve:
             else:
                 dense, _, _ = random_singular_psd(rng, n, int(rng.integers(1, n // 2 + 1)))
             b = rng.standard_normal(n)
-            rep = cr_solve(
+            rep = solve(
                 sparse_from_dense(dense), b, None,
                 plain("cr", max_iterations=4 * n),
             )
@@ -169,7 +168,7 @@ class TestCrSolve:
         a = SparseSymMatrix.from_diagonal([1e200, 1e200])
         with np.errstate(over="ignore"):
             with pytest.raises(NumericalFailure) as excinfo:
-                cr_solve(a, [1.0, 1.0], None, plain("cr"))
+                solve(a, [1.0, 1.0], None, plain("cr"))
         assert excinfo.value.iteration == 0
 
 
@@ -183,7 +182,7 @@ class TestPreconditionedSolves:
         rng = np.random.default_rng(67)
         dense = self.badly_scaled_spd(rng, 30)
         b = rng.standard_normal(30)
-        rep = cg_solve(
+        rep = solve(
             sparse_from_dense(dense), b, None,
             SolverConfig(method="cg", preconditioning="jacobi",
                          rel_tolerance=1e-12, max_iterations=2000),
@@ -213,7 +212,7 @@ class TestPreconditionedSolves:
         )
         a = assemble(mesh, Material(2.1e5, 0.3, 3.0), DensityField.uniform(72, 0.375))
         a_red, b_red, _ = apply_dirichlet(a, build_load(mesh, bc), bc)
-        rep = cr_solve(
+        rep = solve(
             a_red, b_red, None,
             SolverConfig(method="cr", preconditioning="jacobi",
                          rel_tolerance=1e-10, max_iterations=5000),
@@ -228,7 +227,7 @@ class TestPreconditionedSolves:
         rng = np.random.default_rng(73)
         dense, q1, _ = random_singular_psd(rng, 20, 4)
         b = dense @ rng.standard_normal(20)
-        rep = cr_solve(
+        rep = solve(
             sparse_from_dense(dense), b, None,
             SolverConfig(method="cr", preconditioning="jacobi",
                          rel_tolerance=1e-10, max_iterations=2000),
@@ -253,7 +252,7 @@ class TestErrorMonotonicity:
             b = rng.standard_normal(n)
             x_star = dense_solve(dense, b)
             cfg = plain("cg", max_iterations=2 * n, record_iterates=True)
-            rep = cg_solve(sparse_from_dense(dense), b, None, cfg)
+            rep = solve(sparse_from_dense(dense), b, None, cfg)
             errs = [
                 np.sqrt((xk - x_star) @ (dense @ (xk - x_star)))
                 for xk in rep.iterates
@@ -270,7 +269,7 @@ class TestSingularBehavior:
             nullity = int(rng.integers(1, max(2, n // 4)))
             dense, q1, q2 = random_singular_psd(rng, n, nullity)
             b = dense @ rng.standard_normal(n)
-            rep = cg_solve(
+            rep = solve(
                 sparse_from_dense(dense), b, None, plain("cg", max_iterations=n)
             )
             assert rep.status == "converged"
@@ -281,13 +280,13 @@ class TestSingularBehavior:
     def test_iterates_confined_to_range(self):
         # x0 = 0 and b in R(A) keep every iterate inside R(A)
         rng = np.random.default_rng(61)
-        for method, solver in (("cg", cg_solve), ("cr", cr_solve)):
+        for method in ("cg", "cr"):
             for _ in range(8):
                 n = int(rng.integers(5, 30))
                 dense, q1, q2 = random_singular_psd(rng, n, int(rng.integers(1, n // 3 + 1)))
                 b = dense @ rng.standard_normal(n)
                 cfg = plain(method, max_iterations=2 * n, record_iterates=True)
-                rep = solver(sparse_from_dense(dense), b, None, cfg)
+                rep = solve(sparse_from_dense(dense), b, None, cfg)
                 for xk in rep.iterates:
                     norm = np.linalg.norm(xk)
                     if norm > 0:
@@ -296,7 +295,7 @@ class TestSingularBehavior:
     def test_record_size_limit(self):
         a = SparseSymMatrix.identity(2001)
         with pytest.raises(ValueError, match="2000"):
-            cg_solve(a, np.ones(2001), None, plain("cg", record_iterates=True))
+            solve(a, np.ones(2001), None, plain("cg", record_iterates=True))
 
 
 class TestConfigValidation:
@@ -307,9 +306,3 @@ class TestConfigValidation:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             SolverConfig(rel_tolerance=0.0)
-
-    def test_solver_method_mismatch(self):
-        with pytest.raises(ValueError, match="cg_solve"):
-            cg_solve(SparseSymMatrix.identity(2), [1.0, 1.0], None, plain("cr"))
-        with pytest.raises(ValueError, match="cr_solve"):
-            cr_solve(SparseSymMatrix.identity(2), [1.0, 1.0], None, plain("cg"))

@@ -12,7 +12,6 @@ from topokry import (
     apply_dirichlet,
     assemble,
     build_load,
-    cg_solve,
     compliance,
     conlin_update,
     dense_solve,
@@ -21,6 +20,7 @@ from topokry import (
     optimize,
     scatter_solution,
     sensitivity,
+    solve,
     spmv,
     threshold,
 )
@@ -264,7 +264,7 @@ class TestOptimize:
         a = assemble(mesh, spec.material, rho)
         b = build_load(mesh, bc)
         a_red, b_red, dof_map = apply_dirichlet(a, b, bc)
-        rep = cg_solve(
+        rep = solve(
             a_red, b_red, None,
             SolverConfig(rel_tolerance=1e-12, max_iterations=5000,
                          preconditioning="jacobi"),

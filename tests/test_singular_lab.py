@@ -10,11 +10,10 @@ from topokry import (
     SparseSymMatrix,
     apply_dirichlet,
     assemble,
-    cg_solve,
     cr_bound_check,
-    cr_solve,
     decompose_history,
     range_basis,
+    solve,
     standard_form,
 )
 from util import random_singular_psd, random_spd, sparse_from_dense
@@ -128,7 +127,7 @@ class TestDecomposeHistory:
         cfg = SolverConfig(
             method="cr", preconditioning="none", max_iterations=60, record_iterates=True
         )
-        rep = cr_solve(sparse_from_dense(dense), b, None, cfg)
+        rep = solve(sparse_from_dense(dense), b, None, cfg)
         traces = decompose_history(rep, range_basis(dense))
         assert traces.residual_null.max() <= 1e-10 * max(np.linalg.norm(b), 1e-30)
 
@@ -143,7 +142,7 @@ class TestDecomposeHistory:
                 method="cr", preconditioning="none",
                 max_iterations=3 * n, record_iterates=True,
             )
-            rep = cr_solve(sparse_from_dense(dense), b, None, cfg)
+            rep = solve(sparse_from_dense(dense), b, None, cfg)
             dec = range_basis(dense)
             traces = decompose_history(rep, dec)
             b_null_vec = dec.q_null.T @ b
@@ -171,7 +170,7 @@ class TestDecomposeHistory:
             method="cg", preconditioning="none",
             max_iterations=3 * n, record_iterates=True,
         )
-        rep = cg_solve(sparse_from_dense(dense), b, None, cfg)
+        rep = solve(sparse_from_dense(dense), b, None, cfg)
         traces = decompose_history(rep, range_basis(dense))
         rp = traces.residual_range
         assert any(
@@ -179,7 +178,7 @@ class TestDecomposeHistory:
         )
 
     def test_requires_recording(self):
-        rep = cg_solve(
+        rep = solve(
             SparseSymMatrix.identity(3), np.ones(3), None,
             SolverConfig(preconditioning="none"),
         )
@@ -189,7 +188,7 @@ class TestDecomposeHistory:
 
 class TestCrBoundCheck:
     def test_identity_bound_zero(self):
-        rep = cr_solve(
+        rep = solve(
             SparseSymMatrix.identity(4), np.ones(4), None,
             SolverConfig(method="cr", preconditioning="none"),
         )
@@ -200,7 +199,7 @@ class TestCrBoundCheck:
         dense = np.diag([1.0, 2.0])
         rng = np.random.default_rng(17)
         b = rng.standard_normal(2)
-        rep = cr_solve(
+        rep = solve(
             sparse_from_dense(dense), b, None,
             SolverConfig(method="cr", preconditioning="none"),
         )
@@ -217,7 +216,7 @@ class TestCrBoundCheck:
         for _ in range(20):
             dense = random_spd(rng, 15)
             b = rng.standard_normal(15)
-            rep = cr_solve(
+            rep = solve(
                 sparse_from_dense(dense), b, None,
                 SolverConfig(method="cr", preconditioning="none", max_iterations=100),
             )
