@@ -32,12 +32,39 @@ slower than CG on the same system, and on matrices with strongly varying
 diagonals it can plateau above tight tolerances (use symmetric-scaling CG
 or no preconditioning when that matters).  In both cases the reported
 residual history belongs to the system actually iterated.
+
+An iteration allocates no arrays.  The work vectors are allocated once per
+solve and updated in place, and the operator is a callable
+``matvec(v, out)``: it writes A v into ``out`` and returns ``out``, where
+``v`` and ``out`` are distinct contiguous float64 vectors of length n and
+``out``'s prior contents are ignored.  :func:`csr_operator` builds it from
+a matrix's CSR arrays with scipy's ``csr_matvec`` kernel.  The arithmetic
+is the same, operation for operation, as the plain expressions
+``x + alpha * p``, ``r + beta * p``, ``np.linalg.norm(r)`` and ``csr @ v``,
+so results are bit-identical to them:
+
+- ``np.multiply(p, alpha, out=tmp); x += tmp`` rounds each product and
+  then each sum once, exactly as ``x + alpha * p`` does; ``p *= beta;
+  p += r`` is ``r + beta * p`` with the commutative final addition;
+- ``ndarray.dot`` runs the same BLAS ``ddot`` that ``@`` runs on two 1-D
+  float64 arrays, and ``math.sqrt(r.dot(r))`` is exactly what
+  ``np.linalg.norm`` computes for one;
+- ``csr @ v`` zero-fills its result and runs the same ``csr_matvec``
+  kernel into it, and the left-Jacobi operator scales that result in place
+  by ``d``, which is the product ``d * (A v)``.
+
+``csr_matvec`` is a private scipy API; ``tests/test_krylov.py`` checks it
+bit for bit against ``csr @ v``, so a scipy release that changes it fails
+there.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from .linalg import DENSE_SIZE_LIMIT, SparseSymMatrix, as_vector
 
@@ -123,24 +150,49 @@ def jacobi_preconditioner(
     return d
 
 
+def csr_operator(csr: sp.csr_matrix, left: np.ndarray | None = None):
+    """Return ``matvec(v, out)`` writing ``csr @ v`` (times ``left``, if
+    given) into ``out`` and returning it; ``out`` must not alias ``v``."""
+    rows, cols = csr.shape
+    indptr, indices, data = csr.indptr, csr.indices, csr.data
+
+    def matvec(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # csr_matvec checks no lengths: a short vector would be overrun
+        if v.shape != (cols,) or out.shape != (rows,):
+            raise ValueError(
+                f"operator is {rows}x{cols}, got v {v.shape} and out {out.shape}"
+            )
+        out.fill(0.0)  # csr_matvec accumulates into out
+        csr_matvec(rows, cols, indptr, indices, data, v, out)
+        if left is not None:
+            out *= left
+        return out
+
+    return matvec
+
+
 def _iterate(matvec, n: int, b, x0, cfg: SolverConfig) -> SolveReport:
-    """Run the plain CG/CR recurrences against an operator callable."""
+    """Run the plain CG/CR recurrences against a ``matvec(v, out)`` operator."""
     if cfg.record_iterates and n > DENSE_SIZE_LIMIT:
         raise ValueError(f"iterate recording limited to n <= {DENSE_SIZE_LIMIT}")
 
     max_iter = cfg.max_iterations if cfg.max_iterations is not None else n
     is_cr = cfg.method == "cr"
 
+    # work vectors, allocated once per solve and updated in place below
     x = x0.copy()
-    r = b - matvec(x)
+    tmp = np.empty(n)
+    r = b - matvec(x, tmp)
     p = r.copy()
+    if is_cr:
+        ar = matvec(r, np.empty(n))
+        ap = ar.copy()
+    else:
+        ap = np.empty(n)
     b_norm = float(np.linalg.norm(b))
-    history = [float(np.linalg.norm(r))]
+    history = [math.sqrt(r.dot(r))]
     xs = [x.copy()] if cfg.record_iterates else None
     rs = [r.copy()] if cfg.record_iterates else None
-    if is_cr:
-        ar = matvec(r)
-        ap = ar.copy()
 
     def relative(res: float) -> float:
         if b_norm > 0.0:
@@ -162,28 +214,31 @@ def _iterate(matvec, n: int, b, x0, cfg: SolverConfig) -> SolveReport:
         if history[-1] <= cfg.rel_tolerance * b_norm:
             return report(CONVERGED, k)
         if not is_cr:
-            ap = matvec(p)
-        denom = float(ap @ ap) if is_cr else float(p @ ap)
-        p_sq = float(p @ p)
-        if not np.isfinite(denom):
+            matvec(p, ap)
+        denom = float(ap.dot(ap)) if is_cr else float(p.dot(ap))
+        p_sq = float(p.dot(p))
+        if not math.isfinite(denom):
             raise NumericalFailure("non-finite denominator", k)
         if denom <= cfg.breakdown_tolerance * p_sq:
             return report(STAGNATED, k)
-        alpha = float(r @ ap) / denom if is_cr else float(r @ p) / denom
-        x = x + alpha * p
-        r = r - alpha * ap
-        res = float(np.linalg.norm(r))
-        if not np.isfinite(res):
+        alpha = float(r.dot(ap)) / denom if is_cr else float(r.dot(p)) / denom
+        x += np.multiply(p, alpha, out=tmp)
+        r -= np.multiply(ap, alpha, out=tmp)
+        res = math.sqrt(r.dot(r))
+        if not math.isfinite(res):
             raise NumericalFailure("non-finite residual", k)
         history.append(res)
         if is_cr:
-            ar = matvec(r)
-            beta = -float(ar @ ap) / denom
-            p = r + beta * p
-            ap = ar + beta * ap
+            matvec(r, ar)
+            beta = -float(ar.dot(ap)) / denom
+            p *= beta
+            p += r
+            ap *= beta
+            ap += ar
         else:
-            beta = -float(r @ ap) / denom
-            p = r + beta * p
+            beta = -float(r.dot(ap)) / denom
+            p *= beta
+            p += r
         if cfg.record_iterates:
             xs.append(x.copy())
             rs.append(r.copy())
@@ -209,23 +264,18 @@ def solve(
     cfg = SolverConfig() if cfg is None else cfg
     n = a.dimension
     b = as_vector(b, n, "b")
-    if x0 is None:
-        x0 = np.zeros(n)
-    else:
-        x0 = as_vector(x0, n, "x0").copy()
+    x0 = np.zeros(n) if x0 is None else as_vector(x0, n, "x0")
 
     if cfg.preconditioning == "jacobi":
         d = jacobi_preconditioner(a, cfg.breakdown_tolerance)
         if cfg.method == "cg":
             s = np.sqrt(d)
-            scaled = a.scaled(s).csr
-            rep = _iterate(lambda v: scaled @ v, n, s * b, x0 / s, cfg)
+            scaled = csr_operator(a.scaled(s).csr)
+            rep = _iterate(scaled, n, s * b, x0 / s, cfg)
             rep.solution = s * rep.solution
             if rep.iterates is not None:
                 rep.iterates = [s * y for y in rep.iterates]
             return rep
         # CR: left application, iterate on the nonsymmetric M^-1 A
-        mat = a.csr
-        return _iterate(lambda v: d * (mat @ v), n, d * b, x0, cfg)
-    mat = a.csr
-    return _iterate(lambda v: mat @ v, n, b, x0, cfg)
+        return _iterate(csr_operator(a.csr, d), n, d * b, x0, cfg)
+    return _iterate(csr_operator(a.csr), n, b, x0, cfg)

@@ -4,8 +4,8 @@ Vectors are plain 1-D float64 numpy arrays and dense matrices are 2-D
 float64 numpy arrays; :func:`as_vector` / :func:`as_dense` validate them at
 API boundaries.  The dense solvers exist as test oracles and, like every
 dense test-scale tool, are limited to n <= DENSE_SIZE_LIMIT = 2000 by
-contract; :func:`as_small_square` and :func:`check_symmetric` hold the
-checks they share.
+contract; :func:`as_small_square`, :func:`check_dense_size` and
+:func:`check_symmetric` hold the checks they share.
 """
 from __future__ import annotations
 
@@ -47,11 +47,16 @@ def as_small_square(a, name: str = "matrix") -> np.ndarray:
     n, cols = m.shape
     if n != cols:
         raise ValueError(f"{name} must be square, got {m.shape}")
+    check_dense_size(n, name)
+    return m
+
+
+def check_dense_size(n: int, name: str = "matrix") -> None:
+    """Raise unless an n-by-n matrix is within the dense size limit."""
     if n > DENSE_SIZE_LIMIT:
         raise ValueError(
             f"{name} is {n}x{n}; dense work is limited to n <= {DENSE_SIZE_LIMIT}"
         )
-    return m
 
 
 def check_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -155,12 +160,17 @@ class SparseSymMatrix:
 
     def scaled(self, s) -> "SparseSymMatrix":
         """Symmetric diagonal scaling diag(s) @ A @ diag(s)."""
-        s = as_vector(s, self.dimension, "scaling")
-        out = self._csr.tocoo(copy=True)
+        n = self.dimension
+        s = as_vector(s, n, "scaling")
+        csr = self._csr
+        row = np.repeat(np.arange(n), np.diff(csr.indptr))
         # s[r]*s[c] is computed once per entry; the (i,j)/(j,i) pair gets the
         # exact same product, so symmetry survives bit-for-bit.
-        out.data = out.data * (s[out.row] * s[out.col])
-        return SparseSymMatrix(out.tocsr(), check=False)
+        data = csr.data * (s[row] * s[csr.indices])
+        out = sp.csr_matrix(
+            (data, csr.indices.copy(), csr.indptr.copy()), shape=(n, n)
+        )
+        return SparseSymMatrix(out, check=False)
 
     def zero_rows(self) -> np.ndarray:
         """Indices of rows with no stored entries (fully decoupled DOFs)."""

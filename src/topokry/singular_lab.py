@@ -13,7 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .krylov import SolveReport
-from .linalg import SparseSymMatrix, as_small_square, check_symmetric
+from .linalg import (
+    SparseSymMatrix,
+    as_small_square,
+    check_dense_size,
+    check_symmetric,
+)
 
 
 class DecompositionError(RuntimeError):
@@ -46,6 +51,7 @@ class ComponentTraces:
 
 def _to_dense_symmetric(a, name: str = "matrix") -> np.ndarray:
     if isinstance(a, SparseSymMatrix):
+        check_dense_size(a.dimension, name)
         a = a.to_dense()
     return check_symmetric(as_small_square(a, name), name)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from dataclasses import replace
 
 from topokry import (
@@ -12,6 +13,7 @@ from topokry import (
     pseudo_solve,
     solve,
 )
+from topokry.krylov import csr_operator
 from util import random_singular_psd, random_spd, sparse_from_dense
 
 
@@ -296,6 +298,98 @@ class TestSingularBehavior:
         a = SparseSymMatrix.identity(2001)
         with pytest.raises(ValueError, match="2000"):
             solve(a, np.ones(2001), None, plain("cg", record_iterates=True))
+
+
+class TestCsrOperator:
+    """``csr_operator`` wraps scipy's private ``csr_matvec``; these checks
+    fail if a scipy release removes it or changes what it computes."""
+
+    def random_csr(self, rng, n, index_dtype):
+        dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
+        dense[::3] = 0.0  # empty rows
+        csr = sp.csr_matrix(dense)
+        csr.indices = csr.indices.astype(index_dtype)
+        csr.indptr = csr.indptr.astype(index_dtype)
+        return csr
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("left_scaled", [False, True])
+    def test_bit_identical_to_csr_matmul(self, index_dtype, left_scaled):
+        rng = np.random.default_rng(83)
+        for n in (1, 7, 40, 300):
+            csr = self.random_csr(rng, n, index_dtype)
+            assert csr.indices.dtype == index_dtype
+            assert np.diff(csr.indptr).min() == 0
+            v = rng.standard_normal(n)
+            d = rng.uniform(0.1, 3.0, size=n) if left_scaled else None
+            expected = d * (csr @ v) if left_scaled else csr @ v
+            out = np.full(n, np.nan)  # stale contents must not leak in
+            assert csr_operator(csr, d)(v, out) is out
+            assert out.tobytes() == expected.tobytes()
+
+    def test_length_mismatch_rejected(self):
+        # the kernel itself would read or write past the end of the array
+        matvec = csr_operator(sp.identity(4, format="csr"))
+        for v, out in ((np.ones(3), np.zeros(4)), (np.ones(4), np.zeros(3))):
+            with pytest.raises(ValueError, match="4x4"):
+                matvec(v, out)
+
+    def test_empty_system(self):
+        csr = sp.csr_matrix((0, 0))
+        for left in (None, np.zeros(0)):
+            out = csr_operator(csr, left)(np.zeros(0), np.zeros(0))
+            assert out.shape == (0,)
+
+
+class TestInPlaceSafety:
+    SETTINGS = [
+        (method, pre) for method in ("cg", "cr") for pre in ("none", "jacobi")
+    ]
+
+    @pytest.mark.parametrize("method,pre", SETTINGS)
+    def test_inputs_untouched_and_not_aliased(self, method, pre):
+        rng = np.random.default_rng(97)
+        a = sparse_from_dense(random_spd(rng, 15))
+        b = rng.standard_normal(15)
+        x0 = rng.standard_normal(15)
+        b_before, x0_before = b.copy(), x0.copy()
+        cfg = SolverConfig(method=method, preconditioning=pre, max_iterations=200)
+        rep = solve(a, b, x0, cfg)
+        assert rep.iterations > 0
+        assert b.tobytes() == b_before.tobytes()
+        assert x0.tobytes() == x0_before.tobytes()
+        assert not np.shares_memory(rep.solution, b)
+        assert not np.shares_memory(rep.solution, x0)
+
+    @pytest.mark.parametrize("method,pre", SETTINGS)
+    def test_history_is_exact_norm_of_recorded_residuals(self, method, pre):
+        # void elements leave zero rows, so the reduced system is singular
+        from topokry import (
+            BoundaryConditions,
+            Material,
+            Mesh,
+            apply_dirichlet,
+            assemble,
+            build_load,
+        )
+
+        mesh = Mesh(4, 3, 4.0, 3.0)
+        bc = BoundaryConditions(
+            n_dofs=mesh.n_dofs,
+            fixed_dofs=mesh.edge_dofs("left"),
+            point_loads=((2 * mesh.node_index(2, 1) + 1, -1.0),),
+        )
+        rho = np.ones(mesh.n_elements)
+        rho[[3, 7, 11]] = 0.0  # right column void
+        a = assemble(mesh, Material(1.0, 0.3, 3.0), DensityField(rho))
+        a_red, b_red, _ = apply_dirichlet(a, build_load(mesh, bc), bc)
+        assert a_red.zero_rows().size > 0
+        cfg = SolverConfig(method=method, preconditioning=pre, record_iterates=True)
+        rep = solve(a_red, b_red, None, cfg)
+        assert rep.iterations > 0
+        assert len(rep.residual_vectors) == len(rep.residual_history)
+        for h, r in zip(rep.residual_history, rep.residual_vectors):
+            assert h == np.linalg.norm(r)
 
 
 class TestConfigValidation:

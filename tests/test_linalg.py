@@ -37,6 +37,21 @@ class TestSparseSymMatrix:
         scaled = a.scaled(s).to_dense()
         assert np.array_equal(scaled, scaled.T)
 
+    def test_scaled_matches_entrywise_product_bit_for_bit(self):
+        # each stored a_ij becomes a_ij * (s_i * s_j), nothing else
+        rng = np.random.default_rng(11)
+        for n in (0, 1, 12, 60):
+            a, _ = random_sparse_symmetric(rng, n)
+            s = rng.uniform(0.1, 3.0, size=n)
+            coo = a.csr.tocoo()
+            expected = coo.data * (s[coo.row] * s[coo.col])
+            scaled = a.scaled(s).csr
+            np.testing.assert_array_equal(scaled.indptr, a.csr.indptr)
+            np.testing.assert_array_equal(scaled.indices, a.csr.indices)
+            assert scaled.data.tobytes() == expected.tobytes()
+            assert not np.shares_memory(scaled.indices, a.csr.indices)
+            assert not np.shares_memory(scaled.indptr, a.csr.indptr)
+
     def test_zero_rows(self):
         a = SparseSymMatrix.from_dense(
             [[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [2.0, 0.0, 1.0]]

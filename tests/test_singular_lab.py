@@ -64,6 +64,19 @@ class TestRangeBasis:
         dec = range_basis(SparseSymMatrix.from_diagonal([2.0, 0.0, 1.0]))
         assert dec.rank == 2
 
+    def test_large_sparse_refused_before_densifying(self):
+        import tracemalloc
+
+        a = SparseSymMatrix.identity(3000)  # dense would be 72 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="2000"):
+                range_basis(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
     def test_orthogonality_and_block_invariants(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
