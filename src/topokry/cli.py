@@ -65,6 +65,7 @@ def _write_summary(
         f"method: {_method_name(spec)}",
         f"outer_iters: {history.outer_iterations}",
         f"total_inner_iters: {history.total_inner_iterations}",
+        f"capped_solves: {history.solver_status.count('max_iterations')}",
         f"final_compliance: {history.compliance[-1]:.12e}",
         f"final_volume: {history.volume[-1]:.12e}",
         f"wall_seconds: {wall_seconds:.3f}",

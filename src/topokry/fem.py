@@ -10,10 +10,12 @@ connects its corner nodes counterclockwise from the lower left:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import SparseSymMatrix, as_vector
+from .linalg import SparseSymMatrix, TripletPattern, as_vector
 
 # 2x2 Gauss points and weights on [-1, 1]
 _GAUSS_2 = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
@@ -57,6 +59,18 @@ class Material:
         )
 
 
+class ScatterPattern(NamedTuple):
+    """The 64 * n_elements element-scatter triplets of a mesh, sorted.
+
+    Sorted term t adds ``scale[element[t]] * ke.ravel()[local[t]]`` to
+    the stored entry ``triplets.entry[t]``.
+    """
+
+    triplets: TripletPattern
+    element: np.ndarray  # int32 element id of each sorted term
+    local: np.ndarray  # uint8 flat index into the 8x8 ke of each sorted term
+
+
 class Mesh:
     """Uniform nx-by-ny quadrilateral mesh on a width-by-height rectangle."""
 
@@ -87,6 +101,23 @@ class Mesh:
         dofs[:, 0::2] = 2 * self.element_nodes
         dofs[:, 1::2] = 2 * self.element_nodes + 1
         self.element_dofs = dofs
+
+    @cached_property
+    def scatter_pattern(self) -> ScatterPattern:
+        """Sorted element-scatter pattern, built by the first :func:`assemble`.
+
+        Input term ``64 * e + 8 * i + j`` puts ``ke[i, j]`` of element e at
+        (element_dofs[e, i], element_dofs[e, j]).  It is built on first use
+        and not in ``__init__``, so building a mesh stays cheap.
+        """
+        dofs = self.element_dofs
+        rows = np.repeat(dofs, 8, axis=1).ravel()
+        cols = np.tile(dofs, (1, 8)).ravel()
+        triplets = TripletPattern(self.n_dofs, rows, cols)
+        element, local = np.divmod(triplets.order, 64)
+        return ScatterPattern(
+            triplets, element.astype(np.int32), local.astype(np.uint8)
+        )
 
     def node_index(self, ix: int, iy: int) -> int:
         if not (0 <= ix <= self.nx and 0 <= iy <= self.ny):
@@ -181,7 +212,10 @@ class BoundaryConditions:
         self.point_loads = loads
 
     def free_dofs(self) -> np.ndarray:
-        return np.setdiff1d(np.arange(self.n_dofs, dtype=np.int64), self.fixed_dofs)
+        """Sorted int64 indices of the DOFs that are not fixed."""
+        free = np.ones(self.n_dofs, dtype=bool)
+        free[self.fixed_dofs] = False
+        return np.flatnonzero(free)
 
 
 def _shape_gradients(xi: float, eta: float, width: float, height: float):
@@ -228,6 +262,16 @@ def assemble(mesh: Mesh, mat: Material, rho: DensityField) -> SparseSymMatrix:
     Elements with rho = 0 contribute no entries at all, so nodes surrounded
     by void elements produce genuinely empty rows: the matrix is returned
     singular, not regularized.  Fixed DOFs are not removed here.
+
+    The element-scatter triplets are sorted once per mesh
+    (:attr:`Mesh.scatter_pattern`, built on the first call); each call
+    masks out the terms of void elements and sums the rest in that sorted
+    order.  The result is bit-identical to sorting the active elements'
+    triplets afresh: every term is the same product rho_e^p * ke[i, j], and
+    masking keeps the kept terms in the order a stable sort gives them.
+    Symmetry holds by construction and is not checked: ke is bit-symmetric,
+    an element's mask drops a term and its mirror alike, and the stable
+    sort adds the terms of (i, j) and of (j, i) in the same element order.
     """
     if rho.n_elements != mesh.n_elements:
         raise ValueError(
@@ -235,14 +279,11 @@ def assemble(mesh: Mesh, mat: Material, rho: DensityField) -> SparseSymMatrix:
         )
     ke = element_stiffness(mat, mesh.elem_width, mesh.elem_height)
     scale = rho.values ** mat.penal
-    active = np.flatnonzero(scale > 0.0)
-    if active.size == 0:
-        return SparseSymMatrix.zeros(mesh.n_dofs)
-    dofs = mesh.element_dofs[active]
-    rows = np.repeat(dofs, 8, axis=1).ravel()
-    cols = np.tile(dofs, (1, 8)).ravel()
-    values = (scale[active][:, None, None] * ke[None, :, :]).ravel()
-    return SparseSymMatrix.from_triplets(mesh.n_dofs, rows, cols, values)
+    pattern = mesh.scatter_pattern
+    kept = np.flatnonzero((scale > 0.0).take(pattern.element))
+    element = pattern.element.take(kept)
+    values = scale.take(element) * ke.ravel().take(pattern.local.take(kept))
+    return SparseSymMatrix(pattern.triplets.sum(values, kept), check=False)
 
 
 def apply_dirichlet(

@@ -6,6 +6,11 @@ API boundaries.  The dense solvers exist as test oracles and, like every
 dense test-scale tool, are limited to n <= DENSE_SIZE_LIMIT = 2000 by
 contract; :func:`as_small_square`, :func:`check_dense_size` and
 :func:`check_symmetric` hold the checks they share.
+
+Sparse matrices are built from COO triplets by :class:`TripletPattern`,
+the one sort-and-sum implementation: it sorts the triplet positions once,
+so a caller whose positions never change (the element scatter of a mesh)
+pays for the sort once and for a linear masked sum on every build.
 """
 from __future__ import annotations
 
@@ -106,28 +111,22 @@ class SparseSymMatrix:
 
     @classmethod
     def from_triplets(cls, n: int, rows, cols, values) -> "SparseSymMatrix":
-        """Build from COO triplets, summing duplicates in a stable order."""
+        """Build from COO triplets, summing duplicates in a stable order.
+
+        The input comes from outside, so its ranges and its symmetry are
+        checked on every call.
+        """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         values = np.asarray(values, dtype=float)
         if not (rows.shape == cols.shape == values.shape):
             raise ValueError("triplet arrays must have matching shapes")
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n:
-                raise ValueError("triplet index out of range")
-            # Stable lexsort keeps the per-entry addend order identical for
-            # (i, j) and (j, i), so symmetric inputs assemble symmetrically
-            # down to the last bit.
-            order = np.lexsort((cols, rows))
-            r, c, v = rows[order], cols[order], values[order]
-            boundary = np.ones(r.size, dtype=bool)
-            boundary[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-            starts = np.flatnonzero(boundary)
-            summed = np.add.reduceat(v, starts)
-            csr = sp.csr_matrix((summed, (r[starts], c[starts])), shape=(n, n))
-        else:
-            csr = sp.csr_matrix((n, n))
-        return cls(csr)
+        if rows.size and (
+            rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n
+        ):
+            raise ValueError("triplet index out of range")
+        pattern = TripletPattern(n, rows, cols)
+        return cls(pattern.sum(values[pattern.order]))
 
     @classmethod
     def from_dense(cls, a) -> "SparseSymMatrix":
@@ -176,6 +175,62 @@ class SparseSymMatrix:
         """Indices of rows with no stored entries (fully decoupled DOFs)."""
         counts = np.diff(self._csr.indptr)
         return np.flatnonzero(counts == 0)
+
+
+class TripletPattern:
+    """The positions of n-by-n COO triplets, sorted once by (row, col).
+
+    ``order`` is the stable sort permutation: sorted term t is input term
+    ``order[t]``.  :meth:`sum` takes values in that sorted order and
+    returns the CSR matrix of their duplicate sums, so a caller whose
+    positions stay fixed builds each new matrix without sorting.  Indices
+    are trusted: callers check their ranges before building a pattern.
+    """
+
+    def __init__(self, n: int, rows, cols):
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        # Stable lexsort keeps the per-entry addend order identical for
+        # (i, j) and (j, i), so symmetric inputs assemble symmetrically
+        # down to the last bit.
+        self.order = np.lexsort((cols, rows))
+        r, c = rows[self.order], cols[self.order]
+        first = np.ones(r.size, dtype=bool)
+        first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+        self.n = n
+        # int32 indices, as scipy prefers, whenever they hold every index
+        index = np.int32 if max(n, r.size) <= np.iinfo(np.int32).max else np.int64
+        # each distinct (row, col) is one entry; entry[t] is sorted term t's
+        self.entry = np.cumsum(first, dtype=index) - 1
+        self.rows = r[first]
+        self.cols = c[first].astype(index)
+
+    def sum(self, values, kept=None) -> sp.csr_matrix:
+        """CSR matrix of the sorted terms' values, duplicates summed.
+
+        ``kept`` lists the sorted terms to sum, in ascending order, and
+        ``values`` holds one value per kept term; ``None`` keeps every
+        term.  An entry none of whose terms is kept is not stored at all.
+        Each stored entry is the ``np.add.reduceat`` sum of its kept values
+        in sorted order, the same sum a stable sort of the kept triplets
+        alone would give.
+        """
+        entry = self.entry if kept is None else self.entry.take(kept)
+        values = np.asarray(values, dtype=float)
+        if values.shape != entry.shape:
+            raise ValueError(f"{values.size} values for {entry.size} kept terms")
+        first = np.ones(entry.size, dtype=bool)
+        np.not_equal(entry[1:], entry[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        stored = entry.take(starts)
+        data = np.add.reduceat(values, starts)
+        indptr = np.zeros(self.n + 1, dtype=self.cols.dtype)
+        np.cumsum(
+            np.bincount(self.rows.take(stored), minlength=self.n), out=indptr[1:]
+        )
+        return sp.csr_matrix(
+            (data, self.cols.take(stored), indptr), shape=(self.n, self.n)
+        )
 
 
 def spmv(a: SparseSymMatrix, x) -> np.ndarray:

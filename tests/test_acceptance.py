@@ -23,6 +23,7 @@ from topokry import (
     solve,
     spmv,
 )
+import topokry.cli as cli
 from topokry.cli import run
 from topokry.fem import Material, Mesh
 from topokry.problem import load_problem
@@ -36,6 +37,10 @@ CONFIG = os.path.join(CONFIGS, "two_bar_truss.cfg")
 GOLDEN = os.path.join(TESTS, "golden")
 COMBOS = [("cg", "oc"), ("cg", "conlin"), ("cr", "oc"), ("cr", "conlin")]
 ENERGY_WINDOW = (0.013, 0.024)
+# solves stopped at the iteration cap in each run on the shipped config
+CAPPED_SOLVES = {
+    ("cg", "oc"): 0, ("cg", "conlin"): 0, ("cr", "oc"): 12, ("cr", "conlin"): 17,
+}
 
 
 def check(criterion, label, ok, detail=""):
@@ -94,20 +99,29 @@ def truss_outputs(tmp_path_factory):
     """cli.run for all four method combinations on the shipped config."""
     base = load_problem(CONFIG)
     outputs = {}
-    for method, rule in COMBOS:
-        spec = replace(
-            base,
-            solver=replace(base.solver, method=method),
-            optimizer=replace(base.optimizer, update_rule=rule),
-        )
-        out_dir = tmp_path_factory.mktemp(f"{method}_{rule}")
-        code = run(spec, out_dir)
-        outputs[(method, rule)] = {
-            "dir": out_dir,
-            "exit": code,
-            "summary": read_summary(out_dir / "summary.txt"),
-            "pixels": read_pgm(out_dir / "density.pgm"),
-        }
+    histories = []
+
+    def recording_optimize(spec):
+        histories.append(optimize(spec))
+        return histories[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "optimize", recording_optimize)
+        for method, rule in COMBOS:
+            spec = replace(
+                base,
+                solver=replace(base.solver, method=method),
+                optimizer=replace(base.optimizer, update_rule=rule),
+            )
+            out_dir = tmp_path_factory.mktemp(f"{method}_{rule}")
+            code = run(spec, out_dir)
+            outputs[(method, rule)] = {
+                "dir": out_dir,
+                "exit": code,
+                "history": histories[-1],
+                "summary": read_summary(out_dir / "summary.txt"),
+                "pixels": read_pgm(out_dir / "density.pgm"),
+            }
     return outputs
 
 
@@ -153,6 +167,13 @@ def test_criterion_3_pcg_cheaper_than_pcr(truss_outputs):
         ok = ok and n_cg <= n_cr
         details.append(f"{rule.upper()}: PCG {n_cg} vs PCR {n_cr}")
     check(3, "PCG inner iterations <= PCR", ok, "; ".join(details))
+
+
+def test_summary_counts_capped_solves(truss_outputs):
+    for combo, data in truss_outputs.items():
+        capped = data["history"].solver_status.count("max_iterations")
+        reported = int(data["summary"]["capped_solves"])
+        assert reported == capped == CAPPED_SOLVES[combo], combo_name(*combo)
 
 
 def test_criterion_4_singular_solve_correctness():

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from topokry import SingularMatrixError, SparseSymMatrix, dense_solve, pseudo_solve, spmv
-from util import random_sparse_symmetric, random_spd
+from topokry.linalg import TripletPattern
+from util import (
+    assert_same_csr,
+    random_sparse_symmetric,
+    random_spd,
+    triplet_sum_oracle,
+)
 
 
 class TestSparseSymMatrix:
@@ -57,6 +63,35 @@ class TestSparseSymMatrix:
             [[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [2.0, 0.0, 1.0]]
         )
         np.testing.assert_array_equal(a.zero_rows(), [1])
+
+
+class TestTripletPattern:
+    def test_masked_sum_matches_sorting_the_kept_triplets(self):
+        # up to ~30 duplicates per position, so the sums run past the
+        # 8-term blocks numpy's reductions unroll
+        rng = np.random.default_rng(17)
+        for n, terms in ((1, 30), (5, 400), (30, 2000)):
+            rows = rng.integers(0, n, terms)
+            cols = rng.integers(0, n, terms)
+            values = rng.standard_normal(terms)
+            pattern = TripletPattern(n, rows, cols)
+            for share in (0.0, 0.3, 0.9, 1.0):
+                keep = rng.random(terms) < share
+                kept = np.flatnonzero(keep[pattern.order])
+                got = pattern.sum(values[pattern.order][kept], kept)
+                expected = triplet_sum_oracle(
+                    n, rows[keep], cols[keep], values[keep]
+                )
+                assert_same_csr(got, expected)
+            assert_same_csr(
+                pattern.sum(values[pattern.order]),
+                triplet_sum_oracle(n, rows, cols, values),
+            )
+
+    def test_value_count_must_match_kept_terms(self):
+        pattern = TripletPattern(3, [0, 1, 1], [0, 1, 1])
+        with pytest.raises(ValueError, match="kept terms"):
+            pattern.sum([1.0, 2.0], np.array([0]))
 
 
 class TestSpmv:

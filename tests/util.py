@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from topokry import SparseSymMatrix
 
@@ -39,3 +40,29 @@ def random_sparse_symmetric(rng: np.random.Generator, n: int, density: float = 0
     dense = np.triu(vals)
     dense = dense + np.triu(dense, 1).T
     return SparseSymMatrix.from_dense(dense), dense
+
+
+def triplet_sum_oracle(n: int, rows, cols, values) -> sp.csr_matrix:
+    """Sum COO triplets by sorting them afresh: a stable lexsort by
+    (row, col), np.add.reduceat over runs of equal positions, and scipy's
+    COO-to-CSR conversion.  The reference for pre-sorted summation."""
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    values = np.asarray(values, dtype=float)
+    if rows.size == 0:
+        return sp.csr_matrix((n, n))
+    order = np.lexsort((cols, rows))
+    r, c, v = rows[order], cols[order], values[order]
+    boundary = np.ones(r.size, dtype=bool)
+    boundary[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+    starts = np.flatnonzero(boundary)
+    summed = np.add.reduceat(v, starts)
+    return sp.csr_matrix((summed, (r[starts], c[starts])), shape=(n, n))
+
+
+def assert_same_csr(got, expected) -> None:
+    """Same index dtypes, same pattern and the same bytes of data."""
+    assert got.indptr.dtype == expected.indptr.dtype
+    assert got.indices.dtype == expected.indices.dtype
+    np.testing.assert_array_equal(got.indptr, expected.indptr)
+    np.testing.assert_array_equal(got.indices, expected.indices)
+    assert got.data.tobytes() == expected.data.tobytes()
