@@ -66,6 +66,7 @@ def _write_summary(
         f"outer_iters: {history.outer_iterations}",
         f"total_inner_iters: {history.total_inner_iterations}",
         f"capped_solves: {history.solver_status.count('max_iterations')}",
+        f"max_true_rel_residual: {max(history.true_relative_residual):.3e}",
         f"final_compliance: {history.compliance[-1]:.12e}",
         f"final_volume: {history.volume[-1]:.12e}",
         f"wall_seconds: {wall_seconds:.3f}",

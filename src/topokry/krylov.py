@@ -85,8 +85,8 @@ class NumericalFailure(RuntimeError):
 class SolverConfig:
     """Krylov solver settings.
 
-    ``max_iterations = None`` falls back to the system dimension; problem
-    configurations resolve it to the mesh node count instead.
+    ``max_iterations = None`` falls back to the system dimension;
+    ``ProblemSpec`` resolves it to the mesh node count instead.
     """
 
     method: str = "cg"
@@ -118,7 +118,8 @@ class SolveReport:
     and ``residual_vectors`` hold the same number of snapshots; iterates are
     in original coordinates while residual vectors (like the history) belong
     to the system actually iterated, which differs from the input system
-    only under preconditioning.
+    only under preconditioning.  ``true_relative_residual`` is
+    ||b - A x|| / ||b|| on the input system, whatever was iterated.
     """
 
     solution: np.ndarray
@@ -126,6 +127,7 @@ class SolveReport:
     iterations: int
     residual_history: list[float]
     final_relative_residual: float
+    true_relative_residual: float = math.nan
     iterates: list[np.ndarray] | None = None
     residual_vectors: list[np.ndarray] | None = None
 
@@ -171,6 +173,13 @@ def csr_operator(csr: sp.csr_matrix, left: np.ndarray | None = None):
     return matvec
 
 
+def _relative(res: float, b_norm: float) -> float:
+    """res / ||b||, reading a zero b as 0 when res is 0 and inf otherwise."""
+    if b_norm > 0.0:
+        return res / b_norm
+    return 0.0 if res == 0.0 else np.inf
+
+
 def _iterate(matvec, n: int, b, x0, cfg: SolverConfig) -> SolveReport:
     """Run the plain CG/CR recurrences against a ``matvec(v, out)`` operator."""
     if cfg.record_iterates and n > DENSE_SIZE_LIMIT:
@@ -194,18 +203,13 @@ def _iterate(matvec, n: int, b, x0, cfg: SolverConfig) -> SolveReport:
     xs = [x.copy()] if cfg.record_iterates else None
     rs = [r.copy()] if cfg.record_iterates else None
 
-    def relative(res: float) -> float:
-        if b_norm > 0.0:
-            return res / b_norm
-        return 0.0 if res == 0.0 else np.inf
-
     def report(status: str, k: int) -> SolveReport:
         return SolveReport(
             solution=x,
             status=status,
             iterations=k,
             residual_history=history,
-            final_relative_residual=relative(history[-1]),
+            final_relative_residual=_relative(history[-1], b_norm),
             iterates=xs,
             residual_vectors=rs,
         )
@@ -259,7 +263,8 @@ def solve(
     residual stays at its initial value, so CR stagnates at a least-squares
     solution of the consistent subsystem and reports
     ``stagnated_least_squares``.  A 0-dimensional system converges in 0
-    iterations.
+    iterations.  The report's ``true_relative_residual`` costs one more
+    matvec, with A itself.
     """
     cfg = SolverConfig() if cfg is None else cfg
     n = a.dimension
@@ -275,7 +280,12 @@ def solve(
             rep.solution = s * rep.solution
             if rep.iterates is not None:
                 rep.iterates = [s * y for y in rep.iterates]
-            return rep
-        # CR: left application, iterate on the nonsymmetric M^-1 A
-        return _iterate(csr_operator(a.csr, d), n, d * b, x0, cfg)
-    return _iterate(csr_operator(a.csr), n, b, x0, cfg)
+        else:
+            # CR: left application, iterate on the nonsymmetric M^-1 A
+            rep = _iterate(csr_operator(a.csr, d), n, d * b, x0, cfg)
+    else:
+        rep = _iterate(csr_operator(a.csr), n, b, x0, cfg)
+    rep.true_relative_residual = _relative(
+        float(np.linalg.norm(b - a.csr @ rep.solution)), float(np.linalg.norm(b))
+    )
+    return rep

@@ -14,6 +14,8 @@ pays for the sort once and for a linear masked sum on every build.
 """
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -244,32 +246,34 @@ def spmv(a: SparseSymMatrix, x) -> np.ndarray:
 
 
 def dense_solve(a, b, pivot_tol: float = 1e-14) -> np.ndarray:
-    """Solve A x = b by Gaussian elimination with partial pivoting.
+    """Solve A x = b by LU factorization with partial pivoting (LAPACK).
 
     Test oracle for regular systems; n is limited to 2000.  Raises
-    :class:`SingularMatrixError` when the best available pivot falls below
-    ``pivot_tol`` times the largest entry of the initial matrix.
+    :class:`SingularMatrixError` when a pivot of the factorization falls
+    below ``pivot_tol`` times the largest entry of A.
     """
-    a = as_small_square(a, "a").copy()
+    # imported here: at module level it would add tens of milliseconds to
+    # every ``import topokry`` for a function only tests call
+    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+
+    a = as_small_square(a, "a")
     n = a.shape[0]
-    b = as_vector(b, n, "b").copy()
-    scale = np.abs(a).max() if n else 0.0
-    if n and scale == 0.0:
+    b = as_vector(b, n, "b")
+    if n == 0:
+        return np.zeros(0)
+    scale = np.abs(a).max()
+    if scale == 0.0:
         raise SingularMatrixError("zero matrix")
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[piv, k]) <= pivot_tol * scale:
-            raise SingularMatrixError(f"pivot {a[piv, k]:.3e} at column {k}")
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            b[[k, piv]] = b[[piv, k]]
-        factors = a[k + 1:, k] / a[k, k]
-        a[k + 1:, k:] -= np.outer(factors, a[k, k:])
-        b[k + 1:] -= factors * b[k]
-    x = np.zeros(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
-    return x
+    with warnings.catch_warnings():
+        # an exactly zero pivot is reported below, as any tiny one is
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu, piv = lu_factor(a, check_finite=False)
+    pivots = np.abs(np.diagonal(lu))
+    small = np.flatnonzero(pivots <= pivot_tol * scale)
+    if small.size:
+        k = int(small[0])
+        raise SingularMatrixError(f"pivot {lu[k, k]:.3e} at column {k}")
+    return lu_solve((lu, piv), b, check_finite=False)
 
 
 def pseudo_solve(a, b, rank_tol: float = 1e-10) -> np.ndarray:

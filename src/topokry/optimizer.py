@@ -17,7 +17,7 @@ Krylov solvers handle it without any density floor.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -84,6 +84,7 @@ class OptimizationHistory:
     lagrange_multiplier: list[float] = field(default_factory=list)
     inner_iterations: list[int] = field(default_factory=list)
     solver_status: list[str] = field(default_factory=list)
+    true_relative_residual: list[float] = field(default_factory=list)
     volume: list[float] = field(default_factory=list)
     densities: list[np.ndarray] = field(default_factory=list)
     status: str = "max_iterations"
@@ -226,9 +227,6 @@ def optimize(spec: "ProblemSpec") -> OptimizationHistory:
     bc = spec.build_boundary_conditions(mesh)
     mat = spec.material
     opt = spec.optimizer
-    solver_cfg = spec.solver
-    if solver_cfg.max_iterations is None:
-        solver_cfg = replace(solver_cfg, max_iterations=mesh.n_nodes)
 
     rho = DensityField.uniform(mesh.n_elements, opt.volume_fraction)
     target = opt.volume_fraction * mesh.n_elements
@@ -241,7 +239,7 @@ def optimize(spec: "ProblemSpec") -> OptimizationHistory:
     for _ in range(opt.max_outer_iterations):
         a_full = assemble(mesh, mat, rho)
         a_red, b_red, dof_map = apply_dirichlet(a_full, b_full, bc)
-        report = solve(a_red, b_red, x_full[dof_map], solver_cfg)
+        report = solve(a_red, b_red, x_full[dof_map], spec.solver)
         x_full = scatter_solution(report.solution, dof_map, mesh.n_dofs)
 
         c = compliance(x_full, b_full)
@@ -253,6 +251,7 @@ def optimize(spec: "ProblemSpec") -> OptimizationHistory:
         history.lagrange_multiplier.append(lam)
         history.inner_iterations.append(report.iterations)
         history.solver_status.append(report.status)
+        history.true_relative_residual.append(report.true_relative_residual)
         history.volume.append(rho_new.volume())
         history.densities.append(rho_new.values.copy())
 

@@ -14,13 +14,17 @@ Example::
     loads.0.y = 10
     loads.0.fy = -105
 
-Unknown keys are rejected.  Every omitted key takes its documented default;
-``dump_problem`` writes a spec back out with all defaults materialized, and
-reloading that text reproduces the spec exactly.
+``_SCHEMA`` is the one description of the format.  A key under
+``material.``, ``solver.`` or ``optimizer.`` names a field of the
+:class:`ProblemSpec` attribute of that name, and an omitted key takes
+``ProblemSpec``'s default.  Unknown keys are rejected.  ``dump_problem``
+writes a spec back out with every default materialized, and reloading that
+text reproduces the spec exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -57,18 +61,19 @@ class ProblemSpec:
     support_edges: tuple[str, ...] = ()
     support_nodes: tuple[tuple[float, float], ...] = ()
     loads: tuple[PointLoad, ...] = ()
-    solver: SolverConfig = field(default_factory=SolverConfig)
+    solver: SolverConfig = field(
+        default_factory=lambda: SolverConfig(preconditioning="jacobi")
+    )
     optimizer: OptimizerConfig = field(
         default_factory=lambda: OptimizerConfig(volume_fraction=0.375)
     )
     output_dir: str | None = None
-    seed: int | None = None
 
     def __post_init__(self):
-        if not (self.domain_width > 0 and self.domain_height > 0):
-            raise ConfigError("domain dimensions must be positive")
         if self.nx < 1 or self.ny < 1:
             raise ConfigError("mesh.nx and mesh.ny must be >= 1")
+        if not (self.domain_width > 0 and self.domain_height > 0):
+            raise ConfigError("domain dimensions must be positive")
         for edge in self.support_edges:
             if edge not in EDGES:
                 raise ConfigError(f"unknown support edge {edge!r}")
@@ -81,6 +86,11 @@ class ProblemSpec:
                 and 0 <= load.y <= self.domain_height
             ):
                 raise ConfigError(f"loads[{i}] lies outside the domain")
+        if self.solver.max_iterations is None:
+            # the paper's cap: one Krylov iteration per mesh node
+            self.solver = replace(
+                self.solver, max_iterations=(self.nx + 1) * (self.ny + 1)
+            )
 
     def build_mesh(self) -> Mesh:
         return Mesh(self.nx, self.ny, self.domain_width, self.domain_height)
@@ -106,18 +116,34 @@ class ProblemSpec:
         )
 
 
-def _parse_scalar(kind: str, text: str, key: str, line_no: int):
+def _parse_value(kind: str, text: str, key: str, line_no: int):
+    """Parse one value of a ``_SCHEMA`` kind; errors name the line and key."""
+    if kind == "str":
+        return text
+    if kind == "names":
+        return tuple(part.strip() for part in text.split(",") if part.strip())
+    if kind == "points":
+        points = []
+        for chunk in filter(str.strip, text.split(";")):
+            parts = chunk.split(",")
+            if len(parts) != 2:
+                raise ConfigError(
+                    f"line {line_no}: {key} entry {chunk.strip()!r} is not 'x, y'"
+                )
+            points.append(
+                tuple(_parse_value("float", p.strip(), key, line_no) for p in parts)
+            )
+        return tuple(points)
     try:
-        if kind == "int":
-            return int(text)
-        if kind == "float":
-            return float(text)
+        value = int(text) if kind == "int" else float(text)
     except ValueError:
         raise ConfigError(f"line {line_no}: {key} expects a {kind}, got {text!r}")
-    return text
+    if not math.isfinite(value):
+        raise ConfigError(f"line {line_no}: {key} must be finite, got {text!r}")
+    return value
 
 
-# key -> (kind, destination); loads.* handled separately
+# key -> kind, in dump order; loads.* handled separately
 _SCHEMA = {
     "domain.width": "float",
     "domain.height": "float",
@@ -127,8 +153,8 @@ _SCHEMA = {
     "material.poisson_ratio": "float",
     "material.penal": "float",
     "material.thickness": "float",
-    "supports.edges": "str",
-    "supports.nodes": "str",
+    "supports.edges": "names",
+    "supports.nodes": "points",
     "solver.method": "str",
     "solver.rel_tolerance": "float",
     "solver.max_iterations": "int",
@@ -143,8 +169,9 @@ _SCHEMA = {
     "optimizer.move_limit": "float",
     "optimizer.bisection_tolerance": "float",
     "output.directory": "str",
-    "seed": "int",
 }
+# sections whose keys are the field names of the ProblemSpec attribute
+_SECTIONS = ("material", "solver", "optimizer")
 _LOAD_FIELDS = ("x", "y", "fx", "fy")
 _REQUIRED = (
     "mesh.nx",
@@ -182,7 +209,7 @@ def _pop_load_keys(entries) -> tuple[PointLoad, ...]:
             index = int(parts[1])
         except ValueError:
             raise ConfigError(f"line {line_no}: bad load index in {key!r}")
-        indexed.setdefault(index, {})[parts[2]] = _parse_scalar(
+        indexed.setdefault(index, {})[parts[2]] = _parse_value(
             "float", value, key, line_no
         )
     loads = []
@@ -190,28 +217,8 @@ def _pop_load_keys(entries) -> tuple[PointLoad, ...]:
         entry = indexed[i]
         if "x" not in entry or "y" not in entry:
             raise ConfigError(f"loads[{i}] needs both loads.{i}.x and loads.{i}.y")
-        loads.append(
-            PointLoad(
-                x=entry["x"],
-                y=entry["y"],
-                fx=entry.get("fx", 0.0),
-                fy=entry.get("fy", 0.0),
-            )
-        )
+        loads.append(PointLoad(**entry))
     return tuple(loads)
-
-
-def _parse_node_list(text: str) -> tuple[tuple[float, float], ...]:
-    nodes = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"supports.nodes entry {chunk!r} is not 'x, y'")
-        nodes.append((float(parts[0]), float(parts[1])))
-    return tuple(nodes)
 
 
 def loads_problem_text(text: str) -> ProblemSpec:
@@ -223,69 +230,54 @@ def loads_problem_text(text: str) -> ProblemSpec:
     for key, (value, line_no) in entries.items():
         if key not in _SCHEMA:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
-        values[key] = _parse_scalar(_SCHEMA[key], value, key, line_no)
+        values[key] = _parse_value(_SCHEMA[key], value, key, line_no)
     for key in _REQUIRED:
         if key not in values:
             raise ConfigError(f"missing required key {key!r}")
+    given: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
+    for key, value in values.items():
+        section, _, name = key.partition(".")
+        if section in given:
+            given[section][name] = value
 
+    defaults = {f.name: f.default_factory for f in fields(ProblemSpec)}
     nx = values["mesh.nx"]
     ny = values["mesh.ny"]
     try:
-        material = Material(
-            young_modulus=values["material.young_modulus"],
-            poisson_ratio=values["material.poisson_ratio"],
-            penal=values.get("material.penal", 3.0),
-            thickness=values.get("material.thickness", 1.0),
-        )
-        solver = SolverConfig(
-            method=values.get("solver.method", "cg"),
-            rel_tolerance=values.get("solver.rel_tolerance", 1e-8),
-            max_iterations=values.get(
-                "solver.max_iterations", (nx + 1) * (ny + 1)
-            ),
-            breakdown_tolerance=values.get("solver.breakdown_tolerance", 1e-14),
-            preconditioning=values.get("solver.preconditioning", "jacobi"),
-        )
-        optimizer = OptimizerConfig(
-            volume_fraction=values.get("optimizer.volume_fraction", 0.375),
-            update_rule=values.get("optimizer.update_rule", "oc"),
-            oc_exponent=values.get("optimizer.oc_exponent", 0.85),
-            threshold_cutoff=values.get("optimizer.threshold_cutoff", 1e-3),
-            lagrangian_tolerance=values.get("optimizer.lagrangian_tolerance", 1e-10),
-            max_outer_iterations=values.get("optimizer.max_outer_iterations", 100),
-            move_limit=values.get("optimizer.move_limit", 0.2),
-            bisection_tolerance=values.get("optimizer.bisection_tolerance", 1e-8),
-        )
-        edges = tuple(
-            part.strip()
-            for part in values.get("supports.edges", "").split(",")
-            if part.strip()
-        )
-        spec = ProblemSpec(
+        return ProblemSpec(
             domain_width=values.get("domain.width", float(nx)),
             domain_height=values.get("domain.height", float(ny)),
             nx=nx,
             ny=ny,
-            material=material,
-            support_edges=edges,
-            support_nodes=_parse_node_list(values.get("supports.nodes", "")),
+            material=Material(**given["material"]),
+            support_edges=values.get("supports.edges", ()),
+            support_nodes=values.get("supports.nodes", ()),
             loads=loads,
-            solver=solver,
-            optimizer=optimizer,
+            solver=replace(defaults["solver"](), **given["solver"]),
+            optimizer=replace(defaults["optimizer"](), **given["optimizer"]),
             output_dir=values.get("output.directory"),
-            seed=values.get("seed"),
         )
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return spec
 
 
 def load_problem(path) -> ProblemSpec:
     """Load and validate a problem configuration file."""
     with open(path, "r", encoding="utf-8") as handle:
         return loads_problem_text(handle.read())
+
+
+def _dump_section(spec: ProblemSpec, section: str) -> list[str]:
+    values = getattr(spec, section)
+    lines = []
+    for key in _SCHEMA:
+        prefix, _, name = key.partition(".")
+        if prefix == section:
+            value = getattr(values, name)
+            lines.append(f"{key} = {value if isinstance(value, str) else repr(value)}")
+    return lines
 
 
 def dump_problem(spec: ProblemSpec) -> str:
@@ -295,10 +287,7 @@ def dump_problem(spec: ProblemSpec) -> str:
         f"domain.height = {spec.domain_height!r}",
         f"mesh.nx = {spec.nx}",
         f"mesh.ny = {spec.ny}",
-        f"material.young_modulus = {spec.material.young_modulus!r}",
-        f"material.poisson_ratio = {spec.material.poisson_ratio!r}",
-        f"material.penal = {spec.material.penal!r}",
-        f"material.thickness = {spec.material.thickness!r}",
+        *_dump_section(spec, "material"),
     ]
     if spec.support_edges:
         lines.append("supports.edges = " + ", ".join(spec.support_edges))
@@ -312,30 +301,7 @@ def dump_problem(spec: ProblemSpec) -> str:
         lines.append(f"loads.{i}.y = {load.y!r}")
         lines.append(f"loads.{i}.fx = {load.fx!r}")
         lines.append(f"loads.{i}.fy = {load.fy!r}")
-    solver = spec.solver
-    max_iter = solver.max_iterations
-    if max_iter is None:
-        max_iter = (spec.nx + 1) * (spec.ny + 1)
-    lines += [
-        f"solver.method = {solver.method}",
-        f"solver.rel_tolerance = {solver.rel_tolerance!r}",
-        f"solver.max_iterations = {max_iter}",
-        f"solver.breakdown_tolerance = {solver.breakdown_tolerance!r}",
-        f"solver.preconditioning = {solver.preconditioning}",
-    ]
-    opt = spec.optimizer
-    lines += [
-        f"optimizer.update_rule = {opt.update_rule}",
-        f"optimizer.volume_fraction = {opt.volume_fraction!r}",
-        f"optimizer.oc_exponent = {opt.oc_exponent!r}",
-        f"optimizer.threshold_cutoff = {opt.threshold_cutoff!r}",
-        f"optimizer.lagrangian_tolerance = {opt.lagrangian_tolerance!r}",
-        f"optimizer.max_outer_iterations = {opt.max_outer_iterations}",
-        f"optimizer.move_limit = {opt.move_limit!r}",
-        f"optimizer.bisection_tolerance = {opt.bisection_tolerance!r}",
-    ]
+    lines += _dump_section(spec, "solver") + _dump_section(spec, "optimizer")
     if spec.output_dir is not None:
         lines.append(f"output.directory = {spec.output_dir}")
-    if spec.seed is not None:
-        lines.append(f"seed = {spec.seed}")
     return "\n".join(lines) + "\n"

@@ -176,6 +176,23 @@ def test_summary_counts_capped_solves(truss_outputs):
         assert reported == capped == CAPPED_SOLVES[combo], combo_name(*combo)
 
 
+def test_summary_reports_true_residual(truss_outputs):
+    # PCG converges on the shipped truss; PCR's capped solves stop far from
+    # the solution of the unpreconditioned system
+    for (method, rule), data in truss_outputs.items():
+        residuals = data["history"].true_relative_residual
+        name = combo_name(method, rule)
+        assert len(residuals) == data["history"].outer_iterations, name
+        worst = max(residuals)
+        assert float(data["summary"]["max_true_rel_residual"]) == pytest.approx(
+            worst, rel=1e-3
+        ), name
+        if method == "cg":
+            assert worst < 1e-6, name
+        else:
+            assert worst > 1e-2, name
+
+
 def test_criterion_4_singular_solve_correctness():
     rng = np.random.default_rng(101)
     worst = 0.0

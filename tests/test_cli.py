@@ -186,6 +186,18 @@ class TestMain:
         bad.write_text("mesh.nx = 2\n")
         assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize(
+        "line", ["loads.0.fx = nan", "material.penal = inf", "supports.nodes = a,b"]
+    )
+    def test_bad_value_is_config_error_without_traceback(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SMALL_TRUSS + line + "\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: line ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_no_output_dir(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text(SMALL_TRUSS)

@@ -392,6 +392,31 @@ class TestInPlaceSafety:
             assert h == np.linalg.norm(r)
 
 
+class TestTrueResidual:
+    @pytest.mark.parametrize("method,pre", TestInPlaceSafety.SETTINGS)
+    @pytest.mark.parametrize("max_iterations", [3, 200])
+    def test_matches_recomputed_norm_on_input_system(self, method, pre, max_iterations):
+        rng = np.random.default_rng(41)
+        dense, _, _ = random_singular_psd(rng, 12, 3)
+        dense[:, 0] = dense[0, :] = 0.0  # a void DOF's empty row
+        a = sparse_from_dense(dense)
+        b = dense @ rng.standard_normal(12)
+        cfg = SolverConfig(
+            method=method, preconditioning=pre, max_iterations=max_iterations
+        )
+        rep = solve(a, b, None, cfg)
+        expected = np.linalg.norm(b - a.csr @ rep.solution) / np.linalg.norm(b)
+        assert rep.true_relative_residual == pytest.approx(expected, rel=1e-12)
+        if max_iterations == 200:
+            assert rep.true_relative_residual < 1e-6
+
+    @pytest.mark.parametrize("method,pre", TestInPlaceSafety.SETTINGS)
+    def test_zero_load(self, method, pre):
+        a = sparse_from_dense(random_spd(np.random.default_rng(3), 5))
+        cfg = SolverConfig(method=method, preconditioning=pre)
+        assert solve(a, np.zeros(5), None, cfg).true_relative_residual == 0.0
+
+
 class TestConfigValidation:
     def test_bad_method(self):
         with pytest.raises(ValueError):

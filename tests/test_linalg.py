@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -160,6 +165,12 @@ class TestDenseSolve:
         with pytest.raises(SingularMatrixError):
             dense_solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
 
+    def test_exactly_singular_raises_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError, match="column 1"):
+                dense_solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
+
     def test_zero_matrix_raises(self):
         with pytest.raises(SingularMatrixError):
             dense_solve(np.zeros((3, 3)), np.ones(3))
@@ -172,6 +183,18 @@ class TestDenseSolve:
     def test_size_limit(self):
         with pytest.raises(ValueError, match="2000"):
             dense_solve(np.eye(2001), np.ones(2001))
+
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        # dense_solve imports scipy.linalg on first call, so that
+        # ``import topokry`` does not pay for it
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        code = "import sys, topokry; print('scipy.linalg' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=120,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestPseudoSolve:

@@ -1,7 +1,12 @@
+import os
+
 import pytest
 
-from topokry import ConfigError, load_problem
-from topokry.problem import dump_problem, loads_problem_text
+from topokry import ConfigError, Material, PointLoad, ProblemSpec, load_problem
+from topokry.problem import _SCHEMA, dump_problem, loads_problem_text
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+CONFIGS = os.path.join(os.path.dirname(TESTS), "configs")
 
 MINIMAL = """
 mesh.nx = 4
@@ -96,6 +101,92 @@ class TestLoadProblem:
         with pytest.raises(FileNotFoundError):
             load_problem("/nonexistent/path.cfg")
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("loads.0.fx = nan", r"line 10: loads.0.fx must be finite"),
+            ("material.penal = inf", r"line 10: material.penal must be finite"),
+            ("domain.width = inf", r"line 10: domain.width must be finite"),
+            ("supports.nodes = a,b", r"line 10: supports.nodes expects a float, got 'a'"),
+            ("supports.nodes = 1,2,3", r"line 10: supports.nodes entry '1,2,3'"),
+        ],
+    )
+    def test_bad_value_named_with_line_and_key(self, line, message):
+        with pytest.raises(ConfigError, match=message):
+            loads_problem_text(MINIMAL + line + "\n")
+
+    def test_zero_mesh_size_diagnosed_before_domain(self):
+        with pytest.raises(ConfigError, match="mesh.nx and mesh.ny must be >= 1"):
+            loads_problem_text(MINIMAL.replace("mesh.nx = 4", "mesh.nx = 0"))
+
+    def test_seed_is_an_unknown_key(self):
+        with pytest.raises(ConfigError, match="line 10: unknown key 'seed'"):
+            loads_problem_text(MINIMAL + "seed = 1\n")
+
+
+# one valid value per config key, each different from MINIMAL's
+NON_DEFAULT = {
+    "domain.width": "5",
+    "domain.height": "9",
+    "mesh.nx": "5",
+    "mesh.ny": "9",
+    "material.young_modulus": "1e5",
+    "material.poisson_ratio": "0.25",
+    "material.penal": "2",
+    "material.thickness": "3",
+    "supports.edges": "left, bottom",
+    "supports.nodes": "1, 2; 3, 4",
+    "solver.method": "cr",
+    "solver.rel_tolerance": "1e-6",
+    "solver.max_iterations": "77",
+    "solver.breakdown_tolerance": "1e-12",
+    "solver.preconditioning": "none",
+    "optimizer.update_rule": "conlin",
+    "optimizer.volume_fraction": "0.5",
+    "optimizer.oc_exponent": "0.5",
+    "optimizer.threshold_cutoff": "0.01",
+    "optimizer.lagrangian_tolerance": "1e-9",
+    "optimizer.max_outer_iterations": "7",
+    "optimizer.move_limit": "0.3",
+    "optimizer.bisection_tolerance": "1e-6",
+    "output.directory": "out",
+}
+
+
+class TestSchema:
+    def test_every_key_has_a_test_value(self):
+        assert set(NON_DEFAULT) == set(_SCHEMA)
+
+    @pytest.mark.parametrize("key", list(_SCHEMA))
+    def test_key_changes_spec_and_round_trips(self, key):
+        lines = [
+            line for line in MINIMAL.strip().splitlines()
+            if not line.startswith(key + " ")
+        ]
+        text = "\n".join(lines + [f"{key} = {NON_DEFAULT[key]}"]) + "\n"
+        spec = loads_problem_text(text)
+        assert spec != loads_problem_text(MINIMAL)
+        dumped = dump_problem(spec)
+        assert loads_problem_text(dumped) == spec
+        assert dump_problem(loads_problem_text(dumped)) == dumped
+
+    def test_python_spec_defaults_match_config_defaults(self):
+        spec = ProblemSpec(
+            domain_width=4.0,
+            domain_height=8.0,
+            nx=4,
+            ny=8,
+            material=Material(2.1e5, 0.3),
+            support_edges=("left",),
+            loads=(PointLoad(4.0, 4.0, 0.0, -10.0),),
+        )
+        assert spec == loads_problem_text(MINIMAL)
+
+    def test_shipped_truss_dump_is_unchanged(self):
+        spec = load_problem(os.path.join(CONFIGS, "two_bar_truss.cfg"))
+        with open(os.path.join(TESTS, "golden", "two_bar_truss_dump.cfg")) as handle:
+            assert dump_problem(spec) == handle.read()
+
 
 class TestRoundTrip:
     def test_dump_then_load_is_identity(self):
@@ -121,7 +212,6 @@ class TestRoundTrip:
             "optimizer.volume_fraction = 0.4\n"
             "optimizer.move_limit = 1.0\n"
             "output.directory = /tmp/somewhere\n"
-            "seed = 42\n"
         )
         spec = loads_problem_text(text)
         assert loads_problem_text(dump_problem(spec)) == spec
