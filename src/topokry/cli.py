@@ -85,6 +85,9 @@ def run(spec: ProblemSpec, out_dir) -> int:
         start = time.perf_counter()
         history = optimize(spec)
         wall = time.perf_counter() - start
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except (NumericalFailure, InfeasibleConstraintError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -17,9 +17,10 @@ The two methods implement the classical recurrences
 
 with x_{k+1} = x_k + alpha_k p_k, r_{k+1} = r_k - alpha_k A p_k and
 p_{k+1} = r_{k+1} + beta_k p_k, stopping when ||r_k|| <= eps * ||b||.
-Collapse of the alpha denominator does not raise: the solver returns the
-current iterate with status ``stagnated_least_squares``, which on a
-consistent subsystem is the useful range-space solution.
+Collapse of the alpha denominator, to at most ``BREAKDOWN_TOLERANCE`` =
+1e-14 times ||p_k||^2, does not raise: the solver returns the current
+iterate with status ``stagnated_least_squares``, which on a consistent
+subsystem is the useful range-space solution.
 
 Jacobi preconditioning differs per method.  CG runs the plain recurrences
 on the symmetrically scaled system S A S y = S b with S = diag(sqrt(d)),
@@ -72,6 +73,12 @@ CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
 STAGNATED = "stagnated_least_squares"
 
+# Relative cut for a numerically zero quantity, used twice: the iteration
+# stagnates when the alpha denominator falls to or below it times ||p||^2
+# (``_iterate``), and a diagonal entry at or below it times the largest one
+# counts as a zero row for the Jacobi scaling (``jacobi_preconditioner``).
+BREAKDOWN_TOLERANCE = 1e-14
+
 
 class NumericalFailure(RuntimeError):
     """A solver met a non-finite value; carries the iteration index."""
@@ -92,7 +99,6 @@ class SolverConfig:
     method: str = "cg"
     rel_tolerance: float = 1e-8
     max_iterations: int | None = None
-    breakdown_tolerance: float = 1e-14
     preconditioning: str = "none"
     record_iterates: bool = False
 
@@ -103,8 +109,6 @@ class SolverConfig:
             raise ValueError("rel_tolerance must be positive")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not self.breakdown_tolerance > 0:
-            raise ValueError("breakdown_tolerance must be positive")
         if self.preconditioning not in ("none", "jacobi"):
             raise ValueError(f"unknown preconditioning {self.preconditioning!r}")
 
@@ -132,22 +136,20 @@ class SolveReport:
     residual_vectors: list[np.ndarray] | None = None
 
 
-def jacobi_preconditioner(
-    a: SparseSymMatrix, breakdown_tolerance: float = 1e-14
-) -> np.ndarray:
+def jacobi_preconditioner(a: SparseSymMatrix) -> np.ndarray:
     """Reciprocal diagonal of A with pass-through for zero rows.
 
-    d_i = 1 / A(i,i) where the diagonal is meaningfully positive, and
-    d_i = 1 where it is numerically zero, so zero-stiffness DOFs are left
-    unscaled; every entry is positive.  A negative diagonal entry violates
-    positive semidefiniteness and raises.
+    d_i = 1 / A(i,i) where the diagonal exceeds ``BREAKDOWN_TOLERANCE``
+    times the largest one, and d_i = 1 where it does not, so zero-stiffness
+    DOFs are left unscaled; every entry is positive.  A negative diagonal
+    entry violates positive semidefiniteness and raises.
     """
     diag = a.diagonal()
     if diag.size and diag.min() < 0.0:
         raise ValueError("negative diagonal entry: matrix is not PSD")
     scale = diag.max() if diag.size else 0.0
     d = np.ones_like(diag)
-    meaningful = diag > breakdown_tolerance * scale
+    meaningful = diag > BREAKDOWN_TOLERANCE * scale
     d[meaningful] = 1.0 / diag[meaningful]
     return d
 
@@ -223,7 +225,7 @@ def _iterate(matvec, n: int, b, x0, cfg: SolverConfig) -> SolveReport:
         p_sq = float(p.dot(p))
         if not math.isfinite(denom):
             raise NumericalFailure("non-finite denominator", k)
-        if denom <= cfg.breakdown_tolerance * p_sq:
+        if denom <= BREAKDOWN_TOLERANCE * p_sq:
             return report(STAGNATED, k)
         alpha = float(r.dot(ap)) / denom if is_cr else float(r.dot(p)) / denom
         x += np.multiply(p, alpha, out=tmp)
@@ -272,7 +274,7 @@ def solve(
     x0 = np.zeros(n) if x0 is None else as_vector(x0, n, "x0")
 
     if cfg.preconditioning == "jacobi":
-        d = jacobi_preconditioner(a, cfg.breakdown_tolerance)
+        d = jacobi_preconditioner(a)
         if cfg.method == "cg":
             s = np.sqrt(d)
             scaled = csr_operator(a.scaled(s).csr)

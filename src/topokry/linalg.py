@@ -5,7 +5,9 @@ float64 numpy arrays; :func:`as_vector` / :func:`as_dense` validate them at
 API boundaries.  The dense solvers exist as test oracles and, like every
 dense test-scale tool, are limited to n <= DENSE_SIZE_LIMIT = 2000 by
 contract; :func:`as_small_square`, :func:`check_dense_size` and
-:func:`check_symmetric` hold the checks they share.
+:func:`check_symmetric` hold the checks they share, and
+``RANK_TOLERANCE`` = 1e-10 and ``PIVOT_TOLERANCE`` = 1e-14 the cuts below
+which they count an eigenvalue or a pivot as zero.
 
 Sparse matrices are built from COO triplets by :class:`TripletPattern`,
 the one sort-and-sum implementation: it sorts the triplet positions once,
@@ -20,6 +22,10 @@ import numpy as np
 import scipy.sparse as sp
 
 DENSE_SIZE_LIMIT = 2000
+# eigenvalues with |lambda| <= RANK_TOLERANCE * |lambda|_max count as zero
+RANK_TOLERANCE = 1e-10
+# LU pivots with |u_kk| <= PIVOT_TOLERANCE * max|a_ij| make a matrix singular
+PIVOT_TOLERANCE = 1e-14
 
 
 class SingularMatrixError(ValueError):
@@ -245,12 +251,12 @@ def spmv(a: SparseSymMatrix, x) -> np.ndarray:
     return a.csr @ x
 
 
-def dense_solve(a, b, pivot_tol: float = 1e-14) -> np.ndarray:
+def dense_solve(a, b) -> np.ndarray:
     """Solve A x = b by LU factorization with partial pivoting (LAPACK).
 
     Test oracle for regular systems; n is limited to 2000.  Raises
     :class:`SingularMatrixError` when a pivot of the factorization falls
-    below ``pivot_tol`` times the largest entry of A.
+    to ``PIVOT_TOLERANCE`` times the largest entry of A.
     """
     # imported here: at module level it would add tens of milliseconds to
     # every ``import topokry`` for a function only tests call
@@ -269,18 +275,19 @@ def dense_solve(a, b, pivot_tol: float = 1e-14) -> np.ndarray:
         warnings.simplefilter("ignore", LinAlgWarning)
         lu, piv = lu_factor(a, check_finite=False)
     pivots = np.abs(np.diagonal(lu))
-    small = np.flatnonzero(pivots <= pivot_tol * scale)
+    small = np.flatnonzero(pivots <= PIVOT_TOLERANCE * scale)
     if small.size:
         k = int(small[0])
         raise SingularMatrixError(f"pivot {lu[k, k]:.3e} at column {k}")
     return lu_solve((lu, piv), b, check_finite=False)
 
 
-def pseudo_solve(a, b, rank_tol: float = 1e-10) -> np.ndarray:
+def pseudo_solve(a, b) -> np.ndarray:
     """Minimum-norm least-squares solution x = A+ b for symmetric A.
 
     Uses the symmetric eigendecomposition and drops eigenvalues with
-    |lambda| <= rank_tol * |lambda|_max.  Test oracle for singular systems.
+    |lambda| <= RANK_TOLERANCE * |lambda|_max.  Test oracle for singular
+    systems.
     """
     a = check_symmetric(as_small_square(a, "a"), "a")
     n = a.shape[0]
@@ -288,7 +295,7 @@ def pseudo_solve(a, b, rank_tol: float = 1e-10) -> np.ndarray:
     if n == 0:
         return np.zeros(0)
     w, v = np.linalg.eigh(0.5 * (a + a.T))
-    keep = np.abs(w) > rank_tol * np.abs(w).max()
+    keep = np.abs(w) > RANK_TOLERANCE * np.abs(w).max()
     if not np.any(keep):
         return np.zeros(n)
     coeffs = (v[:, keep].T @ b) / w[keep]

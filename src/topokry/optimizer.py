@@ -4,11 +4,14 @@ multiplier, thresholding of near-void densities, and convergence control.
 
 Both update rules share the same shape: a candidate density
 ``rho' = (|sens| / |lambda|)^eta * rho`` clamped to the move-limit box
-intersected with [0, 1], with eta = 0.85 for OC (lambda < 0) and eta = 1/2
-for CONLIN (lambda > 0).  The multiplier magnitude is found by bisection in
-log space so that the updated volume meets the budget from the feasible
-side; if even the maximal move keeps the volume under budget the constraint
-is slack and the multiplier pins at its bracket edge.
+intersected with [0, 1], with eta = ``OC_EXPONENT`` = 0.85 for OC
+(lambda < 0) and eta = 1/2 for CONLIN (lambda > 0).  The multiplier
+magnitude is found by bisection in log space so that the updated volume
+meets the budget from the feasible side, to a relative
+``BISECTION_TOLERANCE`` = 1e-8; if even the maximal move keeps the volume
+under budget the constraint is slack and the multiplier pins at its
+bracket edge.  The loop stops once the Lagrangian changes by less than
+``LAGRANGIAN_TOLERANCE`` = 1e-10.
 
 Densities below the threshold cutoff are forced to exactly zero.  Zero
 stays zero under the multiplicative rules, elements lose their stiffness
@@ -38,6 +41,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from .problem import ProblemSpec
 
 MULTIPLIER_BRACKET = (1e-12, 1e12)
+# OC update exponent eta
+OC_EXPONENT = 0.85
+# bisection stops once the volume is under budget by at most this share of it
+BISECTION_TOLERANCE = 1e-8
+# absolute Lagrangian change between outer iterations that counts as converged
+LAGRANGIAN_TOLERANCE = 1e-10
 
 
 class InfeasibleConstraintError(RuntimeError):
@@ -50,30 +59,21 @@ class OptimizerConfig:
 
     volume_fraction: float
     update_rule: str = "oc"
-    oc_exponent: float = 0.85
     threshold_cutoff: float = 1e-3
-    lagrangian_tolerance: float = 1e-10
     max_outer_iterations: int = 100
     move_limit: float = 0.2
-    bisection_tolerance: float = 1e-8
 
     def __post_init__(self):
         if not 0.0 < self.volume_fraction <= 1.0:
             raise ValueError("volume_fraction must lie in (0, 1]")
         if self.update_rule not in ("oc", "conlin"):
             raise ValueError(f"unknown update rule {self.update_rule!r}")
-        if not 0.0 < self.oc_exponent <= 1.0:
-            raise ValueError("oc_exponent must lie in (0, 1]")
         if not 0.0 <= self.threshold_cutoff < 1.0:
             raise ValueError("threshold_cutoff must lie in [0, 1)")
-        if not self.lagrangian_tolerance > 0:
-            raise ValueError("lagrangian_tolerance must be positive")
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be >= 1")
         if not self.move_limit > 0:
             raise ValueError("move_limit must be positive")
-        if not self.bisection_tolerance > 0:
-            raise ValueError("bisection_tolerance must be positive")
 
 
 @dataclass
@@ -159,7 +159,7 @@ def _update(
     if sens.size and sens.max() > 0.0:
         raise ValueError("sensitivities must be <= 0")
     target = cfg.volume_fraction * rho.n_elements
-    tol = cfg.bisection_tolerance * target
+    tol = BISECTION_TOLERANCE * target
 
     def candidate(mu: float) -> np.ndarray:
         return _clamped_candidate(rho.values, sens, mu, exponent, cfg.move_limit)
@@ -196,7 +196,7 @@ def oc_update(
     rho: DensityField, sens, cfg: OptimizerConfig
 ) -> tuple[DensityField, float]:
     """Optimality-criteria update rho' = (sens/lambda)^eta * rho, lambda < 0."""
-    return _update(rho, sens, cfg, cfg.oc_exponent, sign=-1.0)
+    return _update(rho, sens, cfg, OC_EXPONENT, sign=-1.0)
 
 
 def conlin_update(
@@ -258,7 +258,7 @@ def optimize(spec: "ProblemSpec") -> OptimizationHistory:
         lagrangian = c + lam * (rho_new.volume() - target)
         if (
             lagrangian_prev is not None
-            and abs(lagrangian - lagrangian_prev) < opt.lagrangian_tolerance
+            and abs(lagrangian - lagrangian_prev) < LAGRANGIAN_TOLERANCE
         ):
             history.status = "converged"
             rho = rho_new

@@ -96,19 +96,29 @@ class ProblemSpec:
         return Mesh(self.nx, self.ny, self.domain_width, self.domain_height)
 
     def build_boundary_conditions(self, mesh: Mesh) -> BoundaryConditions:
+        """Supports and loads snapped to nodes; a load component on a
+        supported DOF, or a load vector that is zero after snapping
+        (cancelling loads included), is a :class:`ConfigError`."""
         fixed = [mesh.edge_dofs(edge) for edge in self.support_edges]
         for x, y in self.support_nodes:
             fixed.append(np.asarray(mesh.node_dofs(mesh.node_near(x, y))))
         fixed_dofs = (
             np.unique(np.concatenate(fixed)) if fixed else np.zeros(0, np.int64)
         )
+        supported = set(fixed_dofs.tolist())
         point_loads = []
-        for load in self.loads:
+        total: dict[int, float] = {}
+        for i, load in enumerate(self.loads):
             dx, dy = mesh.node_dofs(mesh.node_near(load.x, load.y))
-            if load.fx != 0.0:
-                point_loads.append((dx, load.fx))
-            if load.fy != 0.0:
-                point_loads.append((dy, load.fy))
+            for dof, force in ((dx, load.fx), (dy, load.fy)):
+                if force == 0.0:
+                    continue
+                if dof in supported:
+                    raise ConfigError(f"loads[{i}] acts on a supported node")
+                point_loads.append((dof, force))
+                total[dof] = total.get(dof, 0.0) + force
+        if not any(total.values()):
+            raise ConfigError("the load vector is zero: no loads, or they cancel")
         return BoundaryConditions(
             n_dofs=mesh.n_dofs,
             fixed_dofs=fixed_dofs,
@@ -158,16 +168,12 @@ _SCHEMA = {
     "solver.method": "str",
     "solver.rel_tolerance": "float",
     "solver.max_iterations": "int",
-    "solver.breakdown_tolerance": "float",
     "solver.preconditioning": "str",
     "optimizer.update_rule": "str",
     "optimizer.volume_fraction": "float",
-    "optimizer.oc_exponent": "float",
     "optimizer.threshold_cutoff": "float",
-    "optimizer.lagrangian_tolerance": "float",
     "optimizer.max_outer_iterations": "int",
     "optimizer.move_limit": "float",
-    "optimizer.bisection_tolerance": "float",
     "output.directory": "str",
 }
 # sections whose keys are the field names of the ProblemSpec attribute

@@ -4,7 +4,9 @@ Builds orthonormal bases of the range and its orthogonal complement from the
 symmetric eigendecomposition, transforms matrices to the block "standard
 form" with a regular leading block and a zero trailing block, projects
 recorded solver histories onto the two subspaces, and checks the Conjugate
-Residual contraction bound.  Test-scale machinery: dense, n <= 2000.
+Residual contraction bound, within ``CR_BOUND_SLACK`` = 1e-10.  The range
+is cut by ``linalg.RANK_TOLERANCE``, the zero-eigenvalue policy
+``pseudo_solve`` uses too.  Test-scale machinery: dense, n <= 2000.
 """
 from __future__ import annotations
 
@@ -14,11 +16,15 @@ import numpy as np
 
 from .krylov import SolveReport
 from .linalg import (
+    RANK_TOLERANCE,
     SparseSymMatrix,
     as_small_square,
     check_dense_size,
     check_symmetric,
 )
+
+# allowance on the squared residual ratio in ``cr_bound_check``
+CR_BOUND_SLACK = 1e-10
 
 
 class DecompositionError(RuntimeError):
@@ -56,12 +62,12 @@ def _to_dense_symmetric(a, name: str = "matrix") -> np.ndarray:
     return check_symmetric(as_small_square(a, name), name)
 
 
-def range_basis(a, rank_tol: float = 1e-10) -> RangeDecomposition:
+def range_basis(a) -> RangeDecomposition:
     """Split R^n into the range of a symmetric matrix and its complement.
 
-    Eigenvectors with |lambda| > rank_tol * |lambda|_max span the range; the
-    rest span the null space (equal to the orthogonal complement for
-    symmetric input).
+    Eigenvectors with |lambda| > RANK_TOLERANCE * |lambda|_max span the
+    range; the rest span the null space (equal to the orthogonal complement
+    for symmetric input).
     """
     dense = _to_dense_symmetric(a)
     n = dense.shape[0]
@@ -70,7 +76,7 @@ def range_basis(a, rank_tol: float = 1e-10) -> RangeDecomposition:
         return RangeDecomposition(0, empty, empty, empty)
     w, v = np.linalg.eigh(0.5 * (dense + dense.T))
     magnitude = np.abs(w)
-    cutoff = rank_tol * magnitude.max() if magnitude.max() > 0 else 0.0
+    cutoff = RANK_TOLERANCE * magnitude.max() if magnitude.max() > 0 else 0.0
     keep = magnitude > cutoff
     # descending magnitude inside each block keeps the layout predictable
     range_order = np.flatnonzero(keep)[np.argsort(-magnitude[keep])]
@@ -125,13 +131,13 @@ def decompose_history(report: SolveReport, dec: RangeDecomposition) -> Component
     return ComponentTraces(r_par, r_perp, x_par, x_perp)
 
 
-def cr_bound_check(a, residual_history, slack: float = 1e-10) -> bool:
+def cr_bound_check(a, residual_history) -> bool:
     """Check the CR contraction bound on a recorded residual history.
 
     For every consecutive pair the squared residual ratio must satisfy
     ||r_{k+1}||^2 / ||r_k||^2 <= 1 - lambda_min(M)^2 / lambda_max(A^T A)
-    within ``slack``, where M is the symmetric part of A.  Requires M
-    positive definite.
+    within ``CR_BOUND_SLACK``, where M is the symmetric part of A.
+    Requires M positive definite.
     """
     dense = as_small_square(a, "a")
     sym = 0.5 * (dense + dense.T)
@@ -145,6 +151,6 @@ def cr_bound_check(a, residual_history, slack: float = 1e-10) -> bool:
     for prev, nxt in zip(history, history[1:]):
         if prev == 0.0:
             continue
-        if (nxt / prev) ** 2 > bound + slack:
+        if (nxt / prev) ** 2 > bound + CR_BOUND_SLACK:
             return False
     return True

@@ -8,6 +8,8 @@ from topokry import Mesh, OptimizationHistory
 from topokry.cli import export_density_pgm, export_history_csv, main, run
 from topokry.problem import load_problem, loads_problem_text
 
+from util import BAD_LOAD_CONFIGS
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 CONFIGS = os.path.join(os.path.dirname(HERE), "configs")
 
@@ -195,6 +197,16 @@ class TestMain:
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: line ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name", list(BAD_LOAD_CONFIGS))
+    def test_unusable_loads_are_config_errors(self, tmp_path, capsys, name):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(BAD_LOAD_CONFIGS[name][0])
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 

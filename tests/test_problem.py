@@ -1,9 +1,14 @@
 import os
+from dataclasses import fields
 
 import pytest
 
 from topokry import ConfigError, Material, PointLoad, ProblemSpec, load_problem
-from topokry.problem import _SCHEMA, dump_problem, loads_problem_text
+from topokry.krylov import SolverConfig
+from topokry.optimizer import OptimizerConfig
+from topokry.problem import _SCHEMA, _SECTIONS, dump_problem, loads_problem_text
+
+from util import BAD_LOAD_CONFIGS
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 CONFIGS = os.path.join(os.path.dirname(TESTS), "configs")
@@ -27,7 +32,6 @@ class TestLoadProblem:
         assert spec.solver.max_iterations == 5 * 9  # node count
         assert spec.solver.preconditioning == "jacobi"
         assert spec.solver.method == "cg"
-        assert spec.optimizer.oc_exponent == 0.85
         assert spec.optimizer.threshold_cutoff == 1e-3
         assert spec.optimizer.max_outer_iterations == 100
         assert spec.optimizer.volume_fraction == 0.375
@@ -123,6 +127,19 @@ class TestLoadProblem:
         with pytest.raises(ConfigError, match="line 10: unknown key 'seed'"):
             loads_problem_text(MINIMAL + "seed = 1\n")
 
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "solver.breakdown_tolerance",
+            "optimizer.oc_exponent",
+            "optimizer.lagrangian_tolerance",
+            "optimizer.bisection_tolerance",
+        ],
+    )
+    def test_removed_keys_are_unknown(self, key):
+        with pytest.raises(ConfigError, match=f"line 10: unknown key '{key}'"):
+            loads_problem_text(MINIMAL + f"{key} = 1e-9\n")
+
 
 # one valid value per config key, each different from MINIMAL's
 NON_DEFAULT = {
@@ -139,16 +156,12 @@ NON_DEFAULT = {
     "solver.method": "cr",
     "solver.rel_tolerance": "1e-6",
     "solver.max_iterations": "77",
-    "solver.breakdown_tolerance": "1e-12",
     "solver.preconditioning": "none",
     "optimizer.update_rule": "conlin",
     "optimizer.volume_fraction": "0.5",
-    "optimizer.oc_exponent": "0.5",
     "optimizer.threshold_cutoff": "0.01",
-    "optimizer.lagrangian_tolerance": "1e-9",
     "optimizer.max_outer_iterations": "7",
     "optimizer.move_limit": "0.3",
-    "optimizer.bisection_tolerance": "1e-6",
     "output.directory": "out",
 }
 
@@ -156,6 +169,23 @@ NON_DEFAULT = {
 class TestSchema:
     def test_every_key_has_a_test_value(self):
         assert set(NON_DEFAULT) == set(_SCHEMA)
+
+    def test_section_rows_match_dataclass_fields(self):
+        # record_iterates is a library-only switch with no config key
+        classes = {
+            "material": Material,
+            "solver": SolverConfig,
+            "optimizer": OptimizerConfig,
+        }
+        assert set(classes) == set(_SECTIONS)
+        for section, cls in classes.items():
+            names = {f.name for f in fields(cls)} - {"record_iterates"}
+            rows = {
+                key.partition(".")[2]
+                for key in _SCHEMA
+                if key.partition(".")[0] == section
+            }
+            assert rows == names, section
 
     @pytest.mark.parametrize("key", list(_SCHEMA))
     def test_key_changes_spec_and_round_trips(self, key):
@@ -226,6 +256,20 @@ class TestBoundaryConditionConstruction:
         assert set(bc.fixed_dofs.tolist()) == left
         node = mesh.node_near(4.0, 4.0)
         assert bc.point_loads == ((2 * node + 1, -10.0),)
+
+    @pytest.mark.parametrize("name", list(BAD_LOAD_CONFIGS))
+    def test_unusable_loads_are_config_errors(self, name):
+        text, message = BAD_LOAD_CONFIGS[name]
+        spec = loads_problem_text(text)
+        with pytest.raises(ConfigError, match=message):
+            spec.build_boundary_conditions(spec.build_mesh())
+
+    def test_partly_cancelling_loads_are_kept(self):
+        text = MINIMAL + "loads.1.x = 4\nloads.1.y = 4\nloads.1.fy = 10\n"
+        text += "loads.2.x = 4\nloads.2.y = 8\nloads.2.fx = 1\n"
+        spec = loads_problem_text(text)
+        bc = spec.build_boundary_conditions(spec.build_mesh())
+        assert len(bc.point_loads) == 3
 
     def test_zero_force_components_dropped(self):
         spec = loads_problem_text(MINIMAL + "loads.1.x = 0\nloads.1.y = 8\nloads.1.fx = 0\n")

@@ -66,3 +66,31 @@ def assert_same_csr(got, expected) -> None:
     np.testing.assert_array_equal(got.indptr, expected.indptr)
     np.testing.assert_array_equal(got.indices, expected.indices)
     assert got.data.tobytes() == expected.data.tobytes()
+
+
+# 4x4 left-clamped configs that parse but whose loads cannot be applied,
+# each with the message its ConfigError must match
+_CLAMPED_4X4 = (
+    "mesh.nx = 4\nmesh.ny = 4\n"
+    "material.young_modulus = 1\nmaterial.poisson_ratio = 0.3\n"
+    "supports.edges = left\n"
+)
+BAD_LOAD_CONFIGS = {
+    "load-on-support": (
+        _CLAMPED_4X4
+        + "loads.0.x = 4\nloads.0.y = 2\nloads.0.fy = -1\n"
+        + "loads.1.x = 0\nloads.1.y = 2\nloads.1.fx = 1\n",
+        r"loads\[1\] acts on a supported node",
+    ),
+    "no-loads": (_CLAMPED_4X4, "load vector is zero"),
+    "no-force": (
+        _CLAMPED_4X4 + "loads.0.x = 4\nloads.0.y = 2\n",
+        "load vector is zero",
+    ),
+    "cancelling-pair": (
+        _CLAMPED_4X4
+        + "loads.0.x = 4\nloads.0.y = 2\nloads.0.fy = 1\n"
+        + "loads.1.x = 3.9\nloads.1.y = 2.1\nloads.1.fy = -1\n",
+        "load vector is zero",
+    ),
+}
