@@ -26,8 +26,7 @@ def export_density_pgm(rho, mesh: Mesh, path) -> None:
     One pixel per element, width nx by height ny, top row of the domain
     first; pixel = round-half-up(255 * (1 - rho)).
     """
-    values = getattr(rho, "values", rho)
-    values = np.asarray(values, dtype=float).reshape(mesh.ny, mesh.nx)
+    values = np.asarray(rho, dtype=float).reshape(mesh.ny, mesh.nx)
     if values.min() < 0.0 or values.max() > 1.0:
         raise ValueError("densities must lie in [0, 1]")
     pixels = np.floor(255.0 * (1.0 - values) + 0.5).astype(int)

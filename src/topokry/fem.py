@@ -113,8 +113,8 @@ class Mesh:
         dofs = self.element_dofs
         rows = np.repeat(dofs, 8, axis=1).ravel()
         cols = np.tile(dofs, (1, 8)).ravel()
-        triplets = TripletPattern(self.n_dofs, rows, cols)
-        element, local = np.divmod(triplets.order, 64)
+        triplets, order = TripletPattern.sort(self.n_dofs, rows, cols)
+        element, local = np.divmod(order, 64)
         return ScatterPattern(
             triplets, element.astype(np.int32), local.astype(np.uint8)
         )

@@ -93,7 +93,7 @@ class SolverConfig:
     """Krylov solver settings.
 
     ``max_iterations = None`` falls back to the system dimension;
-    ``ProblemSpec`` resolves it to the mesh node count instead.
+    ``optimize`` resolves it to the mesh node count instead.
     """
 
     method: str = "cg"

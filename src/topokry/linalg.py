@@ -133,8 +133,8 @@ class SparseSymMatrix:
             rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n
         ):
             raise ValueError("triplet index out of range")
-        pattern = TripletPattern(n, rows, cols)
-        return cls(pattern.sum(values[pattern.order]))
+        pattern, order = TripletPattern.sort(n, rows, cols)
+        return cls(pattern.sum(values[order]))
 
     @classmethod
     def from_dense(cls, a) -> "SparseSymMatrix":
@@ -188,21 +188,30 @@ class SparseSymMatrix:
 class TripletPattern:
     """The positions of n-by-n COO triplets, sorted once by (row, col).
 
-    ``order`` is the stable sort permutation: sorted term t is input term
-    ``order[t]``.  :meth:`sum` takes values in that sorted order and
-    returns the CSR matrix of their duplicate sums, so a caller whose
-    positions stay fixed builds each new matrix without sorting.  Indices
-    are trusted: callers check their ranges before building a pattern.
+    :meth:`sort` builds a pattern and hands back the stable sort
+    permutation ``order``: sorted term t is input term ``order[t]``.  The
+    pattern does not keep it.  :meth:`sum` takes values in that sorted
+    order and returns the CSR matrix of their duplicate sums, so a caller
+    whose positions stay fixed builds each new matrix without sorting.
+    Indices are trusted: callers check their ranges before building a
+    pattern.
     """
 
-    def __init__(self, n: int, rows, cols):
+    @classmethod
+    def sort(cls, n: int, rows, cols) -> tuple["TripletPattern", np.ndarray]:
+        """The pattern of unsorted positions and their sort permutation."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         # Stable lexsort keeps the per-entry addend order identical for
         # (i, j) and (j, i), so symmetric inputs assemble symmetrically
         # down to the last bit.
-        self.order = np.lexsort((cols, rows))
-        r, c = rows[self.order], cols[self.order]
+        order = np.lexsort((cols, rows))
+        return cls(n, rows[order], cols[order]), order
+
+    def __init__(self, n: int, rows, cols):
+        """The pattern of positions already sorted by (row, col)."""
+        r = np.asarray(rows, dtype=np.int64)
+        c = np.asarray(cols, dtype=np.int64)
         first = np.ones(r.size, dtype=bool)
         first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
         self.n = n

@@ -20,7 +20,7 @@ Krylov solvers handle it without any density floor.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -165,18 +165,17 @@ def _update(
         return _clamped_candidate(rho.values, sens, mu, exponent, cfg.move_limit)
 
     lo, hi = MULTIPLIER_BRACKET
-    vol_lo = candidate(lo).sum()
-    if vol_lo <= target:
+    maximal = candidate(lo)
+    if maximal.sum() <= target:
         # constraint slack: even the maximal move stays inside the budget
-        return DensityField(candidate(lo)), sign * lo
+        return DensityField(maximal), sign * lo
     if candidate(hi).sum() > target:
         raise InfeasibleConstraintError(
             "volume target unreachable inside the multiplier bracket"
         )
     # volume decreases monotonically in mu; bisect in log space and accept
     # from the feasible (under-budget) side so the constraint is never
-    # overshot
-    mu_feasible = hi
+    # overshot; hi is always the feasible end
     for _ in range(200):
         mid = np.sqrt(lo * hi)
         vol = candidate(mid).sum()
@@ -184,12 +183,11 @@ def _update(
             lo = mid
         else:
             hi = mid
-            mu_feasible = mid
             if target - vol <= tol:
                 break
         if hi / lo < 1.0 + 1e-15:
             break
-    return DensityField(candidate(mu_feasible)), sign * mu_feasible
+    return DensityField(candidate(hi)), sign * hi
 
 
 def oc_update(
@@ -215,7 +213,8 @@ def optimize(spec: "ProblemSpec") -> OptimizationHistory:
     when the Lagrangian change drops below tolerance or the iteration cap is
     reached.  Stagnating or iteration-capped solves (expected for singular
     or ill-conditioned states) are recorded and the loop continues; genuine
-    numerical failures propagate.
+    numerical failures propagate.  An unset ``solver.max_iterations`` takes
+    the paper's cap, one Krylov iteration per mesh node.
 
     Each solve warm-starts from the previous displacement field, so
     successive solves keep refining the same equilibrium as the design
@@ -227,6 +226,9 @@ def optimize(spec: "ProblemSpec") -> OptimizationHistory:
     bc = spec.build_boundary_conditions(mesh)
     mat = spec.material
     opt = spec.optimizer
+    solver = spec.solver
+    if solver.max_iterations is None:
+        solver = replace(solver, max_iterations=mesh.n_nodes)
 
     rho = DensityField.uniform(mesh.n_elements, opt.volume_fraction)
     target = opt.volume_fraction * mesh.n_elements
@@ -239,7 +241,7 @@ def optimize(spec: "ProblemSpec") -> OptimizationHistory:
     for _ in range(opt.max_outer_iterations):
         a_full = assemble(mesh, mat, rho)
         a_red, b_red, dof_map = apply_dirichlet(a_full, b_full, bc)
-        report = solve(a_red, b_red, x_full[dof_map], spec.solver)
+        report = solve(a_red, b_red, x_full[dof_map], solver)
         x_full = scatter_solution(report.solution, dof_map, mesh.n_dofs)
 
         c = compliance(x_full, b_full)

@@ -18,8 +18,9 @@ Example::
 ``material.``, ``solver.`` or ``optimizer.`` names a field of the
 :class:`ProblemSpec` attribute of that name, and an omitted key takes
 ``ProblemSpec``'s default.  Unknown keys are rejected.  ``dump_problem``
-writes a spec back out with every default materialized, and reloading that
-text reproduces the spec exactly.
+writes a spec back out with every default materialized except an unset
+``solver.max_iterations``, which ``optimize`` resolves to the mesh's node
+count; reloading that text reproduces the spec exactly.
 """
 from __future__ import annotations
 
@@ -86,11 +87,6 @@ class ProblemSpec:
                 and 0 <= load.y <= self.domain_height
             ):
                 raise ConfigError(f"loads[{i}] lies outside the domain")
-        if self.solver.max_iterations is None:
-            # the paper's cap: one Krylov iteration per mesh node
-            self.solver = replace(
-                self.solver, max_iterations=(self.nx + 1) * (self.ny + 1)
-            )
 
     def build_mesh(self) -> Mesh:
         return Mesh(self.nx, self.ny, self.domain_width, self.domain_height)
@@ -280,14 +276,14 @@ def _dump_section(spec: ProblemSpec, section: str) -> list[str]:
     lines = []
     for key in _SCHEMA:
         prefix, _, name = key.partition(".")
-        if prefix == section:
-            value = getattr(values, name)
+        value = getattr(values, name) if prefix == section else None
+        if value is not None:
             lines.append(f"{key} = {value if isinstance(value, str) else repr(value)}")
     return lines
 
 
 def dump_problem(spec: ProblemSpec) -> str:
-    """Serialize a spec with every default materialized."""
+    """Serialize a spec with every default materialized but an unset cap."""
     lines = [
         f"domain.width = {spec.domain_width!r}",
         f"domain.height = {spec.domain_height!r}",

@@ -3,7 +3,7 @@
 Builds orthonormal bases of the range and its orthogonal complement from the
 symmetric eigendecomposition, transforms matrices to the block "standard
 form" with a regular leading block and a zero trailing block, projects
-recorded solver histories onto the two subspaces, and checks the Conjugate
+recorded residual histories onto the two subspaces, and checks the Conjugate
 Residual contraction bound, within ``CR_BOUND_SLACK`` = 1e-10.  The range
 is cut by ``linalg.RANK_TOLERANCE``, the zero-eigenvalue policy
 ``pseudo_solve`` uses too.  Test-scale machinery: dense, n <= 2000.
@@ -47,12 +47,10 @@ class RangeDecomposition:
 
 @dataclass
 class ComponentTraces:
-    """Per-iteration norms of range/null components of r_k and x_k."""
+    """Per-iteration norms of the range/null components of r_k."""
 
     residual_range: np.ndarray
     residual_null: np.ndarray
-    iterate_range: np.ndarray
-    iterate_null: np.ndarray
 
 
 def _to_dense_symmetric(a, name: str = "matrix") -> np.ndarray:
@@ -113,22 +111,16 @@ def standard_form(a, dec: RangeDecomposition) -> np.ndarray:
 
 
 def decompose_history(report: SolveReport, dec: RangeDecomposition) -> ComponentTraces:
-    """Project a recorded solve history onto the range and null subspaces."""
-    if report.iterates is None or report.residual_vectors is None:
+    """Project a recorded residual history onto the range and null subspaces."""
+    vectors = report.residual_vectors
+    if vectors is None:
         raise ValueError("solver was not run with iterate recording enabled")
-    n = dec.q_range.shape[0]
-    for vec in (*report.iterates, *report.residual_vectors):
-        if vec.size != n:
-            raise ValueError("recorded vectors do not match the decomposition size")
-
-    def split_norms(vectors):
-        par = np.array([np.linalg.norm(dec.q_range.T @ v) for v in vectors])
-        perp = np.array([np.linalg.norm(dec.q_null.T @ v) for v in vectors])
-        return par, perp
-
-    r_par, r_perp = split_norms(report.residual_vectors)
-    x_par, x_perp = split_norms(report.iterates)
-    return ComponentTraces(r_par, r_perp, x_par, x_perp)
+    if any(v.size != dec.q_range.shape[0] for v in vectors):
+        raise ValueError("recorded vectors do not match the decomposition size")
+    return ComponentTraces(
+        np.array([np.linalg.norm(dec.q_range.T @ v) for v in vectors]),
+        np.array([np.linalg.norm(dec.q_null.T @ v) for v in vectors]),
+    )
 
 
 def cr_bound_check(a, residual_history) -> bool:

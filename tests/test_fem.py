@@ -327,6 +327,16 @@ class TestPatternAssembly:
         assemble(mesh, spec.material, rho)
         assert mesh.scatter_pattern is pattern
 
+    def test_retained_pattern_size_per_element(self):
+        # the pattern keeps only what TripletPattern.sum and assemble read,
+        # about 1.0 KB per element; keeping the int64 sort permutation too
+        # held about 1.5 KB
+        mesh = Mesh(20, 40, 10.0, 20.0)
+        pattern = mesh.scatter_pattern
+        held = [pattern.element, pattern.local, *vars(pattern.triplets).values()]
+        size = sum(a.nbytes for a in held if isinstance(a, np.ndarray))
+        assert size <= 1100 * mesh.n_elements, f"{size / mesh.n_elements:.0f} B"
+
     def test_peak_memory_of_one_reduced_assembly(self):
         # 60x120 elements with 40 % void: sorting every element triplet
         # per call peaked at about 26 MB here, the pre-sorted pattern at

@@ -1,6 +1,10 @@
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import topokry.optimizer
 from topokry import (
     DensityField,
     InfeasibleConstraintError,
@@ -25,7 +29,10 @@ from topokry import (
     threshold,
 )
 from topokry.optimizer import _clamped_candidate
-from topokry.problem import PointLoad
+from topokry.problem import PointLoad, load_problem
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONFIGS = os.path.join(ROOT, "configs")
 
 
 def cantilever_spec(nx, ny, frac, rule="oc", method="cg", **opt_kw):
@@ -251,12 +258,7 @@ class TestOptimize:
     def test_truss_compliance_matches_spmv_recomputation(self):
         # at the converged two-bar-truss state, (1/2) x.b from the load
         # inner product agrees with (1/2) x.Ax recomputed through spmv
-        import os
-
-        from topokry.problem import load_problem
-
-        here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        spec = load_problem(os.path.join(here, "configs", "two_bar_truss.cfg"))
+        spec = load_problem(os.path.join(CONFIGS, "two_bar_truss.cfg"))
         hist = optimize(spec)
         mesh = spec.build_mesh()
         bc = spec.build_boundary_conditions(mesh)
@@ -292,3 +294,38 @@ class TestOptimize:
         assert all(cum[i + 1] >= cum[i] for i in range(len(cum) - 1))
         assert hist.status in ("converged", "max_iterations")
         assert all(d.min() >= 0.0 and d.max() <= 1.0 for d in hist.densities)
+
+
+class TestSolverCap:
+    """An unset solver.max_iterations is the node count of the mesh the
+    run builds, resolved by optimize and never stored in the spec."""
+
+    def caps_passed_to_solve(self, monkeypatch, spec):
+        caps = []
+        original = topokry.optimizer.solve
+
+        def recording(a, b, x0, cfg):
+            caps.append(cfg.max_iterations)
+            return original(a, b, x0, cfg)
+
+        monkeypatch.setattr(topokry.optimizer, "solve", recording)
+        optimize(spec)
+        return caps
+
+    def truss(self, **solver_kw):
+        spec = load_problem(os.path.join(CONFIGS, "two_bar_truss.cfg"))
+        return replace(
+            spec,
+            nx=10,
+            ny=20,
+            solver=replace(spec.solver, **solver_kw),
+            optimizer=replace(spec.optimizer, max_outer_iterations=3),
+        )
+
+    def test_replaced_mesh_gets_its_own_node_count(self, monkeypatch):
+        caps = self.caps_passed_to_solve(monkeypatch, self.truss())
+        assert caps and set(caps) == {11 * 21}
+
+    def test_set_cap_is_passed_through(self, monkeypatch):
+        caps = self.caps_passed_to_solve(monkeypatch, self.truss(max_iterations=77))
+        assert caps and set(caps) == {77}

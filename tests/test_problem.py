@@ -29,7 +29,7 @@ class TestLoadProblem:
     def test_minimal_defaults(self):
         spec = loads_problem_text(MINIMAL)
         assert spec.solver.rel_tolerance == 1e-8
-        assert spec.solver.max_iterations == 5 * 9  # node count
+        assert spec.solver.max_iterations is None  # optimize uses the node count
         assert spec.solver.preconditioning == "jacobi"
         assert spec.solver.method == "cg"
         assert spec.optimizer.threshold_cutoff == 1e-3
@@ -226,6 +226,12 @@ class TestRoundTrip:
         assert again == spec
         # and a second round trip is byte-stable
         assert dump_problem(again) == text
+
+    def test_cap_is_written_only_when_set(self):
+        # both specs' round trips are checked above
+        assert "solver.max_iterations" not in dump_problem(loads_problem_text(MINIMAL))
+        capped = loads_problem_text(MINIMAL + "solver.max_iterations = 77\n")
+        assert "solver.max_iterations = 77\n" in dump_problem(capped)
 
     def test_round_trip_with_everything_set(self):
         text = MINIMAL + (
