@@ -60,15 +60,16 @@ class Material:
 
 
 class ScatterPattern(NamedTuple):
-    """The 64 * n_elements element-scatter triplets of a mesh, sorted.
+    """The 16 * n_elements node-pair scatter terms of a mesh, sorted.
 
-    Sorted term t adds ``scale[element[t]] * ke.ravel()[local[t]]`` to
-    the stored entry ``triplets.entry[t]``.
+    Sorted term t adds ``scale[element[t]] * blocks[local[t]]`` to the
+    stored node-pair entry ``triplets.entry[t]``, where
+    ``blocks[4 * i + j]`` is the 2x2 block ``ke[2i:2i+2, 2j:2j+2]``.
     """
 
     triplets: TripletPattern
     element: np.ndarray  # int32 element id of each sorted term
-    local: np.ndarray  # uint8 flat index into the 8x8 ke of each sorted term
+    local: np.ndarray  # uint8 index into the 16 2x2 blocks of ke of each sorted term
 
 
 class Mesh:
@@ -104,17 +105,22 @@ class Mesh:
 
     @cached_property
     def scatter_pattern(self) -> ScatterPattern:
-        """Sorted element-scatter pattern, built by the first :func:`assemble`.
+        """Sorted node-pair scatter pattern, built by the first :func:`assemble`.
 
-        Input term ``64 * e + 8 * i + j`` puts ``ke[i, j]`` of element e at
-        (element_dofs[e, i], element_dofs[e, j]).  It is built on first use
-        and not in ``__init__``, so building a mesh stays cheap.
+        Input term ``16 * e + 4 * i + j`` puts the 2x2 block
+        ``ke[2i:2i+2, 2j:2j+2]`` of element e at the node pair
+        (element_nodes[e, i], element_nodes[e, j]); DOFs 2k and 2k + 1 of
+        node k are its block's row (or column) 0 and 1.  The stable sort
+        keeps each node pair's terms in ascending element order, as a sort
+        of the 64 DOF-pair terms per element keeps each DOF pair's, with a
+        quarter of the terms.  It is built on first use and not in
+        ``__init__``, so building a mesh stays cheap.
         """
-        dofs = self.element_dofs
-        rows = np.repeat(dofs, 8, axis=1).ravel()
-        cols = np.tile(dofs, (1, 8)).ravel()
-        triplets, order = TripletPattern.sort(self.n_dofs, rows, cols)
-        element, local = np.divmod(order, 64)
+        nodes = self.element_nodes
+        rows = np.repeat(nodes, 4, axis=1).ravel()
+        cols = np.tile(nodes, (1, 4)).ravel()
+        triplets, order = TripletPattern.sort(self.n_nodes, rows, cols)
+        element, local = np.divmod(order, 16)
         return ScatterPattern(
             triplets, element.astype(np.int32), local.astype(np.uint8)
         )
@@ -263,27 +269,33 @@ def assemble(mesh: Mesh, mat: Material, rho: DensityField) -> SparseSymMatrix:
     by void elements produce genuinely empty rows: the matrix is returned
     singular, not regularized.  Fixed DOFs are not removed here.
 
-    The element-scatter triplets are sorted once per mesh
-    (:attr:`Mesh.scatter_pattern`, built on the first call); each call
-    masks out the terms of void elements and sums the rest in that sorted
-    order.  The result is bit-identical to sorting the active elements'
-    triplets afresh: every term is the same product rho_e^p * ke[i, j], and
-    masking keeps the kept terms in the order a stable sort gives them.
+    The node-pair scatter terms are sorted once per mesh
+    (:attr:`Mesh.scatter_pattern`, built on the first call).  Each call
+    masks out the terms of void elements, forms every kept 2x2 block as
+    rho_e^p * ke block, sums the blocks of each node pair in sorted order
+    and expands the block matrix to CSR, stored zeros included.  The result
+    is bit-identical to sorting the active elements' 64 DOF-pair triplets
+    afresh: every DOF entry (2a + p, 2b + q) is the same product
+    rho_e^p * ke[i, j] per element, its terms come in the same ascending
+    element order (a stable sort at either level), and ``reduceat`` along
+    the block axis adds each component exactly as the scalar sum does.
     Symmetry holds by construction and is not checked: ke is bit-symmetric,
-    an element's mask drops a term and its mirror alike, and the stable
-    sort adds the terms of (i, j) and of (j, i) in the same element order.
+    an element's mask drops a block and its mirror alike, and the stable
+    sort adds the blocks of (a, b) and of (b, a) in the same element order.
     """
     if rho.n_elements != mesh.n_elements:
         raise ValueError(
             f"density field has {rho.n_elements} entries, mesh has {mesh.n_elements}"
         )
     ke = element_stiffness(mat, mesh.elem_width, mesh.elem_height)
+    # blocks[4 * i + j] is ke[2i:2i+2, 2j:2j+2], the 2x2 block of node pair (i, j)
+    blocks = ke.reshape(4, 2, 4, 2).transpose(0, 2, 1, 3).reshape(16, 2, 2)
     scale = rho.values ** mat.penal
     pattern = mesh.scatter_pattern
     kept = np.flatnonzero((scale > 0.0).take(pattern.element))
-    element = pattern.element.take(kept)
-    values = scale.take(element) * ke.ravel().take(pattern.local.take(kept))
-    return SparseSymMatrix(pattern.triplets.sum(values, kept), check=False)
+    values = blocks.take(pattern.local.take(kept), axis=0)
+    values *= scale.take(pattern.element.take(kept))[:, None, None]
+    return SparseSymMatrix(pattern.triplets.sum(values, kept).tocsr(), check=False)
 
 
 def apply_dirichlet(

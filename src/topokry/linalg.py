@@ -12,7 +12,10 @@ which they count an eigenvalue or a pivot as zero.
 Sparse matrices are built from COO triplets by :class:`TripletPattern`,
 the one sort-and-sum implementation: it sorts the triplet positions once,
 so a caller whose positions never change (the element scatter of a mesh)
-pays for the sort once and for a linear masked sum on every build.
+pays for the sort once and for a linear masked sum on every build.  A
+triplet's value may be a scalar or an r-by-c block: the element scatter
+sorts node pairs and sums 2x2 blocks, a quarter of the terms a sort of
+DOF pairs would keep, and expands the block matrix to CSR.
 """
 from __future__ import annotations
 
@@ -191,7 +194,7 @@ class TripletPattern:
     :meth:`sort` builds a pattern and hands back the stable sort
     permutation ``order``: sorted term t is input term ``order[t]``.  The
     pattern does not keep it.  :meth:`sum` takes values in that sorted
-    order and returns the CSR matrix of their duplicate sums, so a caller
+    order and returns the matrix of their duplicate sums, so a caller
     whose positions stay fixed builds each new matrix without sorting.
     Indices are trusted: callers check their ranges before building a
     pattern.
@@ -215,15 +218,17 @@ class TripletPattern:
         first = np.ones(r.size, dtype=bool)
         first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
         self.n = n
-        # int32 indices, as scipy prefers, whenever they hold every index
+        # int32 indices, as scipy prefers, whenever they hold every index;
+        # scipy's block-to-CSR conversion widens them again if the expanded
+        # matrix (r * n rows, r * c * entries values) needs int64
         index = np.int32 if max(n, r.size) <= np.iinfo(np.int32).max else np.int64
         # each distinct (row, col) is one entry; entry[t] is sorted term t's
         self.entry = np.cumsum(first, dtype=index) - 1
-        self.rows = r[first]
+        self.rows = r[first].astype(index)
         self.cols = c[first].astype(index)
 
-    def sum(self, values, kept=None) -> sp.csr_matrix:
-        """CSR matrix of the sorted terms' values, duplicates summed.
+    def sum(self, values, kept=None) -> sp.csr_matrix | sp.bsr_matrix:
+        """Matrix of the sorted terms' values, duplicates summed.
 
         ``kept`` lists the sorted terms to sum, in ascending order, and
         ``values`` holds one value per kept term; ``None`` keeps every
@@ -231,22 +236,34 @@ class TripletPattern:
         Each stored entry is the ``np.add.reduceat`` sum of its kept values
         in sorted order, the same sum a stable sort of the kept triplets
         alone would give.
+
+        Scalar values (shape (K,)) give an n-by-n CSR matrix.  Block values
+        (shape (K, r, c)) give an (r n)-by-(c n) BSR matrix with r-by-c
+        blocks; ``reduceat`` along the term axis adds each block component
+        exactly as it adds a 1-D run, so component (p, q) of every block
+        holds the same bytes the scalar sum of those components would.
         """
         entry = self.entry if kept is None else self.entry.take(kept)
         values = np.asarray(values, dtype=float)
-        if values.shape != entry.shape:
-            raise ValueError(f"{values.size} values for {entry.size} kept terms")
+        if values.ndim not in (1, 3) or len(values) != entry.size:
+            raise ValueError(
+                f"values of shape {values.shape} for {entry.size} kept terms"
+            )
         first = np.ones(entry.size, dtype=bool)
         np.not_equal(entry[1:], entry[:-1], out=first[1:])
         starts = np.flatnonzero(first)
         stored = entry.take(starts)
-        data = np.add.reduceat(values, starts)
+        data = np.add.reduceat(values, starts, axis=0)
         indptr = np.zeros(self.n + 1, dtype=self.cols.dtype)
         np.cumsum(
             np.bincount(self.rows.take(stored), minlength=self.n), out=indptr[1:]
         )
-        return sp.csr_matrix(
-            (data, self.cols.take(stored), indptr), shape=(self.n, self.n)
+        indices = self.cols.take(stored)
+        if values.ndim == 1:
+            return sp.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
+        r, c = values.shape[1:]
+        return sp.bsr_matrix(
+            (data, indices, indptr), shape=(r * self.n, c * self.n), blocksize=(r, c)
         )
 
 

@@ -239,9 +239,13 @@ def optimize(spec: "ProblemSpec") -> OptimizationHistory:
     lagrangian_prev = None
     x_full = np.zeros(mesh.n_dofs)
     for _ in range(opt.max_outer_iterations):
-        a_full = assemble(mesh, mat, rho)
-        a_red, b_red, dof_map = apply_dirichlet(a_full, b_full, bc)
+        a_red, b_red, dof_map = apply_dirichlet(
+            assemble(mesh, mat, rho), b_full, bc
+        )
         report = solve(a_red, b_red, x_full[dof_map], solver)
+        # no matrix outlives its solve, so the next assembly's peak memory
+        # is not stacked on this iteration's matrices
+        del a_red
         x_full = scatter_solution(report.solution, dof_map, mesh.n_dofs)
 
         c = compliance(x_full, b_full)

@@ -280,19 +280,36 @@ class TestPatternAssembly:
     must be the very matrix the sort-per-call reference builds."""
 
     mat = Material(2.1e5, 0.3, 3.0, 10.0)
-    meshes = [(1, 1), (3, 2), (20, 40)]
+    # nu = 0.25 rounds some entries of ke to exact zeros, which the matrix
+    # must store like any other sum
+    materials = [mat, Material(2.1e5, 0.25, 3.0, 10.0), Material(1.0, 0.25, 3.0)]
+    # 7x3 elements on the 10x20 domain: a non-square mesh of 1.4x6.7 elements
+    meshes = [(1, 1), (3, 2), (7, 3), (20, 40)]
 
+    @pytest.mark.parametrize("mat", materials)
     @pytest.mark.parametrize("nx,ny", meshes)
-    def test_bit_identical_to_sorting_afresh(self, nx, ny):
+    def test_bit_identical_to_sorting_afresh(self, nx, ny, mat):
         mesh = Mesh(nx, ny, 10.0, 20.0)
         for values in density_cases(mesh).values():
             rho = DensityField(values)
-            got = assemble(mesh, self.mat, rho).csr
-            (rows, cols, vals), expected = assemble_oracle(mesh, self.mat, rho)
+            got = assemble(mesh, mat, rho).csr
+            (rows, cols, vals), expected = assemble_oracle(mesh, mat, rho)
             assert_same_csr(got, expected)
             # the one-shot path over the same triplets gives the same bytes
             one_shot = SparseSymMatrix.from_triplets(mesh.n_dofs, rows, cols, vals)
             assert_same_csr(one_shot.csr, expected)
+
+    def test_exact_zero_sums_stay_stored(self):
+        # ke of this material and mesh holds exact zeros (8 with OpenBLAS
+        # on x86-64): their entries stay stored, as the scalar triplet sum
+        # stores them
+        mat = self.materials[1]
+        mesh = Mesh(3, 2, 10.0, 20.0)
+        assert np.any(element_stiffness(mat, 10.0 / 3, 10.0) == 0.0)
+        rho = DensityField.uniform(mesh.n_elements, 1.0)
+        got = assemble(mesh, mat, rho).csr
+        assert np.count_nonzero(got.data == 0.0) > 0
+        assert_same_csr(got, assemble_oracle(mesh, mat, rho)[1])
 
     @pytest.mark.parametrize("nx,ny", meshes)
     def test_void_nodes_have_empty_rows(self, nx, ny):
@@ -327,20 +344,56 @@ class TestPatternAssembly:
         assemble(mesh, spec.material, rho)
         assert mesh.scatter_pattern is pattern
 
+    @staticmethod
+    def retained_bytes(pattern):
+        held = [pattern.element, pattern.local, *vars(pattern.triplets).values()]
+        return sum(a.nbytes for a in held if isinstance(a, np.ndarray))
+
     def test_retained_pattern_size_per_element(self):
         # the pattern keeps only what TripletPattern.sum and assemble read,
-        # about 1.0 KB per element; keeping the int64 sort permutation too
-        # held about 1.5 KB
+        # about 220 B per element over node pairs; the DOF-pair pattern
+        # held about 1.0 KB and, with the int64 sort permutation, 1.5 KB
         mesh = Mesh(20, 40, 10.0, 20.0)
-        pattern = mesh.scatter_pattern
-        held = [pattern.element, pattern.local, *vars(pattern.triplets).values()]
-        size = sum(a.nbytes for a in held if isinstance(a, np.ndarray))
+        size = self.retained_bytes(mesh.scatter_pattern)
         assert size <= 1100 * mesh.n_elements, f"{size / mesh.n_elements:.0f} B"
+
+    def test_retained_node_pair_pattern_size_at_60x120(self):
+        # 16 node-pair terms per element with int32 indices: about 220 B
+        # per element; the 64 DOF-pair terms per element held about 1010 B
+        mesh = Mesh(60, 120, 10.0, 20.0)
+        size = self.retained_bytes(mesh.scatter_pattern)
+        assert size <= 300 * mesh.n_elements, f"{size / mesh.n_elements:.0f} B"
+
+    def test_peak_memory_of_the_pattern_build(self):
+        # 60x120 elements: sorting the node pairs peaked at about 6 MB
+        # here, sorting the DOF pairs at about 25 MB
+        mesh = Mesh(60, 120, 10.0, 20.0)
+        tracemalloc.start()
+        try:
+            mesh.scatter_pattern
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_peak_memory_of_a_uniform_assembly(self):
+        # 60x120 elements, every one active: summing 2x2 blocks peaked at
+        # about 10 MB here, summing scalar DOF-pair terms at about 20 MB
+        mesh = Mesh(60, 120, 10.0, 20.0)
+        rho = DensityField.uniform(mesh.n_elements, 0.375)
+        mesh.scatter_pattern
+        tracemalloc.start()
+        try:
+            assemble(mesh, self.mat, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 15e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_peak_memory_of_one_reduced_assembly(self):
         # 60x120 elements with 40 % void: sorting every element triplet
-        # per call peaked at about 26 MB here, the pre-sorted pattern at
-        # about 13 MB; the bound sits between the two
+        # per call peaked at about 26 MB here, the pre-sorted DOF-pair
+        # pattern at about 13 MB and the node-pair pattern at about 7 MB
         mesh = Mesh(60, 120, 10.0, 20.0)
         rho = DensityField(density_cases(mesh, seed=3)["random"])
         bc = BoundaryConditions(n_dofs=mesh.n_dofs, fixed_dofs=mesh.edge_dofs("left"))

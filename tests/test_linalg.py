@@ -93,6 +93,33 @@ class TestTripletPattern:
                 triplet_sum_oracle(n, rows, cols, values),
             )
 
+    def test_block_sum_matches_the_scalar_sum_of_each_component(self):
+        # 2x2 block values, up to ~30 duplicates per position: component
+        # (p, q) of every stored block holds the bytes of the 1-D sum of
+        # the (p, q) components, masked or not
+        rng = np.random.default_rng(23)
+        for n, terms in ((1, 30), (5, 400), (30, 2000)):
+            rows = rng.integers(0, n, terms)
+            cols = rng.integers(0, n, terms)
+            values = rng.standard_normal((terms, 2, 2))
+            pattern, order = TripletPattern.sort(n, rows, cols)
+            for share in (0.0, 0.3, 1.0):
+                kept = np.flatnonzero(rng.random(terms)[order] < share)
+                block = values[order][kept]
+                got = pattern.sum(block, kept)
+                assert got.blocksize == (2, 2)
+                assert got.shape == (2 * n, 2 * n)
+                for p, q in np.ndindex(2, 2):
+                    scalar = pattern.sum(block[:, p, q].copy(), kept)
+                    np.testing.assert_array_equal(got.indptr, scalar.indptr)
+                    np.testing.assert_array_equal(got.indices, scalar.indices)
+                    assert got.data[:, p, q].tobytes() == scalar.data.tobytes()
+
+    def test_indices_are_int32_when_they_fit(self):
+        pattern, _ = TripletPattern.sort(4, [3, 0, 3, 1], [0, 2, 0, 1])
+        for name in ("entry", "rows", "cols"):
+            assert getattr(pattern, name).dtype == np.int32, name
+
     def test_value_count_must_match_kept_terms(self):
         pattern = TripletPattern(3, [0, 1, 1], [0, 1, 1])
         with pytest.raises(ValueError, match="kept terms"):
