@@ -286,18 +286,20 @@ class TestPatternAssembly:
     # 7x3 elements on the 10x20 domain: a non-square mesh of 1.4x6.7 elements
     meshes = [(1, 1), (3, 2), (7, 3), (20, 40)]
 
-    @pytest.mark.parametrize("mat", materials)
     @pytest.mark.parametrize("nx,ny", meshes)
-    def test_bit_identical_to_sorting_afresh(self, nx, ny, mat):
+    def test_bit_identical_to_sorting_afresh(self, nx, ny):
         mesh = Mesh(nx, ny, 10.0, 20.0)
-        for values in density_cases(mesh).values():
-            rho = DensityField(values)
-            got = assemble(mesh, mat, rho).csr
-            (rows, cols, vals), expected = assemble_oracle(mesh, mat, rho)
-            assert_same_csr(got, expected)
-            # the one-shot path over the same triplets gives the same bytes
-            one_shot = SparseSymMatrix.from_triplets(mesh.n_dofs, rows, cols, vals)
-            assert_same_csr(one_shot.csr, expected)
+        for mat in self.materials:
+            for values in density_cases(mesh).values():
+                rho = DensityField(values)
+                got = assemble(mesh, mat, rho).csr
+                (rows, cols, vals), expected = assemble_oracle(mesh, mat, rho)
+                assert_same_csr(got, expected)
+                # the one-shot path over the same triplets gives the same bytes
+                one_shot = SparseSymMatrix.from_triplets(
+                    mesh.n_dofs, rows, cols, vals
+                )
+                assert_same_csr(one_shot.csr, expected)
 
     def test_exact_zero_sums_stay_stored(self):
         # ke of this material and mesh holds exact zeros (8 with OpenBLAS
