@@ -98,10 +98,6 @@ class Mesh:
         ul = ll + (self.nx + 1)
         ur = ul + 1
         self.element_nodes = np.column_stack([ll, lr, ur, ul])
-        dofs = np.empty((self.n_elements, 8), dtype=np.int64)
-        dofs[:, 0::2] = 2 * self.element_nodes
-        dofs[:, 1::2] = 2 * self.element_nodes + 1
-        self.element_dofs = dofs
 
     @cached_property
     def scatter_pattern(self) -> ScatterPattern:
@@ -142,19 +138,14 @@ class Mesh:
         return 2 * node, 2 * node + 1
 
     def edge_dofs(self, edge: str) -> np.ndarray:
-        """All DOFs on a named domain edge (left/right/top/bottom)."""
-        if edge == "left":
-            nodes = [self.node_index(0, iy) for iy in range(self.ny + 1)]
-        elif edge == "right":
-            nodes = [self.node_index(self.nx, iy) for iy in range(self.ny + 1)]
-        elif edge == "bottom":
-            nodes = [self.node_index(ix, 0) for ix in range(self.nx + 1)]
-        elif edge == "top":
-            nodes = [self.node_index(ix, self.ny) for ix in range(self.nx + 1)]
-        else:
+        """All DOFs on a named domain edge (left/right/top/bottom), sorted."""
+        # grid[iy, ix] is node_index(ix, iy)
+        grid = np.arange(self.n_nodes, dtype=np.int64).reshape(self.ny + 1, -1)
+        edges = dict(left=grid[:, 0], right=grid[:, -1], bottom=grid[0], top=grid[-1])
+        if edge not in edges:
             raise ValueError(f"unknown edge {edge!r}")
-        nodes = np.asarray(nodes, dtype=np.int64)
-        return np.sort(np.concatenate([2 * nodes, 2 * nodes + 1]))
+        nodes = edges[edge]
+        return np.column_stack([2 * nodes, 2 * nodes + 1]).ravel()
 
     def elements_adjacent_to_node(self, node: int) -> np.ndarray:
         """Element indices of the up-to-four elements touching a node."""
@@ -190,9 +181,6 @@ class DensityField:
 
     def volume(self) -> float:
         return float(self.values.sum())
-
-    def copy(self) -> "DensityField":
-        return DensityField(self.values.copy())
 
 
 @dataclass

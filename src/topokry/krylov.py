@@ -8,15 +8,16 @@ the recurrences and ``cfg.preconditioning`` the scaling::
     rep = solve(a, b)                                  # CG, x0 = 0
     rep = solve(a, b, None, SolverConfig(method="cr", preconditioning="jacobi"))
 
-The two methods implement the classical recurrences
+The two methods are one recurrence that pairs A p_k with different
+vectors (w_k, z_k): (p_k, r_k) for CG and (A p_k, A r_k) for CR::
 
-    CG:  alpha_k = (r_k, p_k) / (p_k, A p_k)
-         beta_k  = -(r_{k+1}, A p_k) / (p_k, A p_k)
-    CR:  alpha_k = (r_k, A p_k) / (A p_k, A p_k)
-         beta_k  = -(A r_{k+1}, A p_k) / (A p_k, A p_k)
+    alpha_k = (r_k, w_k) / (w_k, A p_k)
+    beta_k  = -(z_{k+1}, A p_k) / (w_k, A p_k)
 
 with x_{k+1} = x_k + alpha_k p_k, r_{k+1} = r_k - alpha_k A p_k and
 p_{k+1} = r_{k+1} + beta_k p_k, stopping when ||r_k|| <= eps * ||b||.
+CG spends its matvec on A p_k; CR spends it on A r_{k+1} and recurs
+A p_{k+1} = A r_{k+1} + beta_k A p_k.
 Collapse of the alpha denominator, to at most ``BREAKDOWN_TOLERANCE`` =
 1e-14 times ||p_k||^2, does not raise: the solver returns the current
 iterate with status ``stagnated_least_squares``, which on a consistent
@@ -46,7 +47,8 @@ so results are bit-identical to them:
 
 - ``np.multiply(p, alpha, out=tmp); x += tmp`` rounds each product and
   then each sum once, exactly as ``x + alpha * p`` does; ``p *= beta;
-  p += r`` is ``r + beta * p`` with the commutative final addition;
+  p += r`` is ``r + beta * p`` with the commutative final addition, and
+  CR's ``A p`` recurs the same way;
 - ``ndarray.dot`` runs the same BLAS ``ddot`` that ``@`` runs on two 1-D
   float64 arrays, and ``math.sqrt(r.dot(r))`` is exactly what
   ``np.linalg.norm`` computes for one;
@@ -200,6 +202,8 @@ def _iterate(matvec, n: int, b, x0, cfg: SolverConfig) -> SolveReport:
         ap = ar.copy()
     else:
         ap = np.empty(n)
+    # what A p is paired with; aliases, so they follow the in-place updates
+    w, z = (ap, ar) if is_cr else (p, r)
     b_norm = float(np.linalg.norm(b))
     history = [math.sqrt(r.dot(r))]
     xs = [x.copy()] if cfg.record_iterates else None
@@ -221,13 +225,13 @@ def _iterate(matvec, n: int, b, x0, cfg: SolverConfig) -> SolveReport:
             return report(CONVERGED, k)
         if not is_cr:
             matvec(p, ap)
-        denom = float(ap.dot(ap)) if is_cr else float(p.dot(ap))
+        denom = float(w.dot(ap))
         p_sq = float(p.dot(p))
         if not math.isfinite(denom):
             raise NumericalFailure("non-finite denominator", k)
         if denom <= BREAKDOWN_TOLERANCE * p_sq:
             return report(STAGNATED, k)
-        alpha = float(r.dot(ap)) / denom if is_cr else float(r.dot(p)) / denom
+        alpha = float(r.dot(w)) / denom
         x += np.multiply(p, alpha, out=tmp)
         r -= np.multiply(ap, alpha, out=tmp)
         res = math.sqrt(r.dot(r))
@@ -236,15 +240,12 @@ def _iterate(matvec, n: int, b, x0, cfg: SolverConfig) -> SolveReport:
         history.append(res)
         if is_cr:
             matvec(r, ar)
-            beta = -float(ar.dot(ap)) / denom
-            p *= beta
-            p += r
+        beta = -float(z.dot(ap)) / denom
+        p *= beta
+        p += r
+        if is_cr:
             ap *= beta
             ap += ar
-        else:
-            beta = -float(r.dot(ap)) / denom
-            p *= beta
-            p += r
         if cfg.record_iterates:
             xs.append(x.copy())
             rs.append(r.copy())

@@ -173,10 +173,9 @@ class SparseSymMatrix:
         n = self.dimension
         s = as_vector(s, n, "scaling")
         csr = self._csr
-        row = np.repeat(np.arange(n), np.diff(csr.indptr))
         # s[r]*s[c] is computed once per entry; the (i,j)/(j,i) pair gets the
         # exact same product, so symmetry survives bit-for-bit.
-        data = csr.data * (s[row] * s[csr.indices])
+        data = csr.data * (np.repeat(s, np.diff(csr.indptr)) * s[csr.indices])
         out = sp.csr_matrix(
             (data, csr.indices.copy(), csr.indptr.copy()), shape=(n, n)
         )

@@ -122,13 +122,14 @@ def sensitivity(mesh: Mesh, mat: Material, rho: DensityField, x) -> np.ndarray:
     if rho.n_elements != mesh.n_elements:
         raise ValueError("density field does not match the mesh")
     ke = element_stiffness(mat, mesh.elem_width, mesh.elem_height)
-    ue = x[mesh.element_dofs]
+    # each element's 8 DOFs: (2k, 2k + 1) of each of its corner nodes k
+    ue = x.reshape(-1, 2)[mesh.element_nodes].reshape(-1, 8)
     quad = np.einsum("ei,ij,ej->e", ue, ke, ue)
     # the element form is PSD; negative values are roundoff
     quad = np.maximum(quad, 0.0)
     values = rho.values
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = np.where(values > 0.0, values ** (mat.penal - 1.0), 0.0)
+    # penal >= 1, so the power is finite for every density in [0, 1]
+    factor = np.where(values > 0.0, values ** (mat.penal - 1.0), 0.0)
     return -mat.penal * factor * quad
 
 
@@ -261,16 +262,13 @@ def optimize(spec: "ProblemSpec") -> OptimizationHistory:
         history.volume.append(rho_new.volume())
         history.densities.append(rho_new.values.copy())
 
-        lagrangian = c + lam * (rho_new.volume() - target)
+        lagrangian = c + lam * (history.volume[-1] - target)
         if (
             lagrangian_prev is not None
             and abs(lagrangian - lagrangian_prev) < LAGRANGIAN_TOLERANCE
         ):
             history.status = "converged"
-            rho = rho_new
             break
         lagrangian_prev = lagrangian
         rho = rho_new
-    else:
-        history.status = "max_iterations"
     return history

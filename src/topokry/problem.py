@@ -25,6 +25,7 @@ count; reloading that text reproduces the spec exactly.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -175,6 +176,8 @@ _SCHEMA = {
 # sections whose keys are the field names of the ProblemSpec attribute
 _SECTIONS = ("material", "solver", "optimizer")
 _LOAD_FIELDS = ("x", "y", "fx", "fy")
+# a load index is a plain decimal numeral: no sign, no leading zero
+_LOAD_INDEX = re.compile(r"0|[1-9][0-9]*")
 _REQUIRED = (
     "mesh.nx",
     "mesh.ny",
@@ -201,21 +204,22 @@ def _parse_lines(text: str) -> dict[str, tuple[str, int]]:
 
 
 def _pop_load_keys(entries) -> tuple[PointLoad, ...]:
+    """Pop the ``loads.<i>.*`` keys; i runs 0, 1, ..., so load i is ``loads[i]``."""
     indexed: dict[int, dict[str, float]] = {}
     for key in [k for k in entries if k.startswith("loads.")]:
         parts = key.split(".")
         value, line_no = entries.pop(key)
         if len(parts) != 3 or parts[2] not in _LOAD_FIELDS:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
-        try:
-            index = int(parts[1])
-        except ValueError:
+        if not _LOAD_INDEX.fullmatch(parts[1]):
             raise ConfigError(f"line {line_no}: bad load index in {key!r}")
-        indexed.setdefault(index, {})[parts[2]] = _parse_value(
+        indexed.setdefault(int(parts[1]), {})[parts[2]] = _parse_value(
             "float", value, key, line_no
         )
     loads = []
-    for i in sorted(indexed):
+    for i in range(len(indexed)):
+        if i not in indexed:
+            raise ConfigError(f"load index {i} is missing: indices run 0, 1, 2, ...")
         entry = indexed[i]
         if "x" not in entry or "y" not in entry:
             raise ConfigError(f"loads[{i}] needs both loads.{i}.x and loads.{i}.y")

@@ -62,9 +62,10 @@ def read_pgm(path):
 
 def read_summary(path):
     fields = {}
-    for line in open(path):
-        key, value = line.split(":", 1)
-        fields[key.strip()] = value.strip()
+    with open(path) as handle:
+        for line in handle:
+            key, value = line.split(":", 1)
+            fields[key.strip()] = value.strip()
     return fields
 
 

@@ -19,7 +19,7 @@ from topokry import (
     spmv,
 )
 from topokry.problem import loads_problem_text
-from util import assert_same_csr, triplet_sum_oracle
+from util import assert_same_csr, element_dof_table, triplet_sum_oracle
 
 
 def element_stiffness_oracle(mat, width, height, points=4):
@@ -52,7 +52,7 @@ def assemble_oracle(mesh, mat, rho):
     ke = element_stiffness(mat, mesh.elem_width, mesh.elem_height)
     scale = rho.values ** mat.penal
     active = np.flatnonzero(scale > 0.0)
-    dofs = mesh.element_dofs[active]
+    dofs = element_dof_table(mesh.element_nodes)[active]
     rows = np.repeat(dofs, 8, axis=1).ravel()
     cols = np.tile(dofs, (1, 8)).ravel()
     values = (scale[active][:, None, None] * ke[None, :, :]).ravel()
@@ -98,6 +98,23 @@ class TestMesh:
         left_nodes = {mesh.node_index(0, 0), mesh.node_index(0, 1)}
         expected = sorted(d for n in left_nodes for d in (2 * n, 2 * n + 1))
         np.testing.assert_array_equal(mesh.edge_dofs("left"), expected)
+
+    def test_edge_dofs_all_edges_non_square(self):
+        mesh = Mesh(3, 2, 3.0, 2.0)
+        edges = {
+            "left": [(0, iy) for iy in range(mesh.ny + 1)],
+            "right": [(mesh.nx, iy) for iy in range(mesh.ny + 1)],
+            "bottom": [(ix, 0) for ix in range(mesh.nx + 1)],
+            "top": [(ix, mesh.ny) for ix in range(mesh.nx + 1)],
+        }
+        for edge, points in edges.items():
+            nodes = [mesh.node_index(ix, iy) for ix, iy in points]
+            expected = sorted(d for n in nodes for d in (2 * n, 2 * n + 1))
+            got = mesh.edge_dofs(edge)
+            assert got.dtype == np.int64, edge
+            np.testing.assert_array_equal(got, expected, err_msg=edge)
+        with pytest.raises(ValueError, match="unknown edge"):
+            mesh.edge_dofs("front")
 
     def test_adjacent_elements(self):
         mesh = Mesh(3, 3, 3.0, 3.0)
@@ -198,7 +215,7 @@ class TestAssemble:
         mesh = Mesh(1, 1, 1.0, 1.0)
         a = assemble(mesh, self.mat, DensityField.uniform(1, 1.0))
         ke = element_stiffness(self.mat, 1.0, 1.0)
-        dofs = mesh.element_dofs[0]
+        dofs = element_dof_table(mesh.element_nodes)[0]
         dense = a.to_dense()
         np.testing.assert_allclose(dense[np.ix_(dofs, dofs)], ke)
 
@@ -208,8 +225,7 @@ class TestAssemble:
         a = assemble(mesh, self.mat, rho).to_dense()
         ke = element_stiffness(self.mat, 1.0, 1.0)
         oracle = np.zeros((mesh.n_dofs, mesh.n_dofs))
-        for e in range(2):
-            dofs = mesh.element_dofs[e]
+        for dofs in element_dof_table(mesh.element_nodes):
             oracle[np.ix_(dofs, dofs)] += ke
         assert np.abs(a - oracle).max() <= 1e-12 * np.abs(oracle).max()
 

@@ -14,7 +14,7 @@ from topokry import (
     solve,
 )
 from topokry.krylov import csr_operator
-from util import random_singular_psd, random_spd, sparse_from_dense
+from util import random_singular_psd, random_spd, sparse_from_dense, textbook_solve
 
 
 def plain(method, **kw):
@@ -341,6 +341,32 @@ class TestCsrOperator:
             assert out.shape == (0,)
 
 
+def void_column_system():
+    """Reduced system of a left-clamped 4x3 mesh whose right column is void:
+    void elements leave zero rows, so it is singular."""
+    from topokry import (
+        BoundaryConditions,
+        Material,
+        Mesh,
+        apply_dirichlet,
+        assemble,
+        build_load,
+    )
+
+    mesh = Mesh(4, 3, 4.0, 3.0)
+    bc = BoundaryConditions(
+        n_dofs=mesh.n_dofs,
+        fixed_dofs=mesh.edge_dofs("left"),
+        point_loads=((2 * mesh.node_index(2, 1) + 1, -1.0),),
+    )
+    rho = np.ones(mesh.n_elements)
+    rho[[3, 7, 11]] = 0.0  # right column void
+    a = assemble(mesh, Material(1.0, 0.3, 3.0), DensityField(rho))
+    a_red, b_red, _ = apply_dirichlet(a, build_load(mesh, bc), bc)
+    assert a_red.zero_rows().size > 0
+    return a_red, b_red
+
+
 class TestInPlaceSafety:
     SETTINGS = [
         (method, pre) for method in ("cg", "cr") for pre in ("none", "jacobi")
@@ -363,33 +389,26 @@ class TestInPlaceSafety:
 
     @pytest.mark.parametrize("method,pre", SETTINGS)
     def test_history_is_exact_norm_of_recorded_residuals(self, method, pre):
-        # void elements leave zero rows, so the reduced system is singular
-        from topokry import (
-            BoundaryConditions,
-            Material,
-            Mesh,
-            apply_dirichlet,
-            assemble,
-            build_load,
-        )
-
-        mesh = Mesh(4, 3, 4.0, 3.0)
-        bc = BoundaryConditions(
-            n_dofs=mesh.n_dofs,
-            fixed_dofs=mesh.edge_dofs("left"),
-            point_loads=((2 * mesh.node_index(2, 1) + 1, -1.0),),
-        )
-        rho = np.ones(mesh.n_elements)
-        rho[[3, 7, 11]] = 0.0  # right column void
-        a = assemble(mesh, Material(1.0, 0.3, 3.0), DensityField(rho))
-        a_red, b_red, _ = apply_dirichlet(a, build_load(mesh, bc), bc)
-        assert a_red.zero_rows().size > 0
+        a_red, b_red = void_column_system()
         cfg = SolverConfig(method=method, preconditioning=pre, record_iterates=True)
         rep = solve(a_red, b_red, None, cfg)
         assert rep.iterations > 0
         assert len(rep.residual_vectors) == len(rep.residual_history)
         for h, r in zip(rep.residual_history, rep.residual_vectors):
             assert h == np.linalg.norm(r)
+
+
+class TestTextbookRecurrences:
+    @pytest.mark.parametrize("method,pre", TestInPlaceSafety.SETTINGS)
+    def test_bit_identical_to_plain_expressions(self, method, pre):
+        # the in-place loop must round exactly as the textbook expressions
+        a_red, b_red = void_column_system()
+        cfg = SolverConfig(method=method, preconditioning=pre, max_iterations=40)
+        rep = solve(a_red, b_red, None, cfg)
+        x, history = textbook_solve(a_red, b_red, method, pre, 40)
+        assert rep.iterations == len(history) - 1 > 0
+        assert rep.solution.tobytes() == x.tobytes()
+        assert np.array(rep.residual_history).tobytes() == np.array(history).tobytes()
 
 
 class TestTrueResidual:

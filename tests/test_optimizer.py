@@ -28,6 +28,7 @@ from topokry import (
     spmv,
     threshold,
 )
+from util import element_dof_table
 from topokry.optimizer import _clamped_candidate
 from topokry.problem import PointLoad, load_problem
 
@@ -77,7 +78,8 @@ class TestSensitivity:
         rng = np.random.default_rng(3)
         x = rng.standard_normal(mesh.n_dofs)
         ke = element_stiffness(self.mat, 1.0, 1.0)
-        expected = -3.0 * x[mesh.element_dofs[0]] @ ke @ x[mesh.element_dofs[0]]
+        ue = x[element_dof_table(mesh.element_nodes)[0]]
+        expected = -3.0 * ue @ ke @ ue
         got = sensitivity(mesh, self.mat, DensityField.uniform(1, 1.0), x)[0]
         assert got == pytest.approx(expected, rel=1e-12)
 

@@ -1,4 +1,5 @@
 import os
+import re
 from dataclasses import fields
 
 import pytest
@@ -77,6 +78,30 @@ class TestLoadProblem:
                 "material.poisson_ratio = 0.3\n"
                 "loads.0.fy = -1\n"
             )
+
+    @pytest.mark.parametrize("index", ["01", "-2", "+1", "1_0", "\u0663"])
+    def test_load_index_must_be_a_plain_numeral(self, index):
+        # int() accepts each of these; "01" would alias 1
+        text = MINIMAL.replace("loads.0.", f"loads.{index}.")
+        key = re.escape(f"'loads.{index}.x'")
+        with pytest.raises(ConfigError, match=f"line 7: bad load index in {key}"):
+            loads_problem_text(text)
+
+    def test_zero_padded_index_does_not_alias(self):
+        with pytest.raises(ConfigError, match=r"line 10: bad load index in 'loads\.00"):
+            loads_problem_text(MINIMAL + "loads.00.fy = -5\n")
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            ("loads.2.x = 4\nloads.2.y = 4\n", "load index 1 is missing"),
+            ("loads.7.y = 4\nloads.3.x = 4\n", "load index 1 is missing"),
+            ("loads.1.x = 4\nloads.1.y = 4\nloads.3.x = 4\n", "load index 2 is missing"),
+        ],
+    )
+    def test_load_indices_run_without_a_gap(self, extra, message):
+        with pytest.raises(ConfigError, match=message):
+            loads_problem_text(MINIMAL + extra)
 
     def test_unknown_edge(self):
         with pytest.raises(ConfigError, match="edge"):

@@ -5,6 +5,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from topokry import SparseSymMatrix
+from topokry.krylov import BREAKDOWN_TOLERANCE, jacobi_preconditioner
 
 
 def random_spd(rng: np.random.Generator, n: int, spread: float = 10.0):
@@ -66,6 +67,70 @@ def assert_same_csr(got, expected) -> None:
     np.testing.assert_array_equal(got.indptr, expected.indptr)
     np.testing.assert_array_equal(got.indices, expected.indices)
     assert got.data.tobytes() == expected.data.tobytes()
+
+
+def element_dof_table(element_nodes) -> np.ndarray:
+    """Each element's 8 DOFs (2k, 2k + 1 per corner node k) as int64."""
+    nodes = np.asarray(element_nodes, dtype=np.int64)
+    return np.stack([2 * nodes, 2 * nodes + 1], axis=-1).reshape(len(nodes), -1)
+
+
+def textbook_solve(a: SparseSymMatrix, b, method: str, preconditioning: str,
+                   max_iterations: int, rel_tolerance: float = 1e-8):
+    """CG or CR from x0 = 0, transcribed in plain numpy expressions.
+
+    The reference for :func:`topokry.solve`: new arrays each step
+    (``x + alpha * p``, ``r - alpha * ap``, ``r + beta * p``), ``csr @ v``
+    as the operator and ``np.linalg.norm`` for every residual norm.
+    Jacobi CG runs plain CG on ``a.scaled(s)`` with s = sqrt(d); Jacobi CR
+    iterates on ``d * (csr @ v)``.  Returns (solution, residual history).
+    """
+    csr = a.csr
+    b = np.asarray(b, dtype=float)
+    d = jacobi_preconditioner(a) if preconditioning == "jacobi" else None
+    if d is not None and method == "cg":
+        s = np.sqrt(d)
+        y, history = textbook_solve(
+            a.scaled(s), s * b, "cg", "none", max_iterations, rel_tolerance
+        )
+        return s * y, history
+    if d is not None:
+        b = d * b
+
+    def op(v):
+        return csr @ v if d is None else d * (csr @ v)
+
+    x = np.zeros(b.size)
+    r = b - op(x)
+    p = r
+    if method == "cr":
+        ar = op(r)
+        ap = ar
+    b_norm = np.linalg.norm(b)
+    history = [np.linalg.norm(r)]
+    for _ in range(max_iterations):
+        if history[-1] <= rel_tolerance * b_norm:
+            break
+        if method == "cg":
+            ap = op(p)
+            denom = p @ ap
+        else:
+            denom = ap @ ap
+        if denom <= BREAKDOWN_TOLERANCE * (p @ p):
+            break
+        alpha = (r @ p if method == "cg" else r @ ap) / denom
+        x = x + alpha * p
+        r = r - alpha * ap
+        history.append(np.linalg.norm(r))
+        if method == "cg":
+            beta = -(r @ ap) / denom
+            p = r + beta * p
+        else:
+            ar = op(r)
+            beta = -(ar @ ap) / denom
+            p = r + beta * p
+            ap = ar + beta * ap
+    return x, history
 
 
 # 4x4 left-clamped configs that parse but whose loads cannot be applied,
