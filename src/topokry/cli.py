@@ -2,7 +2,8 @@
 density.pgm, history.csv, and summary.txt into an output directory.
 
 Exit codes: 0 success (converged or iteration cap), 1 usage/config error,
-2 numerical failure, 3 I/O failure.
+2 numerical failure, 3 I/O failure, 4 a load outside the range of the
+stiffness (a loaded node with no adjacent material).
 """
 from __future__ import annotations
 
@@ -16,7 +17,13 @@ import numpy as np
 
 from .fem import Mesh
 from .krylov import NumericalFailure
-from .optimizer import InfeasibleConstraintError, OptimizationHistory, optimize
+from .optimizer import (
+    MULTIPLIER_BRACKET,
+    InfeasibleConstraintError,
+    LoadOutsideRangeError,
+    OptimizationHistory,
+    optimize,
+)
 from .problem import ConfigError, ProblemSpec, load_problem
 
 
@@ -60,12 +67,18 @@ def _method_name(spec: ProblemSpec) -> str:
 def _write_summary(
     spec: ProblemSpec, history: OptimizationHistory, wall_seconds: float, path
 ) -> None:
+    # updates whose multiplier pinned at the bracket edge: the volume
+    # constraint was slack
+    slack = sum(
+        abs(lam) == MULTIPLIER_BRACKET[0] for lam in history.lagrange_multiplier
+    )
     lines = [
         f"method: {_method_name(spec)}",
         f"outer_iters: {history.outer_iterations}",
         f"total_inner_iters: {history.total_inner_iterations}",
         f"capped_solves: {history.solver_status.count('max_iterations')}",
         f"max_true_rel_residual: {max(history.true_relative_residual):.3e}",
+        f"slack_updates: {slack}",
         f"final_compliance: {history.compliance[-1]:.12e}",
         f"final_volume: {history.volume[-1]:.12e}",
         f"wall_seconds: {wall_seconds:.3f}",
@@ -90,6 +103,9 @@ def run(spec: ProblemSpec, out_dir) -> int:
     except (NumericalFailure, InfeasibleConstraintError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except LoadOutsideRangeError as exc:
+        print(f"load outside the range: {exc}", file=sys.stderr)
+        return 4
     mesh = spec.build_mesh()
     written = []
     try:

@@ -283,7 +283,7 @@ def assemble(mesh: Mesh, mat: Material, rho: DensityField) -> SparseSymMatrix:
     kept = np.flatnonzero((scale > 0.0).take(pattern.element))
     values = blocks.take(pattern.local.take(kept), axis=0)
     values *= scale.take(pattern.element.take(kept))[:, None, None]
-    return SparseSymMatrix(pattern.triplets.sum(values, kept).tocsr(), check=False)
+    return SparseSymMatrix(pattern.triplets.sum(values, kept), check=False)
 
 
 def apply_dirichlet(

@@ -26,14 +26,16 @@ subsystem is the useful range-space solution.
 Jacobi preconditioning differs per method.  CG runs the plain recurrences
 on the symmetrically scaled system S A S y = S b with S = diag(sqrt(d)),
 x = S y, which is the standard preconditioned CG.  CR applies the
-preconditioner from the left and iterates on M^-1 A x = M^-1 b: the
-operator is then nonsymmetric with a definite symmetric part, which is
-precisely the setting of the CR contraction bound, and the method trades
-its residual optimality for plain applicability -- it converges noticeably
-slower than CG on the same system, and on matrices with strongly varying
-diagonals it can plateau above tight tolerances (use symmetric-scaling CG
-or no preconditioning when that matters).  In both cases the reported
-residual history belongs to the system actually iterated.
+preconditioner from the left and iterates on M^-1 A x = M^-1 b, a
+nonsymmetric operator, trading CR's residual optimality for plain
+applicability.  The CR contraction bound needs a definite symmetric
+part; on singular A the symmetric part of M^-1 A is at best
+semidefinite, and the bound does not apply.  The cost shows on the
+shipped two-bar truss: left-Jacobi CR stops 12 of the 15 solves of an
+OC run at the iteration cap, with a largest true relative residual of
+0.114, and 17 of 23 under CONLIN, with 0.126, and the final compliances
+are 3.1 % and 6.0 % above those of Jacobi CG.  In both cases the
+reported residual history belongs to the system actually iterated.
 
 An iteration allocates no arrays.  The work vectors are allocated once per
 solve and updated in place, and the operator is a callable

@@ -13,9 +13,9 @@ Sparse matrices are built from COO triplets by :class:`TripletPattern`,
 the one sort-and-sum implementation: it sorts the triplet positions once,
 so a caller whose positions never change (the element scatter of a mesh)
 pays for the sort once and for a linear masked sum on every build.  A
-triplet's value may be a scalar or an r-by-c block: the element scatter
-sorts node pairs and sums 2x2 blocks, a quarter of the terms a sort of
-DOF pairs would keep, and expands the block matrix to CSR.
+triplet's value is an r-by-c block: the element scatter sorts node pairs
+and sums 2x2 blocks, a quarter of the terms a sort of DOF pairs would
+keep, and :meth:`SparseSymMatrix.from_triplets` sums 1x1 blocks.
 """
 from __future__ import annotations
 
@@ -113,10 +113,6 @@ class SparseSymMatrix:
         return self._csr.shape[0]
 
     @property
-    def nnz(self) -> int:
-        return self._csr.nnz
-
-    @property
     def csr(self) -> sp.csr_matrix:
         return self._csr
 
@@ -137,7 +133,7 @@ class SparseSymMatrix:
         ):
             raise ValueError("triplet index out of range")
         pattern, order = TripletPattern.sort(n, rows, cols)
-        return cls(pattern.sum(values[order]))
+        return cls(pattern.sum(values[order][:, None, None]))
 
     @classmethod
     def from_dense(cls, a) -> "SparseSymMatrix":
@@ -151,10 +147,6 @@ class SparseSymMatrix:
     @classmethod
     def identity(cls, n: int) -> "SparseSymMatrix":
         return cls(sp.identity(n, format="csr"), check=False)
-
-    @classmethod
-    def zeros(cls, n: int) -> "SparseSymMatrix":
-        return cls(sp.csr_matrix((n, n)), check=False)
 
     def diagonal(self) -> np.ndarray:
         return self._csr.diagonal()
@@ -226,25 +218,23 @@ class TripletPattern:
         self.rows = r[first].astype(index)
         self.cols = c[first].astype(index)
 
-    def sum(self, values, kept=None) -> sp.csr_matrix | sp.bsr_matrix:
-        """Matrix of the sorted terms' values, duplicates summed.
+    def sum(self, values, kept=None) -> sp.csr_matrix:
+        """CSR matrix of the sorted terms' r-by-c block values, duplicates
+        summed.
 
         ``kept`` lists the sorted terms to sum, in ascending order, and
-        ``values`` holds one value per kept term; ``None`` keeps every
-        term.  An entry none of whose terms is kept is not stored at all.
-        Each stored entry is the ``np.add.reduceat`` sum of its kept values
-        in sorted order, the same sum a stable sort of the kept triplets
-        alone would give.
-
-        Scalar values (shape (K,)) give an n-by-n CSR matrix.  Block values
-        (shape (K, r, c)) give an (r n)-by-(c n) BSR matrix with r-by-c
-        blocks; ``reduceat`` along the term axis adds each block component
-        exactly as it adds a 1-D run, so component (p, q) of every block
-        holds the same bytes the scalar sum of those components would.
+        ``values`` (shape (K, r, c)) holds one block per kept term; ``None``
+        keeps every term.  An entry none of whose terms is kept is not
+        stored at all.  Each stored block is the ``np.add.reduceat`` sum of
+        its kept blocks in sorted order, the same sum a stable sort of the
+        kept triplets alone would give, and ``reduceat`` along the term axis
+        adds each block component exactly as it adds a 1-D run.  The result
+        is the (r n)-by-(c n) expansion of the block matrix, stored zeros
+        included.
         """
         entry = self.entry if kept is None else self.entry.take(kept)
         values = np.asarray(values, dtype=float)
-        if values.ndim not in (1, 3) or len(values) != entry.size:
+        if values.ndim != 3 or len(values) != entry.size:
             raise ValueError(
                 f"values of shape {values.shape} for {entry.size} kept terms"
             )
@@ -257,23 +247,12 @@ class TripletPattern:
         np.cumsum(
             np.bincount(self.rows.take(stored), minlength=self.n), out=indptr[1:]
         )
-        indices = self.cols.take(stored)
-        if values.ndim == 1:
-            return sp.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
         r, c = values.shape[1:]
         return sp.bsr_matrix(
-            (data, indices, indptr), shape=(r * self.n, c * self.n), blocksize=(r, c)
-        )
-
-
-def spmv(a: SparseSymMatrix, x) -> np.ndarray:
-    """Matrix-vector product y = A x."""
-    x = as_vector(x, name="x")
-    if x.size != a.dimension:
-        raise ValueError(
-            f"dimension mismatch: matrix is {a.dimension}, vector is {x.size}"
-        )
-    return a.csr @ x
+            (data, self.cols.take(stored), indptr),
+            shape=(r * self.n, c * self.n),
+            blocksize=(r, c),
+        ).tocsr()
 
 
 def dense_solve(a, b) -> np.ndarray:

@@ -53,6 +53,11 @@ class InfeasibleConstraintError(RuntimeError):
     """The volume constraint cannot be met inside the multiplier bracket."""
 
 
+class LoadOutsideRangeError(RuntimeError):
+    """A load acts on a free DOF whose stiffness row is empty, so the
+    equilibrium system has no solution."""
+
+
 @dataclass
 class OptimizerConfig:
     """Settings for the density-update loop."""
@@ -214,8 +219,11 @@ def optimize(spec: "ProblemSpec") -> OptimizationHistory:
     when the Lagrangian change drops below tolerance or the iteration cap is
     reached.  Stagnating or iteration-capped solves (expected for singular
     or ill-conditioned states) are recorded and the loop continues; genuine
-    numerical failures propagate.  An unset ``solver.max_iterations`` takes
-    the paper's cap, one Krylov iteration per mesh node.
+    numerical failures propagate.  A load on a node with no adjacent
+    material raises :class:`LoadOutsideRangeError` before the solve: b has
+    left the range of A, so the system has no solution.  An unset
+    ``solver.max_iterations`` takes the paper's cap, one Krylov iteration
+    per mesh node.
 
     Each solve warm-starts from the previous displacement field, so
     successive solves keep refining the same equilibrium as the design
@@ -239,10 +247,17 @@ def optimize(spec: "ProblemSpec") -> OptimizationHistory:
     history = OptimizationHistory()
     lagrangian_prev = None
     x_full = np.zeros(mesh.n_dofs)
-    for _ in range(opt.max_outer_iterations):
+    for outer in range(1, opt.max_outer_iterations + 1):
         a_red, b_red, dof_map = apply_dirichlet(
             assemble(mesh, mat, rho), b_full, bc
         )
+        empty = a_red.zero_rows()
+        loaded = empty[b_red.take(empty) != 0.0]
+        if loaded.size:
+            raise LoadOutsideRangeError(
+                f"outer iteration {outer}: the load at node "
+                f"{dof_map[loaded[0]] // 2} has no adjacent material"
+            )
         report = solve(a_red, b_red, x_full[dof_map], solver)
         # no matrix outlives its solve, so the next assembly's peak memory
         # is not stacked on this iteration's matrices

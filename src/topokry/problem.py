@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .fem import BoundaryConditions, Material, Mesh
+from .fem import BoundaryConditions, Material, Mesh, build_load
 from .krylov import SolverConfig
 from .optimizer import OptimizerConfig
 
@@ -104,7 +104,6 @@ class ProblemSpec:
         )
         supported = set(fixed_dofs.tolist())
         point_loads = []
-        total: dict[int, float] = {}
         for i, load in enumerate(self.loads):
             dx, dy = mesh.node_dofs(mesh.node_near(load.x, load.y))
             for dof, force in ((dx, load.fx), (dy, load.fy)):
@@ -113,14 +112,14 @@ class ProblemSpec:
                 if dof in supported:
                     raise ConfigError(f"loads[{i}] acts on a supported node")
                 point_loads.append((dof, force))
-                total[dof] = total.get(dof, 0.0) + force
-        if not any(total.values()):
-            raise ConfigError("the load vector is zero: no loads, or they cancel")
-        return BoundaryConditions(
+        bc = BoundaryConditions(
             n_dofs=mesh.n_dofs,
             fixed_dofs=fixed_dofs,
             point_loads=tuple(point_loads),
         )
+        if not build_load(mesh, bc).any():
+            raise ConfigError("the load vector is zero: no loads, or they cancel")
+        return bc
 
 
 def _parse_value(kind: str, text: str, key: str, line_no: int):

@@ -21,11 +21,11 @@ from topokry import (
     range_basis,
     sensitivity,
     solve,
-    spmv,
 )
 import topokry.cli as cli
 from topokry.cli import run
 from topokry.fem import Material, Mesh
+from topokry.optimizer import MULTIPLIER_BRACKET
 from topokry.problem import load_problem
 from util import random_singular_psd, random_spd, sparse_from_dense
 
@@ -177,6 +177,23 @@ def test_summary_counts_capped_solves(truss_outputs):
         assert reported == capped == CAPPED_SOLVES[combo], combo_name(*combo)
 
 
+def test_summary_counts_slack_updates(truss_outputs, tmp_path):
+    # every truss run ends frozen: its last three updates leave the volume
+    # constraint slack, with the multiplier pinned at the bracket edge
+    for combo, data in truss_outputs.items():
+        history = data["history"]
+        pinned = [
+            k + 1
+            for k, lam in enumerate(history.lagrange_multiplier)
+            if abs(lam) == MULTIPLIER_BRACKET[0]
+        ]
+        last = history.outer_iterations
+        assert pinned == [last - 2, last - 1, last], combo_name(*combo)
+        assert data["summary"]["slack_updates"] == "3", combo_name(*combo)
+    assert run(load_problem(os.path.join(CONFIGS, "smoke_2x2.cfg")), tmp_path) == 0
+    assert read_summary(tmp_path / "summary.txt")["slack_updates"] == "0"
+
+
 def test_summary_reports_true_residual(truss_outputs):
     # PCG converges on the shipped truss; PCR's capped solves stop far from
     # the solution of the unpreconditioned system
@@ -301,8 +318,8 @@ def test_criterion_8_sensitivity_gradient_check():
             up, dn = values.copy(), values.copy()
             up[j] += h
             dn[j] -= h
-            g_up = -x @ spmv(assemble(mesh, mat, DensityField(up)), x)
-            g_dn = -x @ spmv(assemble(mesh, mat, DensityField(dn)), x)
+            g_up = -x @ (assemble(mesh, mat, DensityField(up)).csr @ x)
+            g_dn = -x @ (assemble(mesh, mat, DensityField(dn)).csr @ x)
             fd = (g_up - g_dn) / (2.0 * h)
             rel = abs(fd - sens[j]) / max(abs(sens[j]), 1e-8 * scale)
             worst = max(worst, rel)

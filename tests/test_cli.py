@@ -148,6 +148,22 @@ class TestRun:
         assert code == 2
         assert not (tmp_path / "out" / "density.pgm").exists()
 
+    @pytest.mark.parametrize("solver, outer", [("cg", 3), ("cr", 5)])
+    def test_load_without_material_exit_code(self, tmp_path, capsys, solver, outer):
+        # at volume fraction 0.02 both elements at the load of the shipped
+        # truss go void, so the load leaves the range of the stiffness
+        with open(os.path.join(CONFIGS, "two_bar_truss.cfg")) as handle:
+            text = handle.read()
+        cfg = tmp_path / "thin.cfg"
+        cfg.write_text(text.replace("volume_fraction = 0.375", "volume_fraction = 0.02"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--solver", solver]) == 4
+        assert capsys.readouterr().err == (
+            f"load outside the range: outer iteration {outer}: "
+            "the load at node 440 has no adjacent material\n"
+        )
+        assert not out.exists()
+
     def test_deterministic_outputs(self, tmp_path):
         spec = loads_problem_text(SMALL_TRUSS)
         run(spec, tmp_path / "a")

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from topokry import SingularMatrixError, SparseSymMatrix, dense_solve, pseudo_solve, spmv
+from topokry import SingularMatrixError, SparseSymMatrix, dense_solve, pseudo_solve
 from topokry.linalg import TripletPattern
 from util import (
     assert_same_csr,
@@ -79,24 +79,25 @@ class TestTripletPattern:
             rows = rng.integers(0, n, terms)
             cols = rng.integers(0, n, terms)
             values = rng.standard_normal(terms)
+            blocks = values[:, None, None]
             pattern, order = TripletPattern.sort(n, rows, cols)
             for share in (0.0, 0.3, 0.9, 1.0):
                 keep = rng.random(terms) < share
                 kept = np.flatnonzero(keep[order])
-                got = pattern.sum(values[order][kept], kept)
+                got = pattern.sum(blocks[order][kept], kept)
                 expected = triplet_sum_oracle(
                     n, rows[keep], cols[keep], values[keep]
                 )
                 assert_same_csr(got, expected)
             assert_same_csr(
-                pattern.sum(values[order]),
+                pattern.sum(blocks[order]),
                 triplet_sum_oracle(n, rows, cols, values),
             )
 
     def test_block_sum_matches_the_scalar_sum_of_each_component(self):
-        # 2x2 block values, up to ~30 duplicates per position: component
-        # (p, q) of every stored block holds the bytes of the 1-D sum of
-        # the (p, q) components, masked or not
+        # 2x2 block values, up to ~30 duplicates per position: the CSR
+        # entries (2a + p, 2b + q) hold the bytes of the sorted-afresh sum
+        # of the (p, q) components of the kept triplets, masked or not
         rng = np.random.default_rng(23)
         for n, terms in ((1, 30), (5, 400), (30, 2000)):
             rows = rng.integers(0, n, terms)
@@ -104,16 +105,16 @@ class TestTripletPattern:
             values = rng.standard_normal((terms, 2, 2))
             pattern, order = TripletPattern.sort(n, rows, cols)
             for share in (0.0, 0.3, 1.0):
-                kept = np.flatnonzero(rng.random(terms)[order] < share)
-                block = values[order][kept]
-                got = pattern.sum(block, kept)
-                assert got.blocksize == (2, 2)
+                keep = rng.random(terms) < share
+                kept = np.flatnonzero(keep[order])
+                got = pattern.sum(values[order][kept], kept)
+                assert got.format == "csr"
                 assert got.shape == (2 * n, 2 * n)
                 for p, q in np.ndindex(2, 2):
-                    scalar = pattern.sum(block[:, p, q].copy(), kept)
-                    np.testing.assert_array_equal(got.indptr, scalar.indptr)
-                    np.testing.assert_array_equal(got.indices, scalar.indices)
-                    assert got.data[:, p, q].tobytes() == scalar.data.tobytes()
+                    expected = triplet_sum_oracle(
+                        n, rows[keep], cols[keep], values[keep, p, q]
+                    )
+                    assert_same_csr(got[p::2, q::2], expected)
 
     def test_indices_are_int32_when_they_fit(self):
         pattern, _ = TripletPattern.sort(4, [3, 0, 3, 1], [0, 2, 0, 1])
@@ -123,17 +124,13 @@ class TestTripletPattern:
     def test_value_count_must_match_kept_terms(self):
         pattern = TripletPattern(3, [0, 1, 1], [0, 1, 1])
         with pytest.raises(ValueError, match="kept terms"):
-            pattern.sum([1.0, 2.0], np.array([0]))
+            pattern.sum(np.ones((2, 1, 1)), np.array([0]))
 
 
 class TestSpmv:
     def test_identity(self):
         a = SparseSymMatrix.identity(3)
-        np.testing.assert_array_equal(spmv(a, [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
-
-    def test_zero_matrix(self):
-        a = SparseSymMatrix.zeros(3)
-        np.testing.assert_array_equal(spmv(a, [1.0, 2.0, 3.0]), [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(a.csr @ np.array([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
     def test_matches_dense_multiply_oracle(self):
         rng = np.random.default_rng(11)
@@ -141,12 +138,8 @@ class TestSpmv:
         x = rng.standard_normal(10)
         # oracle: explicit row-by-row dense multiplication
         expected = np.array([dense[i] @ x for i in range(10)])
-        got = spmv(a, x)
+        got = a.csr @ x
         assert np.linalg.norm(got - expected) <= 1e-14 * max(np.linalg.norm(expected), 1.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            spmv(SparseSymMatrix.identity(3), [1.0, 2.0])
 
     def test_linearity_property(self):
         rng = np.random.default_rng(13)
@@ -155,8 +148,8 @@ class TestSpmv:
             a, _ = random_sparse_symmetric(rng, n)
             x, y = rng.standard_normal(n), rng.standard_normal(n)
             al, be = rng.standard_normal(2)
-            lhs = spmv(a, al * x + be * y)
-            rhs = al * spmv(a, x) + be * spmv(a, y)
+            lhs = a.csr @ (al * x + be * y)
+            rhs = al * (a.csr @ x) + be * (a.csr @ y)
             scale = max(np.linalg.norm(rhs), 1e-30)
             assert np.linalg.norm(lhs - rhs) <= 1e-12 * scale
 
@@ -166,8 +159,8 @@ class TestSpmv:
             n = int(rng.integers(2, 15))
             a, _ = random_sparse_symmetric(rng, n)
             x, y = rng.standard_normal(n), rng.standard_normal(n)
-            lhs = x @ spmv(a, y)
-            rhs = spmv(a, x) @ y
+            lhs = x @ (a.csr @ y)
+            rhs = (a.csr @ x) @ y
             scale = max(abs(lhs), abs(rhs), 1e-30)
             assert abs(lhs - rhs) <= 1e-12 * scale
 

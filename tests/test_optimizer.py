@@ -8,6 +8,7 @@ import topokry.optimizer
 from topokry import (
     DensityField,
     InfeasibleConstraintError,
+    LoadOutsideRangeError,
     Material,
     Mesh,
     OptimizerConfig,
@@ -25,7 +26,6 @@ from topokry import (
     scatter_solution,
     sensitivity,
     solve,
-    spmv,
     threshold,
 )
 from util import element_dof_table
@@ -115,8 +115,8 @@ class TestSensitivity:
                 up, dn = values.copy(), values.copy()
                 up[j] += h
                 dn[j] -= h
-                g_up = -x @ spmv(assemble(mesh, mat, DensityField(up)), x)
-                g_dn = -x @ spmv(assemble(mesh, mat, DensityField(dn)), x)
+                g_up = -x @ (assemble(mesh, mat, DensityField(up)).csr @ x)
+                g_dn = -x @ (assemble(mesh, mat, DensityField(dn)).csr @ x)
                 fd = (g_up - g_dn) / (2.0 * h)
                 assert abs(fd - sens[j]) <= 1e-5 * max(abs(sens[j]), 1e-8 * scale)
                 checked += 1
@@ -203,7 +203,7 @@ class TestThreshold:
         mesh = Mesh(2, 1, 2.0, 1.0)
         rho = threshold(DensityField(np.array([1e-4, 5e-4])), 1e-3)
         a = assemble(mesh, Material(1.0, 0.3, 3.0), rho)
-        assert a.nnz == 0
+        assert a.csr.nnz == 0
 
     def test_bad_cutoff(self):
         with pytest.raises(ValueError):
@@ -223,6 +223,17 @@ class TestOptimize:
         a_red, b_red, dof_map = apply_dirichlet(a, b, bc)
         x = scatter_solution(dense_solve(a_red.to_dense(), b_red), dof_map, mesh.n_dofs)
         assert hist.compliance[-1] == pytest.approx(compliance(x, b), rel=1e-7)
+
+    def test_load_without_adjacent_material_raises(self):
+        # at volume fraction 0.02 the truss's loaded node loses its last
+        # adjacent material at outer iteration 3
+        spec = load_problem(os.path.join(CONFIGS, "two_bar_truss.cfg"))
+        spec = replace(spec, optimizer=replace(spec.optimizer, volume_fraction=0.02))
+        with pytest.raises(
+            LoadOutsideRangeError,
+            match="^outer iteration 3: the load at node 440 has no adjacent material$",
+        ):
+            optimize(spec)
 
     @pytest.mark.parametrize("rule", ["oc", "conlin"])
     def test_desk_problem_feasible_and_settling(self, rule):
@@ -259,7 +270,7 @@ class TestOptimize:
 
     def test_truss_compliance_matches_spmv_recomputation(self):
         # at the converged two-bar-truss state, (1/2) x.b from the load
-        # inner product agrees with (1/2) x.Ax recomputed through spmv
+        # inner product agrees with (1/2) x.Ax recomputed through the CSR product
         spec = load_problem(os.path.join(CONFIGS, "two_bar_truss.cfg"))
         hist = optimize(spec)
         mesh = spec.build_mesh()
@@ -275,7 +286,7 @@ class TestOptimize:
         )
         x = scatter_solution(rep.solution, dof_map, mesh.n_dofs)
         c_direct = compliance(x, b)
-        c_recomputed = 0.5 * float(x @ spmv(a, x))
+        c_recomputed = 0.5 * float(x @ (a.csr @ x))
         assert c_recomputed == pytest.approx(c_direct, rel=1e-8)
 
     def test_history_bookkeeping(self):
