@@ -189,11 +189,35 @@ NON_DEFAULT = {
     "optimizer.move_limit": "0.3",
     "output.directory": "out",
 }
+# the line dump_problem writes for each NON_DEFAULT value
+DUMPED = {
+    "domain.width": "5.0",
+    "domain.height": "9.0",
+    "mesh.nx": "5",
+    "mesh.ny": "9",
+    "material.young_modulus": "100000.0",
+    "material.poisson_ratio": "0.25",
+    "material.penal": "2.0",
+    "material.thickness": "3.0",
+    "supports.edges": "left, bottom",
+    "supports.nodes": "1.0, 2.0; 3.0, 4.0",
+    "solver.method": "cr",
+    "solver.rel_tolerance": "1e-06",
+    "solver.max_iterations": "77",
+    "solver.preconditioning": "none",
+    "optimizer.update_rule": "conlin",
+    "optimizer.volume_fraction": "0.5",
+    "optimizer.threshold_cutoff": "0.01",
+    "optimizer.max_outer_iterations": "7",
+    "optimizer.move_limit": "0.3",
+    "output.directory": "out",
+}
 
 
 class TestSchema:
     def test_every_key_has_a_test_value(self):
         assert set(NON_DEFAULT) == set(_SCHEMA)
+        assert set(DUMPED) == set(_SCHEMA)
 
     def test_section_rows_match_dataclass_fields(self):
         # record_iterates is a library-only switch with no config key
@@ -222,6 +246,7 @@ class TestSchema:
         spec = loads_problem_text(text)
         assert spec != loads_problem_text(MINIMAL)
         dumped = dump_problem(spec)
+        assert f"{key} = {DUMPED[key]}\n" in dumped
         assert loads_problem_text(dumped) == spec
         assert dump_problem(loads_problem_text(dumped)) == dumped
 
