@@ -14,13 +14,18 @@ Example::
     loads.0.y = 10
     loads.0.fy = -105
 
-``_SCHEMA`` is the one description of the format.  A key under
-``material.``, ``solver.`` or ``optimizer.`` names a field of the
-:class:`ProblemSpec` attribute of that name, and an omitted key takes
-``ProblemSpec``'s default.  Unknown keys are rejected.  ``dump_problem``
-writes a spec back out with every default materialized except an unset
+``_SCHEMA`` is the one description of the format: it gives each key's
+kind and the :class:`ProblemSpec` field it sets, and parsing and
+``dump_problem`` each loop over it alone.  A key under ``material.``,
+``solver.`` or ``optimizer.`` names a field of the ``ProblemSpec``
+attribute of that name, and an omitted key takes ``ProblemSpec``'s
+default.  Unknown keys are rejected.  ``dump_problem`` writes a spec back
+out with every default materialized except an unset
 ``solver.max_iterations``, which ``optimize`` resolves to the mesh's node
-count; reloading that text reproduces the spec exactly.
+count, and floats as Python float reprs, numpy scalars included;
+reloading that text reproduces the spec exactly.  A string the line
+format cannot hold (empty, blank-padded, or with ``#`` or a line break)
+raises ``ValueError`` naming its key.
 """
 from __future__ import annotations
 
@@ -143,34 +148,36 @@ def _parse_value(kind: str, text: str, key: str, line_no: int):
     try:
         value = int(text) if kind == "int" else float(text)
     except ValueError:
-        raise ConfigError(f"line {line_no}: {key} expects a {kind}, got {text!r}")
+        expected = "an int" if kind == "int" else "a float"
+        raise ConfigError(f"line {line_no}: {key} expects {expected}, got {text!r}")
     if not math.isfinite(value):
         raise ConfigError(f"line {line_no}: {key} must be finite, got {text!r}")
     return value
 
 
-# key -> kind, in dump order; loads.* handled separately
+# key -> (kind, ProblemSpec field), in dump order; loads.* handled separately.
+# A _SECTIONS key has no field: its name is a field of the section's dataclass.
 _SCHEMA = {
-    "domain.width": "float",
-    "domain.height": "float",
-    "mesh.nx": "int",
-    "mesh.ny": "int",
-    "material.young_modulus": "float",
-    "material.poisson_ratio": "float",
-    "material.penal": "float",
-    "material.thickness": "float",
-    "supports.edges": "names",
-    "supports.nodes": "points",
-    "solver.method": "str",
-    "solver.rel_tolerance": "float",
-    "solver.max_iterations": "int",
-    "solver.preconditioning": "str",
-    "optimizer.update_rule": "str",
-    "optimizer.volume_fraction": "float",
-    "optimizer.threshold_cutoff": "float",
-    "optimizer.max_outer_iterations": "int",
-    "optimizer.move_limit": "float",
-    "output.directory": "str",
+    "domain.width": ("float", "domain_width"),
+    "domain.height": ("float", "domain_height"),
+    "mesh.nx": ("int", "nx"),
+    "mesh.ny": ("int", "ny"),
+    "material.young_modulus": ("float", None),
+    "material.poisson_ratio": ("float", None),
+    "material.penal": ("float", None),
+    "material.thickness": ("float", None),
+    "supports.edges": ("names", "support_edges"),
+    "supports.nodes": ("points", "support_nodes"),
+    "solver.method": ("str", None),
+    "solver.rel_tolerance": ("float", None),
+    "solver.max_iterations": ("int", None),
+    "solver.preconditioning": ("str", None),
+    "optimizer.update_rule": ("str", None),
+    "optimizer.volume_fraction": ("float", None),
+    "optimizer.threshold_cutoff": ("float", None),
+    "optimizer.max_outer_iterations": ("int", None),
+    "optimizer.move_limit": ("float", None),
+    "output.directory": ("str", "output_dir"),
 }
 # sections whose keys are the field names of the ProblemSpec attribute
 _SECTIONS = ("material", "solver", "optimizer")
@@ -229,38 +236,31 @@ def _pop_load_keys(entries) -> tuple[PointLoad, ...]:
 def loads_problem_text(text: str) -> ProblemSpec:
     """Parse configuration text into a validated ProblemSpec."""
     entries = _parse_lines(text)
-    loads = _pop_load_keys(entries)
-
-    values: dict[str, object] = {}
+    kwargs: dict[str, object] = {"loads": _pop_load_keys(entries)}
+    given: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
     for key, (value, line_no) in entries.items():
         if key not in _SCHEMA:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
-        values[key] = _parse_value(_SCHEMA[key], value, key, line_no)
+        kind, spec_field = _SCHEMA[key]
+        parsed = _parse_value(kind, value, key, line_no)
+        if spec_field is None:
+            section, _, name = key.partition(".")
+            given[section][name] = parsed
+        else:
+            kwargs[spec_field] = parsed
     for key in _REQUIRED:
-        if key not in values:
+        if key not in entries:
             raise ConfigError(f"missing required key {key!r}")
-    given: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
-    for key, value in values.items():
-        section, _, name = key.partition(".")
-        if section in given:
-            given[section][name] = value
+    kwargs.setdefault("domain_width", float(kwargs["nx"]))
+    kwargs.setdefault("domain_height", float(kwargs["ny"]))
 
     defaults = {f.name: f.default_factory for f in fields(ProblemSpec)}
-    nx = values["mesh.nx"]
-    ny = values["mesh.ny"]
     try:
         return ProblemSpec(
-            domain_width=values.get("domain.width", float(nx)),
-            domain_height=values.get("domain.height", float(ny)),
-            nx=nx,
-            ny=ny,
+            **kwargs,
             material=Material(**given["material"]),
-            support_edges=values.get("supports.edges", ()),
-            support_nodes=values.get("supports.nodes", ()),
-            loads=loads,
             solver=replace(defaults["solver"](), **given["solver"]),
             optimizer=replace(defaults["optimizer"](), **given["optimizer"]),
-            output_dir=values.get("output.directory"),
         )
     except ConfigError:
         raise
@@ -274,39 +274,37 @@ def load_problem(path) -> ProblemSpec:
         return loads_problem_text(handle.read())
 
 
-def _dump_section(spec: ProblemSpec, section: str) -> list[str]:
-    values = getattr(spec, section)
-    lines = []
-    for key in _SCHEMA:
-        prefix, _, name = key.partition(".")
-        value = getattr(values, name) if prefix == section else None
-        if value is not None:
-            lines.append(f"{key} = {value if isinstance(value, str) else repr(value)}")
-    return lines
+def _format_value(kind: str, value) -> str:
+    """Write one value of a ``_SCHEMA`` kind; the inverse of ``_parse_value``."""
+    if kind == "float":
+        return repr(float(value))
+    if kind == "int":
+        return str(int(value))
+    if kind == "names":
+        return ", ".join(value)
+    if kind == "points":
+        return "; ".join(f"{float(x)!r}, {float(y)!r}" for x, y in value)
+    return value
 
 
 def dump_problem(spec: ProblemSpec) -> str:
     """Serialize a spec with every default materialized but an unset cap."""
-    lines = [
-        f"domain.width = {spec.domain_width!r}",
-        f"domain.height = {spec.domain_height!r}",
-        f"mesh.nx = {spec.nx}",
-        f"mesh.ny = {spec.ny}",
-        *_dump_section(spec, "material"),
-    ]
-    if spec.support_edges:
-        lines.append("supports.edges = " + ", ".join(spec.support_edges))
-    if spec.support_nodes:
-        lines.append(
-            "supports.nodes = "
-            + "; ".join(f"{x!r}, {y!r}" for x, y in spec.support_nodes)
-        )
-    for i, load in enumerate(spec.loads):
-        lines.append(f"loads.{i}.x = {load.x!r}")
-        lines.append(f"loads.{i}.y = {load.y!r}")
-        lines.append(f"loads.{i}.fx = {load.fx!r}")
-        lines.append(f"loads.{i}.fy = {load.fy!r}")
-    lines += _dump_section(spec, "solver") + _dump_section(spec, "optimizer")
-    if spec.output_dir is not None:
-        lines.append(f"output.directory = {spec.output_dir}")
+    lines = []
+    for key, (kind, spec_field) in _SCHEMA.items():
+        if key == "solver.method":  # the loads go between supports and solver
+            lines += [
+                f"loads.{i}.{part} = {_format_value('float', getattr(load, part))}"
+                for i, load in enumerate(spec.loads)
+                for part in _LOAD_FIELDS
+            ]
+        section, _, name = key.partition(".")
+        value = getattr(spec, spec_field or section)
+        if spec_field is None:
+            value = getattr(value, name)
+        if value is None or (kind in ("names", "points") and len(value) == 0):
+            continue
+        text = _format_value(kind, value)
+        if "#" in text or text.strip() != text or len(text.splitlines()) != 1:
+            raise ValueError(f"{key} = {value!r} cannot be written as a config line")
+        lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"

@@ -1,7 +1,8 @@
 import os
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from topokry import ConfigError, Material, PointLoad, ProblemSpec, load_problem
@@ -62,7 +63,7 @@ class TestLoadProblem:
             loads_problem_text("mesh.nx = 4\nnot a key value pair\n")
 
     def test_bad_number_reported(self):
-        with pytest.raises(ConfigError, match="expects a int"):
+        with pytest.raises(ConfigError, match="expects an int"):
             loads_problem_text(MINIMAL.replace("mesh.nx = 4", "mesh.nx = four"))
 
     def test_missing_required(self):
@@ -301,6 +302,40 @@ class TestRoundTrip:
         )
         spec = loads_problem_text(text)
         assert loads_problem_text(dump_problem(spec)) == spec
+
+    def test_numpy_scalars_round_trip(self):
+        spec = loads_problem_text(MINIMAL)
+        spec = replace(
+            spec,
+            domain_width=np.float64(4.0),
+            domain_height=8,
+            material=replace(spec.material, penal=np.float64(2.5)),
+            support_nodes=((np.float64(1.0), 2.0),),
+            loads=(PointLoad(np.float64(4.0), 4.0, 0.0, np.float64(-10.0)),),
+            solver=replace(spec.solver, max_iterations=np.int64(77)),
+        )
+        text = dump_problem(spec)
+        for line in (
+            "domain.width = 4.0",
+            "domain.height = 8.0",
+            "material.penal = 2.5",
+            "supports.nodes = 1.0, 2.0",
+            "loads.0.x = 4.0",
+            "loads.0.fy = -10.0",
+            "solver.max_iterations = 77",
+        ):
+            assert line + "\n" in text
+        assert loads_problem_text(text) == spec
+
+    @pytest.mark.parametrize(
+        "directory",
+        ["/tmp/a#b", "", " out", "a\nb"],
+        ids=["hash", "empty", "padded", "line-break"],
+    )
+    def test_unwritable_string_raises(self, directory):
+        spec = replace(loads_problem_text(MINIMAL), output_dir=directory)
+        with pytest.raises(ValueError, match="output.directory"):
+            dump_problem(spec)
 
 
 class TestBoundaryConditionConstruction:
