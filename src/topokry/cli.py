@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .fem import Mesh
-from .krylov import NumericalFailure
+from .krylov import NumericalFailure, SolverConfig
 from .optimizer import (
     MULTIPLIER_BRACKET,
     InfeasibleConstraintError,
@@ -59,9 +59,10 @@ def export_history_csv(history: OptimizationHistory, path) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def _method_name(spec: ProblemSpec) -> str:
-    prefix = "P" if spec.solver.preconditioning == "jacobi" else ""
-    return f"{prefix}{spec.solver.method.upper()}-{spec.optimizer.update_rule.upper()}"
+def _method_name(solver: SolverConfig, update_rule: str) -> str:
+    """PCG-OC and the like, from the solver settings a run resolved."""
+    prefix = "" if solver.preconditioning == "none" else "P"
+    return f"{prefix}{solver.method.upper()}-{update_rule.upper()}"
 
 
 def _write_summary(
@@ -73,7 +74,8 @@ def _write_summary(
         abs(lam) == MULTIPLIER_BRACKET[0] for lam in history.lagrange_multiplier
     )
     lines = [
-        f"method: {_method_name(spec)}",
+        f"method: {_method_name(history.solver, spec.optimizer.update_rule)}",
+        f"preconditioning: {history.solver.preconditioning}",
         f"outer_iters: {history.outer_iterations}",
         f"total_inner_iters: {history.total_inner_iterations}",
         f"capped_solves: {history.solver_status.count('max_iterations')}",
@@ -156,19 +158,18 @@ def main(argv=None) -> int:
 
     try:
         spec = load_problem(args.config)
+        if args.solver:
+            spec = replace(spec, solver=replace(spec.solver, method=args.solver))
+        if args.update:
+            spec = replace(
+                spec, optimizer=replace(spec.optimizer, update_rule=args.update)
+            )
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 3
-    except ConfigError as exc:
+    except ValueError as exc:  # a ConfigError, or a flag the config rules out
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-
-    if args.solver:
-        spec = replace(spec, solver=replace(spec.solver, method=args.solver))
-    if args.update:
-        spec = replace(
-            spec, optimizer=replace(spec.optimizer, update_rule=args.update)
-        )
     out_dir = args.out or spec.output_dir
     if not out_dir:
         print("usage error: no output directory (use --out)", file=sys.stderr)

@@ -10,7 +10,7 @@ connects its corner nodes counterclockwise from the lower left:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -228,6 +228,7 @@ def _strain_matrix(dn_dx: np.ndarray, dn_dy: np.ndarray) -> np.ndarray:
     return b
 
 
+@lru_cache(maxsize=8)
 def element_stiffness(
     mat: Material, elem_width: float, elem_height: float
 ) -> np.ndarray:
@@ -235,7 +236,8 @@ def element_stiffness(
 
     Integrated with 2x2 Gauss quadrature of B^T C B times the material
     thickness; exact for this element.  The result is positive semidefinite
-    with rank 5 (three rigid-body modes).
+    with rank 5 (three rigid-body modes).  It is cached, so a run's
+    assemblies and sensitivities share one read-only array.
     """
     if not (elem_width > 0 and elem_height > 0):
         raise ValueError("element dimensions must be positive")
@@ -247,7 +249,9 @@ def element_stiffness(
             dn_dx, dn_dy = _shape_gradients(xi, eta, elem_width, elem_height)
             b = _strain_matrix(dn_dx, dn_dy)
             ke += (b.T @ c @ b) * det_j
-    return 0.5 * mat.thickness * (ke + ke.T)
+    ke = 0.5 * mat.thickness * (ke + ke.T)
+    ke.flags.writeable = False
+    return ke
 
 
 def assemble(mesh: Mesh, mat: Material, rho: DensityField) -> SparseSymMatrix:

@@ -2,26 +2,38 @@
 semidefinite systems, engineered to run without breakdown when zero-density
 elements make the stiffness matrix singular.
 
-One function, ``solve(a, b, x0, cfg)``, runs both; ``cfg.method`` picks
-the recurrences and ``cfg.preconditioning`` the scaling::
+One function, ``solve(a, b, x0, cfg, precondition)``, runs both;
+``cfg.method`` picks the recurrences and ``cfg.preconditioning`` the
+preconditioner::
 
     rep = solve(a, b)                                  # CG, x0 = 0
     rep = solve(a, b, None, SolverConfig(method="cr", preconditioning="jacobi"))
+    rep = solve(a, b, None, SolverConfig(preconditioning="mg"), precondition=m)
 
 The two methods are one recurrence that pairs A p_k with different
-vectors (w_k, z_k): (p_k, r_k) for CG and (A p_k, A r_k) for CR::
+vectors (w_k, z_k): (p_k, s_k) for CG and (A p_k, A r_k) for CR, where
+s_k = M r_k under a CG preconditioner M and s_k = r_k otherwise::
 
     alpha_k = (r_k, w_k) / (w_k, A p_k)
     beta_k  = -(z_{k+1}, A p_k) / (w_k, A p_k)
 
 with x_{k+1} = x_k + alpha_k p_k, r_{k+1} = r_k - alpha_k A p_k and
-p_{k+1} = r_{k+1} + beta_k p_k, stopping when ||r_k|| <= eps * ||b||.
+p_{k+1} = s_{k+1} + beta_k p_k, stopping when ||r_k|| <= eps * ||b||.
 CG spends its matvec on A p_k; CR spends it on A r_{k+1} and recurs
 A p_{k+1} = A r_{k+1} + beta_k A p_k.
 Collapse of the alpha denominator, to at most ``BREAKDOWN_TOLERANCE`` =
 1e-14 times ||p_k||^2, does not raise: the solver returns the current
 iterate with status ``stagnated_least_squares``, which on a consistent
 subsystem is the useful range-space solution.
+
+Under ``"mg"``, CG is preconditioned CG on the system as given, with an
+SPD operator M, ``precondition(r, out)`` (in ``optimize``, a multigrid
+V-cycle), so r_k is the unscaled residual.  It converges on a consistent
+singular system for any SPD M (Kaasschieter 1988), but its iterates leave
+range(A).  Their null components change nothing the optimizer reads: A
+maps them to zero, b is orthogonal to them, and on each element with
+material they are a rigid mode.  Without M, s_k aliases r_k, so the
+other solves pay no operation for the hook.
 
 Jacobi preconditioning differs per method.  CG runs the plain recurrences
 on the symmetrically scaled system S A S y = S b with S = diag(sqrt(d)),
@@ -98,12 +110,16 @@ class SolverConfig:
 
     ``max_iterations = None`` falls back to the system dimension;
     ``optimize`` resolves it to the mesh node count instead.
+    ``preconditioning`` is ``"none"``, ``"jacobi"`` or, for CG only,
+    ``"mg"``, which applies the SPD operator handed to :func:`solve`;
+    ``None`` leaves it unset for ``optimize`` to resolve, to ``"mg"`` for
+    CG and ``"jacobi"`` for CR.
     """
 
     method: str = "cg"
     rel_tolerance: float = 1e-8
     max_iterations: int | None = None
-    preconditioning: str = "none"
+    preconditioning: str | None = "none"
     record_iterates: bool = False
 
     def __post_init__(self):
@@ -113,8 +129,10 @@ class SolverConfig:
             raise ValueError("rel_tolerance must be positive")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.preconditioning not in ("none", "jacobi"):
+        if self.preconditioning not in (None, "none", "jacobi", "mg"):
             raise ValueError(f"unknown preconditioning {self.preconditioning!r}")
+        if self.preconditioning == "mg" and self.method != "cg":
+            raise ValueError("preconditioning 'mg' needs method 'cg'")
 
 
 @dataclass
@@ -140,7 +158,7 @@ class SolveReport:
     residual_vectors: list[np.ndarray] | None = None
 
 
-def jacobi_preconditioner(a: SparseSymMatrix) -> np.ndarray:
+def jacobi_preconditioner(a: SparseSymMatrix | sp.csr_matrix) -> np.ndarray:
     """Reciprocal diagonal of A with pass-through for zero rows.
 
     d_i = 1 / A(i,i) where the diagonal exceeds ``BREAKDOWN_TOLERANCE``
@@ -186,8 +204,11 @@ def _relative(res: float, b_norm: float) -> float:
     return 0.0 if res == 0.0 else np.inf
 
 
-def _iterate(matvec, n: int, b, x0, cfg: SolverConfig) -> SolveReport:
-    """Run the plain CG/CR recurrences against a ``matvec(v, out)`` operator."""
+def _iterate(
+    matvec, n: int, b, x0, cfg: SolverConfig, precondition=None
+) -> SolveReport:
+    """Run the CG/CR recurrences against a ``matvec(v, out)`` operator;
+    CG applies ``precondition(r, out)``, if given, to each residual."""
     if cfg.record_iterates and n > DENSE_SIZE_LIMIT:
         raise ValueError(f"iterate recording limited to n <= {DENSE_SIZE_LIMIT}")
 
@@ -198,14 +219,16 @@ def _iterate(matvec, n: int, b, x0, cfg: SolverConfig) -> SolveReport:
     x = x0.copy()
     tmp = np.empty(n)
     r = b - matvec(x, tmp)
-    p = r.copy()
+    # what p recurs on: M r for preconditioned CG, otherwise r itself
+    s = r if precondition is None else precondition(r, np.empty(n))
+    p = s.copy()
     if is_cr:
         ar = matvec(r, np.empty(n))
         ap = ar.copy()
     else:
         ap = np.empty(n)
     # what A p is paired with; aliases, so they follow the in-place updates
-    w, z = (ap, ar) if is_cr else (p, r)
+    w, z = (ap, ar) if is_cr else (p, s)
     b_norm = float(np.linalg.norm(b))
     history = [math.sqrt(r.dot(r))]
     xs = [x.copy()] if cfg.record_iterates else None
@@ -242,9 +265,11 @@ def _iterate(matvec, n: int, b, x0, cfg: SolverConfig) -> SolveReport:
         history.append(res)
         if is_cr:
             matvec(r, ar)
+        elif precondition is not None:
+            precondition(r, s)
         beta = -float(z.dot(ap)) / denom
         p *= beta
-        p += r
+        p += s
         if is_cr:
             ap *= beta
             ap += ar
@@ -257,7 +282,8 @@ def _iterate(matvec, n: int, b, x0, cfg: SolverConfig) -> SolveReport:
 
 
 def solve(
-    a: SparseSymMatrix, b, x0=None, cfg: SolverConfig | None = None
+    a: SparseSymMatrix, b, x0=None, cfg: SolverConfig | None = None,
+    precondition=None,
 ) -> SolveReport:
     """Solve A x = b for symmetric PSD A with CG or CR, per ``cfg.method``.
 
@@ -269,9 +295,13 @@ def solve(
     solution of the consistent subsystem and reports
     ``stagnated_least_squares``.  A 0-dimensional system converges in 0
     iterations.  The report's ``true_relative_residual`` costs one more
-    matvec, with A itself.
+    matvec, with A itself.  ``precondition(r, out)`` is M, for "mg" only.
     """
     cfg = SolverConfig() if cfg is None else cfg
+    if cfg.preconditioning is None:
+        raise ValueError("preconditioning is unset")
+    if (cfg.preconditioning == "mg") != (precondition is not None):
+        raise ValueError("a precondition operator goes with 'mg', and only with it")
     n = a.dimension
     b = as_vector(b, n, "b")
     x0 = np.zeros(n) if x0 is None else as_vector(x0, n, "x0")
@@ -289,7 +319,7 @@ def solve(
             # CR: left application, iterate on the nonsymmetric M^-1 A
             rep = _iterate(csr_operator(a.csr, d), n, d * b, x0, cfg)
     else:
-        rep = _iterate(csr_operator(a.csr), n, b, x0, cfg)
+        rep = _iterate(csr_operator(a.csr), n, b, x0, cfg, precondition)
     rep.true_relative_residual = _relative(
         float(np.linalg.norm(b - a.csr @ rep.solution)), float(np.linalg.norm(b))
     )

@@ -2,8 +2,9 @@
 
 Vectors are plain 1-D float64 numpy arrays and dense matrices are 2-D
 float64 numpy arrays; :func:`as_vector` / :func:`as_dense` validate them at
-API boundaries.  The dense solvers exist as test oracles and, like every
-dense test-scale tool, are limited to n <= DENSE_SIZE_LIMIT = 2000 by
+API boundaries.  The dense solvers exist as test oracles, and
+:func:`pseudo_inverse` also solves the coarsest multigrid level; like
+every dense tool they are limited to n <= DENSE_SIZE_LIMIT = 2000 by
 contract; :func:`as_small_square`, :func:`check_dense_size` and
 :func:`check_symmetric` hold the checks they share, and
 ``RANK_TOLERANCE`` = 1e-10 and ``PIVOT_TOLERANCE`` = 1e-14 the cuts below
@@ -286,21 +287,25 @@ def dense_solve(a, b) -> np.ndarray:
     return lu_solve((lu, piv), b, check_finite=False)
 
 
+def pseudo_inverse(a) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse A+ of a symmetric A.
+
+    Uses the symmetric eigendecomposition and drops eigenvalues with
+    |lambda| <= RANK_TOLERANCE * |lambda|_max; n is limited to 2000.
+    """
+    a = check_symmetric(as_small_square(a, "a"), "a")
+    if a.size == 0:
+        return np.zeros_like(a)
+    w, v = np.linalg.eigh(0.5 * (a + a.T))
+    keep = np.abs(w) > RANK_TOLERANCE * np.abs(w).max()
+    v = v[:, keep]
+    return (v / w[keep]) @ v.T
+
+
 def pseudo_solve(a, b) -> np.ndarray:
     """Minimum-norm least-squares solution x = A+ b for symmetric A.
 
-    Uses the symmetric eigendecomposition and drops eigenvalues with
-    |lambda| <= RANK_TOLERANCE * |lambda|_max.  Test oracle for singular
-    systems.
+    Test oracle for singular systems; see :func:`pseudo_inverse`.
     """
-    a = check_symmetric(as_small_square(a, "a"), "a")
-    n = a.shape[0]
-    b = as_vector(b, n, "b")
-    if n == 0:
-        return np.zeros(0)
-    w, v = np.linalg.eigh(0.5 * (a + a.T))
-    keep = np.abs(w) > RANK_TOLERANCE * np.abs(w).max()
-    if not np.any(keep):
-        return np.zeros(n)
-    coeffs = (v[:, keep].T @ b) / w[keep]
-    return v[:, keep] @ coeffs
+    pinv = pseudo_inverse(a)
+    return pinv @ as_vector(b, pinv.shape[0], "b")

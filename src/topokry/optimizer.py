@@ -35,7 +35,8 @@ from .fem import (
     element_stiffness,
     scatter_solution,
 )
-from .krylov import solve
+from .krylov import SolverConfig, solve
+from .multigrid import prolongations, v_cycle
 
 if TYPE_CHECKING:  # pragma: no cover
     from .problem import ProblemSpec
@@ -83,7 +84,8 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizationHistory:
-    """Per-outer-iteration record of an optimization run."""
+    """Per-outer-iteration record of an optimization run, and the solver
+    settings it resolved (``solver``: cap and preconditioning set)."""
 
     compliance: list[float] = field(default_factory=list)
     lagrange_multiplier: list[float] = field(default_factory=list)
@@ -93,6 +95,7 @@ class OptimizationHistory:
     volume: list[float] = field(default_factory=list)
     densities: list[np.ndarray] = field(default_factory=list)
     status: str = "max_iterations"
+    solver: SolverConfig | None = None
 
     @property
     def outer_iterations(self) -> int:
@@ -223,7 +226,10 @@ def optimize(spec: "ProblemSpec") -> OptimizationHistory:
     material raises :class:`LoadOutsideRangeError` before the solve: b has
     left the range of A, so the system has no solution.  An unset
     ``solver.max_iterations`` takes the paper's cap, one Krylov iteration
-    per mesh node.
+    per mesh node, and an unset ``solver.preconditioning`` is ``"mg"`` for
+    CG and ``"jacobi"`` for CR; the history records the resolved settings.
+    Under ``"mg"`` the multigrid hierarchy is built once per run and each
+    solve gets a V-cycle of its own matrix.
 
     Each solve warm-starts from the previous displacement field, so
     successive solves keep refining the same equilibrium as the design
@@ -238,13 +244,17 @@ def optimize(spec: "ProblemSpec") -> OptimizationHistory:
     solver = spec.solver
     if solver.max_iterations is None:
         solver = replace(solver, max_iterations=mesh.n_nodes)
+    if solver.preconditioning is None:
+        pre = "mg" if solver.method == "cg" else "jacobi"
+        solver = replace(solver, preconditioning=pre)
+    levels = prolongations(mesh, bc) if solver.preconditioning == "mg" else None
 
     rho = DensityField.uniform(mesh.n_elements, opt.volume_fraction)
     target = opt.volume_fraction * mesh.n_elements
     b_full = build_load(mesh, bc)
     update_rule = oc_update if opt.update_rule == "oc" else conlin_update
 
-    history = OptimizationHistory()
+    history = OptimizationHistory(solver=solver)
     lagrangian_prev = None
     x_full = np.zeros(mesh.n_dofs)
     for outer in range(1, opt.max_outer_iterations + 1):
@@ -258,10 +268,13 @@ def optimize(spec: "ProblemSpec") -> OptimizationHistory:
                 f"outer iteration {outer}: the load at node "
                 f"{dof_map[loaded[0]] // 2} has no adjacent material"
             )
-        report = solve(a_red, b_red, x_full[dof_map], solver)
-        # no matrix outlives its solve, so the next assembly's peak memory
-        # is not stacked on this iteration's matrices
-        del a_red
+        precondition = None if levels is None else v_cycle(a_red, levels)
+        report = solve(
+            a_red, b_red, x_full[dof_map], solver, precondition=precondition
+        )
+        # no matrix (nor the V-cycle holding A's coarse operators) outlives
+        # its solve, so the next assembly's peak memory is not stacked on it
+        del a_red, precondition
         x_full = scatter_solution(report.solution, dof_map, mesh.n_dofs)
 
         c = compliance(x_full, b_full)

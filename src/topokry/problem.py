@@ -21,8 +21,8 @@ kind and the :class:`ProblemSpec` field it sets, and parsing and
 attribute of that name, and an omitted key takes ``ProblemSpec``'s
 default.  Unknown keys are rejected.  ``dump_problem`` writes a spec back
 out with every default materialized except an unset
-``solver.max_iterations``, which ``optimize`` resolves to the mesh's node
-count, and floats as Python float reprs, numpy scalars included;
+``solver.max_iterations`` or ``solver.preconditioning``, which
+``optimize`` resolves per run, and floats as Python float reprs, numpy scalars included;
 reloading that text reproduces the spec exactly.  A string the line
 format cannot hold (empty, blank-padded, or with ``#`` or a line break)
 raises ``ValueError`` naming its key.
@@ -69,7 +69,7 @@ class ProblemSpec:
     support_nodes: tuple[tuple[float, float], ...] = ()
     loads: tuple[PointLoad, ...] = ()
     solver: SolverConfig = field(
-        default_factory=lambda: SolverConfig(preconditioning="jacobi")
+        default_factory=lambda: SolverConfig(preconditioning=None)
     )
     optimizer: OptimizerConfig = field(
         default_factory=lambda: OptimizerConfig(volume_fraction=0.375)
@@ -288,7 +288,7 @@ def _format_value(kind: str, value) -> str:
 
 
 def dump_problem(spec: ProblemSpec) -> str:
-    """Serialize a spec with every default materialized but an unset cap."""
+    """Serialize a spec with every default materialized but unset ones."""
     lines = []
     for key, (kind, spec_field) in _SCHEMA.items():
         if key == "solver.method":  # the loads go between supports and solver

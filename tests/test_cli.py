@@ -125,7 +125,7 @@ class TestRun:
         for name in ("density.pgm", "history.csv", "summary.txt"):
             assert (out / name).exists()
         summary = (out / "summary.txt").read_text()
-        assert "method: PCG-OC" in summary
+        assert "method: PCG-OC\npreconditioning: mg\n" in summary
         assert "total_inner_iters:" in summary
         assert "final_compliance:" in summary
 
@@ -216,6 +216,17 @@ class TestMain:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_cr_flag_against_mg_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "mg.cfg"
+        cfg.write_text(SMALL_TRUSS + "solver.preconditioning = mg\n")
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out), "--solver", "cr"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "mg" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", list(BAD_LOAD_CONFIGS))
     def test_unusable_loads_are_config_errors(self, tmp_path, capsys, name):
         cfg = tmp_path / "bad.cfg"
@@ -237,7 +248,8 @@ class TestMain:
         out = tmp_path / "out"
         code = main(["run", str(cfg), "--out", str(out), "--solver", "cr", "--update", "conlin"])
         assert code == 0
-        assert "method: PCR-CONLIN" in (out / "summary.txt").read_text()
+        summary = (out / "summary.txt").read_text()
+        assert "method: PCR-CONLIN\npreconditioning: jacobi\n" in summary
 
     def test_output_dir_from_config(self, tmp_path):
         out = tmp_path / "from_config"

@@ -17,6 +17,7 @@ from topokry import (
     scatter_solution,
     solve,
 )
+from topokry.multigrid import v_cycle
 from topokry.problem import loads_problem_text
 from util import assert_same_csr, element_dof_table, triplet_sum_oracle
 
@@ -448,24 +449,26 @@ class TestApplyDirichlet:
         assert reduced.dimension == 0
         assert b_red.size == 0
         assert dof_map.size == 0
-        for method in ("cg", "cr"):
-            for preconditioning in ("none", "jacobi"):
-                for record in (False, True):
-                    cfg = SolverConfig(
-                        method=method,
-                        preconditioning=preconditioning,
-                        record_iterates=record,
-                    )
-                    rep = solve(reduced, b_red, None, cfg)
-                    assert rep.status == "converged"
-                    assert rep.iterations == 0
-                    assert rep.residual_history == [0.0]
-                    assert rep.solution.size == 0
-                    if record:
-                        assert [v.size for v in rep.iterates] == [0]
-                        assert [v.size for v in rep.residual_vectors] == [0]
-                    else:
-                        assert rep.iterates is None and rep.residual_vectors is None
+        settings = [(m, pre) for m in ("cg", "cr") for pre in ("none", "jacobi")]
+        for method, preconditioning in settings + [("cg", "mg")]:
+            # with no coarsening the V-cycle is the pseudo-inverse itself
+            precondition = v_cycle(reduced, []) if preconditioning == "mg" else None
+            for record in (False, True):
+                cfg = SolverConfig(
+                    method=method,
+                    preconditioning=preconditioning,
+                    record_iterates=record,
+                )
+                rep = solve(reduced, b_red, None, cfg, precondition=precondition)
+                assert rep.status == "converged"
+                assert rep.iterations == 0
+                assert rep.residual_history == [0.0]
+                assert rep.solution.size == 0
+                if record:
+                    assert [v.size for v in rep.iterates] == [0]
+                    assert [v.size for v in rep.residual_vectors] == [0]
+                else:
+                    assert rep.iterates is None and rep.residual_vectors is None
 
     def test_scattered_solution_satisfies_full_equilibrium(self):
         mesh = Mesh(3, 3, 3.0, 3.0)

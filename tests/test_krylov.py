@@ -411,6 +411,50 @@ class TestTextbookRecurrences:
         assert np.array(rep.residual_history).tobytes() == np.array(history).tobytes()
 
 
+class TestPreconditionHook:
+    def test_identity_operator_is_byte_identical_to_none(self):
+        # z = M r gets its own vector under a preconditioner; with M = I the
+        # recurrence must round exactly as the unpreconditioned one
+        a_red, b_red = void_column_system()
+
+        def copy(r, out):
+            np.copyto(out, r)
+            return out
+
+        plain_rep = solve(a_red, b_red, None, plain("cg", max_iterations=40))
+        rep = solve(
+            a_red, b_red, None,
+            SolverConfig(preconditioning="mg", max_iterations=40), precondition=copy,
+        )
+        assert rep.iterations == plain_rep.iterations > 0
+        assert rep.solution.tobytes() == plain_rep.solution.tobytes()
+        assert (
+            np.array(rep.residual_history).tobytes()
+            == np.array(plain_rep.residual_history).tobytes()
+        )
+
+    def test_operator_goes_with_mg_only(self):
+        a = SparseSymMatrix.identity(3)
+        b = np.ones(3)
+        with pytest.raises(ValueError, match="precondition"):
+            solve(a, b, None, SolverConfig(preconditioning="mg"))
+        for pre in ("none", "jacobi"):
+            with pytest.raises(ValueError, match="precondition"):
+                solve(a, b, None, SolverConfig(preconditioning=pre),
+                      precondition=lambda r, out: out)
+        with pytest.raises(ValueError, match="precondition"):
+            solve(a, b, None, plain("cr"), precondition=lambda r, out: out)
+
+    def test_mg_is_for_cg_only(self):
+        with pytest.raises(ValueError, match="cg"):
+            SolverConfig(method="cr", preconditioning="mg")
+
+    def test_unset_preconditioning_is_not_solved(self):
+        with pytest.raises(ValueError, match="unset"):
+            solve(SparseSymMatrix.identity(2), np.ones(2), None,
+                  SolverConfig(preconditioning=None))
+
+
 class TestTrueResidual:
     @pytest.mark.parametrize("method,pre", TestInPlaceSafety.SETTINGS)
     @pytest.mark.parametrize("max_iterations", [3, 200])
@@ -444,3 +488,7 @@ class TestConfigValidation:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             SolverConfig(rel_tolerance=0.0)
+
+    def test_bad_preconditioning(self):
+        with pytest.raises(ValueError, match="preconditioning"):
+            SolverConfig(preconditioning="ilu")

@@ -317,9 +317,9 @@ class TestSolverCap:
         caps = []
         original = topokry.optimizer.solve
 
-        def recording(a, b, x0, cfg):
+        def recording(a, b, x0, cfg, **kwargs):
             caps.append(cfg.max_iterations)
-            return original(a, b, x0, cfg)
+            return original(a, b, x0, cfg, **kwargs)
 
         monkeypatch.setattr(topokry.optimizer, "solve", recording)
         optimize(spec)
@@ -342,3 +342,38 @@ class TestSolverCap:
     def test_set_cap_is_passed_through(self, monkeypatch):
         caps = self.caps_passed_to_solve(monkeypatch, self.truss(max_iterations=77))
         assert caps and set(caps) == {77}
+
+
+class TestSolverResolution:
+    """An unset solver.preconditioning is mg for CG and jacobi for CR; the
+    history records the settings every solve of the run used."""
+
+    @pytest.mark.parametrize(
+        "method,given,resolved",
+        [("cg", None, "mg"), ("cr", None, "jacobi"), ("cg", "jacobi", "jacobi"),
+         ("cg", "none", "none")],
+    )
+    def test_history_names_the_resolved_solver(self, method, given, resolved):
+        spec = cantilever_spec(6, 4, 0.5, max_outer_iterations=3)
+        spec = replace(
+            spec, solver=replace(spec.solver, method=method, preconditioning=given)
+        )
+        hist = optimize(spec)
+        assert hist.solver == replace(
+            spec.solver, preconditioning=resolved, max_iterations=7 * 5
+        )
+        assert spec.solver.preconditioning == given
+
+
+def test_element_stiffness_computed_once_per_run():
+    # assemble and sensitivity share one cached, read-only ke
+    from topokry.fem import element_stiffness
+
+    element_stiffness.cache_clear()
+    hist = optimize(cantilever_spec(4, 3, 0.5, max_outer_iterations=5))
+    info = element_stiffness.cache_info()
+    assert info.misses == 1
+    assert info.hits == 2 * hist.outer_iterations - 1
+    ke = element_stiffness(Material(1.0, 0.3, 3.0), 1.0, 1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        ke[0, 0] = 0.0

@@ -32,7 +32,7 @@ class TestLoadProblem:
         spec = loads_problem_text(MINIMAL)
         assert spec.solver.rel_tolerance == 1e-8
         assert spec.solver.max_iterations is None  # optimize uses the node count
-        assert spec.solver.preconditioning == "jacobi"
+        assert spec.solver.preconditioning is None  # optimize resolves it
         assert spec.solver.method == "cg"
         assert spec.optimizer.threshold_cutoff == 1e-3
         assert spec.optimizer.max_outer_iterations == 100
@@ -40,6 +40,12 @@ class TestLoadProblem:
         assert spec.material.penal == 3.0
         assert spec.material.thickness == 1.0
         assert spec.domain_width == 4.0 and spec.domain_height == 8.0
+
+    def test_mg_with_cr_rejected(self):
+        with pytest.raises(ConfigError, match="'mg' needs method 'cg'"):
+            loads_problem_text(
+                MINIMAL + "solver.method = cr\nsolver.preconditioning = mg\n"
+            )
 
     def test_zero_volume_fraction_rejected(self):
         with pytest.raises(ConfigError, match="volume_fraction"):
