@@ -42,15 +42,13 @@ def _interpolation(n: int) -> sp.csr_matrix:
     fine = np.arange(n + 1)
     left = np.minimum(fine // 2, nc - 1)  # coarse node at fine node 2 * left
     weight = (fine - 2 * left) / (np.minimum(2 * left + 2, n) - 2 * left)
-    p = sp.csr_matrix(
+    return sp.csr_matrix(
         (
             np.column_stack([1.0 - weight, weight]).ravel(),
             (np.repeat(fine, 2), np.column_stack([left, left + 1]).ravel()),
         ),
         shape=(n + 1, nc + 1),
     )
-    p.eliminate_zeros()
-    return p
 
 
 def _prolongation(nx: int, ny: int) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -60,6 +58,7 @@ def _prolongation(nx: int, ny: int) -> tuple[sp.csr_matrix, np.ndarray]:
     at_x = np.minimum(2 * np.arange(px.shape[1]), nx)
     at_y = np.minimum(2 * np.arange(py.shape[1]), ny)
     p = sp.kron(sp.kron(py, px), sp.identity(2), format="csr")
+    p.eliminate_zeros()  # zero weights, and I2's zeros if kron went by blocks
     # nodes are numbered row-major from the bottom left, as fem numbers them
     return p, (at_y[:, None] * (nx + 1) + at_x).ravel()
 
