@@ -26,28 +26,27 @@ Collapse of the alpha denominator, to at most ``BREAKDOWN_TOLERANCE`` =
 iterate with status ``stagnated_least_squares``, which on a consistent
 subsystem is the useful range-space solution.
 
-Under ``"mg"``, CG is preconditioned CG on the system as given, with an
-SPD operator M, ``precondition(r, out)`` (in ``optimize``, a multigrid
-V-cycle), so r_k is the unscaled residual.  It converges on a consistent
+Preconditioned CG runs on the system as given, with an SPD operator M,
+``precondition(r, out)``, so r_k is the unscaled residual and the stop
+is judged on it.  Under ``"mg"`` the caller hands M in (in ``optimize``,
+a multigrid V-cycle); under ``"jacobi"`` it is M = D^-1, the diagonal
+from :func:`jacobi_preconditioner`.  PCG converges on a consistent
 singular system for any SPD M (Kaasschieter 1988), but its iterates leave
 range(A).  Their null components change nothing the optimizer reads: A
 maps them to zero, b is orthogonal to them, and on each element with
 material they are a rigid mode.  Without M, s_k aliases r_k, so the
 other solves pay no operation for the hook.
 
-Jacobi preconditioning differs per method.  CG runs the plain recurrences
-on the symmetrically scaled system S A S y = S b with S = diag(sqrt(d)),
-x = S y, which is the standard preconditioned CG.  CR applies the
-preconditioner from the left and iterates on M^-1 A x = M^-1 b, a
-nonsymmetric operator, trading CR's residual optimality for plain
-applicability.  The CR contraction bound needs a definite symmetric
-part; on singular A the symmetric part of M^-1 A is at best
-semidefinite, and the bound does not apply.  The cost shows on the
-shipped two-bar truss: left-Jacobi CR stops 12 of the 15 solves of an
-OC run at the iteration cap, with a largest true relative residual of
+CR takes Jacobi preconditioning from the left instead and iterates on
+M^-1 A x = M^-1 b, a nonsymmetric operator, trading CR's residual
+optimality for plain applicability.  The CR contraction bound needs a
+definite symmetric part; on singular A the symmetric part of M^-1 A is
+at best semidefinite, and the bound does not apply.  The cost shows on
+the shipped two-bar truss: left-Jacobi CR stops 12 of the 15 solves of
+an OC run at the iteration cap, with a largest true relative residual of
 0.114, and 17 of 23 under CONLIN, with 0.126, and the final compliances
-are 3.1 % and 6.0 % above those of Jacobi CG.  In both cases the
-reported residual history belongs to the system actually iterated.
+are 3.1 % and 6.0 % above those of Jacobi CG.  Its reported residual
+history belongs to the system actually iterated, M^-1 A x = M^-1 b.
 
 An iteration allocates no arrays.  The work vectors are allocated once per
 solve and updated in place, and the operator is a callable
@@ -76,6 +75,7 @@ there.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -141,11 +141,11 @@ class SolveReport:
 
     ``residual_history`` has ``iterations + 1`` entries (it includes the
     initial residual norm).  When iterate recording is enabled, ``iterates``
-    and ``residual_vectors`` hold the same number of snapshots; iterates are
-    in original coordinates while residual vectors (like the history) belong
-    to the system actually iterated, which differs from the input system
-    only under preconditioning.  ``true_relative_residual`` is
-    ||b - A x|| / ||b|| on the input system, whatever was iterated.
+    and ``residual_vectors`` hold the same number of snapshots.  Iterates,
+    residual vectors and the history belong to the system as given, except
+    that under left-Jacobi CR the residuals are those of M^-1 A x = M^-1 b.
+    ``true_relative_residual`` is ||b - A x|| / ||b|| on the system as
+    given, whatever was iterated.
     """
 
     solution: np.ndarray
@@ -295,7 +295,8 @@ def solve(
     solution of the consistent subsystem and reports
     ``stagnated_least_squares``.  A 0-dimensional system converges in 0
     iterations.  The report's ``true_relative_residual`` costs one more
-    matvec, with A itself.  ``precondition(r, out)`` is M, for "mg" only.
+    matvec, with A itself.  ``precondition(r, out)`` is the caller's M,
+    required by "mg" and refused otherwise; "jacobi" builds its own.
     """
     cfg = SolverConfig() if cfg is None else cfg
     if cfg.preconditioning is None:
@@ -306,20 +307,15 @@ def solve(
     b = as_vector(b, n, "b")
     x0 = np.zeros(n) if x0 is None else as_vector(x0, n, "x0")
 
+    operator, rhs = csr_operator(a.csr), b
     if cfg.preconditioning == "jacobi":
         d = jacobi_preconditioner(a)
         if cfg.method == "cg":
-            s = np.sqrt(d)
-            scaled = csr_operator(a.scaled(s).csr)
-            rep = _iterate(scaled, n, s * b, x0 / s, cfg)
-            rep.solution = s * rep.solution
-            if rep.iterates is not None:
-                rep.iterates = [s * y for y in rep.iterates]
+            precondition = functools.partial(np.multiply, d)  # M = D^-1
         else:
             # CR: left application, iterate on the nonsymmetric M^-1 A
-            rep = _iterate(csr_operator(a.csr, d), n, d * b, x0, cfg)
-    else:
-        rep = _iterate(csr_operator(a.csr), n, b, x0, cfg, precondition)
+            operator, rhs = csr_operator(a.csr, d), d * b
+    rep = _iterate(operator, n, rhs, x0, cfg, precondition)
     rep.true_relative_residual = _relative(
         float(np.linalg.norm(b - a.csr @ rep.solution)), float(np.linalg.norm(b))
     )

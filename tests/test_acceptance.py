@@ -195,8 +195,9 @@ def test_summary_counts_slack_updates(truss_outputs, tmp_path):
 
 
 def test_summary_reports_true_residual(truss_outputs):
-    # PCG converges on the shipped truss; PCR's capped solves stop far from
-    # the solution of the unpreconditioned system
+    # PCG converges on the shipped truss to the tolerance, judged on the
+    # system as given; PCR's capped solves stop far from its solution
+    tolerance = load_problem(CONFIG).solver.rel_tolerance
     for (method, rule), data in truss_outputs.items():
         residuals = data["history"].true_relative_residual
         name = combo_name(method, rule)
@@ -206,7 +207,7 @@ def test_summary_reports_true_residual(truss_outputs):
             worst, rel=1e-3
         ), name
         if method == "cg":
-            assert worst < 1e-6, name
+            assert worst <= tolerance, name
         else:
             assert worst > 1e-2, name
 

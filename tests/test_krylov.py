@@ -433,6 +433,27 @@ class TestPreconditionHook:
             == np.array(plain_rep.residual_history).tobytes()
         )
 
+    def test_jacobi_cg_is_the_hook_with_diagonal_operator(self):
+        # one PCG recurrence: Jacobi CG is the mg path with M = diag(d)
+        a_red, b_red = void_column_system()
+        d = jacobi_preconditioner(a_red)
+
+        def diagonal(r, out):
+            return np.multiply(d, r, out=out)
+
+        jacobi = solve(a_red, b_red, None, SolverConfig(preconditioning="jacobi"))
+        hook = solve(
+            a_red, b_red, None, SolverConfig(preconditioning="mg"),
+            precondition=diagonal,
+        )
+        assert jacobi.status == hook.status == "converged"
+        assert jacobi.iterations == hook.iterations > 0
+        assert jacobi.solution.tobytes() == hook.solution.tobytes()
+        assert (
+            np.array(jacobi.residual_history).tobytes()
+            == np.array(hook.residual_history).tobytes()
+        )
+
     def test_operator_goes_with_mg_only(self):
         a = SparseSymMatrix.identity(3)
         b = np.ones(3)

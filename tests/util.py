@@ -82,27 +82,26 @@ def textbook_solve(a: SparseSymMatrix, b, method: str, preconditioning: str,
     The reference for :func:`topokry.solve`: new arrays each step
     (``x + alpha * p``, ``r - alpha * ap``, ``r + beta * p``), ``csr @ v``
     as the operator and ``np.linalg.norm`` for every residual norm.
-    Jacobi CG runs plain CG on ``a.scaled(s)`` with s = sqrt(d); Jacobi CR
-    iterates on ``d * (csr @ v)``.  Returns (solution, residual history).
+    Jacobi CG is textbook PCG with z = d * r; Jacobi CR iterates on
+    ``d * (csr @ v)``.  Returns (solution, residual history).
     """
     csr = a.csr
     b = np.asarray(b, dtype=float)
     d = jacobi_preconditioner(a) if preconditioning == "jacobi" else None
-    if d is not None and method == "cg":
-        s = np.sqrt(d)
-        y, history = textbook_solve(
-            a.scaled(s), s * b, "cg", "none", max_iterations, rel_tolerance
-        )
-        return s * y, history
-    if d is not None:
-        b = d * b
+    # CG takes d as M on the residual, CR as a left scaling of the system
+    m, left = (d, None) if method == "cg" else (None, d)
+    if left is not None:
+        b = left * b
 
     def op(v):
-        return csr @ v if d is None else d * (csr @ v)
+        return csr @ v if left is None else left * (csr @ v)
+
+    def precondition(r):
+        return r if m is None else m * r
 
     x = np.zeros(b.size)
     r = b - op(x)
-    p = r
+    p = precondition(r)
     if method == "cr":
         ar = op(r)
         ap = ar
@@ -123,8 +122,9 @@ def textbook_solve(a: SparseSymMatrix, b, method: str, preconditioning: str,
         r = r - alpha * ap
         history.append(np.linalg.norm(r))
         if method == "cg":
-            beta = -(r @ ap) / denom
-            p = r + beta * p
+            z = precondition(r)
+            beta = -(z @ ap) / denom
+            p = z + beta * p
         else:
             ar = op(r)
             beta = -(ar @ ap) / denom
