@@ -80,7 +80,7 @@ def textbook_solve(a: SparseSymMatrix, b, method: str, preconditioning: str,
     """CG or CR from x0 = 0, transcribed in plain numpy expressions.
 
     The reference for :func:`topokry.solve`: new arrays each step
-    (``x + alpha * p``, ``r - alpha * ap``, ``r + beta * p``), ``csr @ v``
+    (``x + alpha * p``, ``r - alpha * ap``, ``z + beta * p``), ``csr @ v``
     as the operator and ``np.linalg.norm`` for every residual norm.
     Jacobi CG is textbook PCG with z = d * r; Jacobi CR iterates on
     ``d * (csr @ v)``.  Returns (solution, residual history).
