@@ -19,12 +19,7 @@ from .krylov import (
     jacobi_preconditioner,
     solve,
 )
-from .linalg import (
-    SingularMatrixError,
-    SparseSymMatrix,
-    dense_solve,
-    pseudo_solve,
-)
+from .linalg import SparseSymMatrix
 from .optimizer import (
     InfeasibleConstraintError,
     LoadOutsideRangeError,
@@ -64,7 +59,6 @@ __all__ = [
     "PointLoad",
     "ProblemSpec",
     "RangeDecomposition",
-    "SingularMatrixError",
     "SolveReport",
     "SolverConfig",
     "SparseSymMatrix",
@@ -75,14 +69,12 @@ __all__ = [
     "conlin_update",
     "cr_bound_check",
     "decompose_history",
-    "dense_solve",
     "dump_problem",
     "element_stiffness",
     "jacobi_preconditioner",
     "load_problem",
     "oc_update",
     "optimize",
-    "pseudo_solve",
     "range_basis",
     "scatter_solution",
     "sensitivity",

@@ -1,9 +1,11 @@
 """Command-line front end: run an optimization from a config file and write
 density.pgm, history.csv, and summary.txt into an output directory.
 
-Exit codes: 0 success (converged or iteration cap), 1 usage/config error,
-2 numerical failure, 3 I/O failure, 4 a load outside the range of the
-stiffness (a loaded node with no adjacent material).
+Exit codes: 0 success, 1 usage/config error, 2 numerical failure, 3 I/O
+failure, 4 a load outside the range of the stiffness (a loaded node with
+no adjacent material).  Exit code 0 covers a run that converged and one
+that stopped at optimizer.max_outer_iterations; the ``status`` line of
+summary.txt, ``converged`` or ``max_iterations``, tells them apart.
 """
 from __future__ import annotations
 
@@ -76,6 +78,7 @@ def _write_summary(
     lines = [
         f"method: {_method_name(history.solver, spec.optimizer.update_rule)}",
         f"preconditioning: {history.solver.preconditioning}",
+        f"status: {history.status}",
         f"outer_iters: {history.outer_iterations}",
         f"total_inner_iters: {history.total_inner_iterations}",
         f"capped_solves: {history.solver_status.count('max_iterations')}",

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import SparseSymMatrix, TripletPattern, as_vector
+from .linalg import SparseSymMatrix, TripletPattern, as_vector, is_integer
 
 # 2x2 Gauss points and weights on [-1, 1]
 _GAUSS_2 = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
@@ -76,8 +76,8 @@ class Mesh:
     """Uniform nx-by-ny quadrilateral mesh on a width-by-height rectangle."""
 
     def __init__(self, nx: int, ny: int, width: float, height: float):
-        if nx < 1 or ny < 1:
-            raise ValueError("mesh needs at least one element per axis")
+        if not (is_integer(nx) and is_integer(ny) and nx >= 1 and ny >= 1):
+            raise ValueError("mesh needs a whole number >= 1 of elements per axis")
         if not (width > 0 and height > 0):
             raise ValueError("domain dimensions must be positive")
         self.nx = int(nx)
@@ -146,16 +146,6 @@ class Mesh:
             raise ValueError(f"unknown edge {edge!r}")
         nodes = edges[edge]
         return np.column_stack([2 * nodes, 2 * nodes + 1]).ravel()
-
-    def elements_adjacent_to_node(self, node: int) -> np.ndarray:
-        """Element indices of the up-to-four elements touching a node."""
-        iy, ix = divmod(int(node), self.nx + 1)
-        adjacent = []
-        for ex in (ix - 1, ix):
-            for ey in (iy - 1, iy):
-                if 0 <= ex < self.nx and 0 <= ey < self.ny:
-                    adjacent.append(ey * self.nx + ex)
-        return np.asarray(sorted(adjacent), dtype=np.int64)
 
 
 @dataclass

@@ -83,7 +83,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
 
-from .linalg import DENSE_SIZE_LIMIT, SparseSymMatrix, as_vector
+from .linalg import DENSE_SIZE_LIMIT, SparseSymMatrix, as_vector, is_integer
 
 CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
@@ -127,8 +127,10 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if not self.rel_tolerance > 0:
             raise ValueError("rel_tolerance must be positive")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if self.max_iterations is not None and not (
+            is_integer(self.max_iterations) and self.max_iterations >= 1
+        ):
+            raise ValueError("max_iterations must be an integer >= 1")
         if self.preconditioning not in (None, "none", "jacobi", "mg"):
             raise ValueError(f"unknown preconditioning {self.preconditioning!r}")
         if self.preconditioning == "mg" and self.method != "cg":

@@ -1,14 +1,13 @@
-"""Sparse symmetric matrices, vector checks, and small dense solvers.
+"""Sparse symmetric matrices, value checks and the dense pseudo-inverse.
 
 Vectors are plain 1-D float64 numpy arrays and dense matrices are 2-D
-float64 numpy arrays; :func:`as_vector` / :func:`as_dense` validate them at
-API boundaries.  The dense solvers exist as test oracles, and
-:func:`pseudo_inverse` also solves the coarsest multigrid level; like
-every dense tool they are limited to n <= DENSE_SIZE_LIMIT = 2000 by
-contract; :func:`as_small_square`, :func:`check_dense_size` and
-:func:`check_symmetric` hold the checks they share, and
-``RANK_TOLERANCE`` = 1e-10 and ``PIVOT_TOLERANCE`` = 1e-14 the cuts below
-which they count an eigenvalue or a pivot as zero.
+float64 numpy arrays; :func:`as_vector` / :func:`as_small_square` validate
+them at API boundaries.  :func:`pseudo_inverse` solves the coarsest
+multigrid level, and ``singular_lab.range_basis`` splits a matrix into its
+range and null space; both take one symmetric eigendecomposition, cut at
+``RANK_TOLERANCE`` = 1e-10: an eigenvalue with |lambda| <=
+RANK_TOLERANCE * |lambda|_max counts as zero.  Like every dense tool they
+are limited to n <= DENSE_SIZE_LIMIT = 2000 by contract.
 
 Sparse matrices are built from COO triplets by :class:`TripletPattern`,
 the one sort-and-sum implementation: it sorts the triplet positions once,
@@ -20,7 +19,7 @@ keep, and :meth:`SparseSymMatrix.from_triplets` sums 1x1 blocks.
 """
 from __future__ import annotations
 
-import warnings
+import operator
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,12 +27,6 @@ import scipy.sparse as sp
 DENSE_SIZE_LIMIT = 2000
 # eigenvalues with |lambda| <= RANK_TOLERANCE * |lambda|_max count as zero
 RANK_TOLERANCE = 1e-10
-# LU pivots with |u_kk| <= PIVOT_TOLERANCE * max|a_ij| make a matrix singular
-PIVOT_TOLERANCE = 1e-14
-
-
-class SingularMatrixError(ValueError):
-    """Raised when a direct solve meets a numerically singular matrix."""
 
 
 def as_vector(x, n: int | None = None, name: str = "vector") -> np.ndarray:
@@ -48,32 +41,32 @@ def as_vector(x, n: int | None = None, name: str = "vector") -> np.ndarray:
     return v
 
 
-def as_dense(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return a finite 2-D float64 array."""
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return m
+def is_integer(value) -> bool:
+    """Whether ``operator.index`` takes the value: a Python or numpy
+    integer, and not a float, even an integral one."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
 
 
 def as_small_square(a, name: str = "matrix") -> np.ndarray:
-    """Validate a finite square 2-D array within the dense size limit."""
-    m = as_dense(a, name)
-    n, cols = m.shape
-    if n != cols:
-        raise ValueError(f"{name} must be square, got {m.shape}")
-    check_dense_size(n, name)
-    return m
-
-
-def check_dense_size(n: int, name: str = "matrix") -> None:
-    """Raise unless an n-by-n matrix is within the dense size limit."""
-    if n > DENSE_SIZE_LIMIT:
+    """Validate a finite square 2-D float64 array within the dense size
+    limit; a :class:`SparseSymMatrix` is made dense once its size passes."""
+    sparse = isinstance(a, SparseSymMatrix)
+    shape = (a.dimension,) * 2 if sparse else np.shape(a)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"{name} must be a square 2-D array, got shape {shape}")
+    if shape[0] > DENSE_SIZE_LIMIT:
         raise ValueError(
-            f"{name} is {n}x{n}; dense work is limited to n <= {DENSE_SIZE_LIMIT}"
+            f"{name} is {shape[0]}x{shape[0]}; dense work is limited to "
+            f"n <= {DENSE_SIZE_LIMIT}"
         )
+    m = a.to_dense() if sparse else np.asarray(a, dtype=float)
+    if m.size and not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return m
 
 
 def check_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -135,19 +128,6 @@ class SparseSymMatrix:
             raise ValueError("triplet index out of range")
         pattern, order = TripletPattern.sort(n, rows, cols)
         return cls(pattern.sum(values[order][:, None, None]))
-
-    @classmethod
-    def from_dense(cls, a) -> "SparseSymMatrix":
-        return cls(sp.csr_matrix(as_dense(a)))
-
-    @classmethod
-    def from_diagonal(cls, d) -> "SparseSymMatrix":
-        d = as_vector(d, name="diagonal")
-        return cls(sp.diags(d, format="csr"), check=False)
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseSymMatrix":
-        return cls(sp.identity(n, format="csr"), check=False)
 
     def diagonal(self) -> np.ndarray:
         return self._csr.diagonal()
@@ -256,56 +236,27 @@ class TripletPattern:
         ).tocsr()
 
 
-def dense_solve(a, b) -> np.ndarray:
-    """Solve A x = b by LU factorization with partial pivoting (LAPACK).
+def _rank_cut(a, name: str):
+    """The symmetric eigendecomposition of a, cut at ``RANK_TOLERANCE``.
 
-    Test oracle for regular systems; n is limited to 2000.  Raises
-    :class:`SingularMatrixError` when a pivot of the factorization falls
-    to ``PIVOT_TOLERANCE`` times the largest entry of A.
+    ``a`` is a :class:`SparseSymMatrix` or a dense array, checked to be
+    finite, square, symmetric and within the dense size limit.  Returns
+    the dense matrix, the eigenvalues w and eigenvectors v of its
+    symmetric part, and the mask of |w| > RANK_TOLERANCE * |w|_max: the
+    eigenpairs that span the range.
     """
-    # imported here: at module level it would add tens of milliseconds to
-    # every ``import topokry`` for a function only tests call
-    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-
-    a = as_small_square(a, "a")
-    n = a.shape[0]
-    b = as_vector(b, n, "b")
-    if n == 0:
-        return np.zeros(0)
-    scale = np.abs(a).max()
-    if scale == 0.0:
-        raise SingularMatrixError("zero matrix")
-    with warnings.catch_warnings():
-        # an exactly zero pivot is reported below, as any tiny one is
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(a, check_finite=False)
-    pivots = np.abs(np.diagonal(lu))
-    small = np.flatnonzero(pivots <= PIVOT_TOLERANCE * scale)
-    if small.size:
-        k = int(small[0])
-        raise SingularMatrixError(f"pivot {lu[k, k]:.3e} at column {k}")
-    return lu_solve((lu, piv), b, check_finite=False)
+    a = check_symmetric(as_small_square(a, name), name)
+    w, v = np.linalg.eigh(0.5 * (a + a.T))
+    magnitude = np.abs(w)
+    return a, w, v, magnitude > RANK_TOLERANCE * magnitude.max(initial=0.0)
 
 
 def pseudo_inverse(a) -> np.ndarray:
     """Moore-Penrose pseudo-inverse A+ of a symmetric A.
 
-    Uses the symmetric eigendecomposition and drops eigenvalues with
-    |lambda| <= RANK_TOLERANCE * |lambda|_max; n is limited to 2000.
+    Inverts the eigenvalues that survive the ``RANK_TOLERANCE`` cut and
+    drops the rest; n is limited to 2000.
     """
-    a = check_symmetric(as_small_square(a, "a"), "a")
-    if a.size == 0:
-        return np.zeros_like(a)
-    w, v = np.linalg.eigh(0.5 * (a + a.T))
-    keep = np.abs(w) > RANK_TOLERANCE * np.abs(w).max()
+    _, w, v, keep = _rank_cut(a, "a")
     v = v[:, keep]
     return (v / w[keep]) @ v.T
-
-
-def pseudo_solve(a, b) -> np.ndarray:
-    """Minimum-norm least-squares solution x = A+ b for symmetric A.
-
-    Test oracle for singular systems; see :func:`pseudo_inverse`.
-    """
-    pinv = pseudo_inverse(a)
-    return pinv @ as_vector(b, pinv.shape[0], "b")

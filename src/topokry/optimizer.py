@@ -36,6 +36,7 @@ from .fem import (
     scatter_solution,
 )
 from .krylov import SolverConfig, solve
+from .linalg import is_integer
 from .multigrid import prolongations, v_cycle
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -76,8 +77,9 @@ class OptimizerConfig:
             raise ValueError(f"unknown update rule {self.update_rule!r}")
         if not 0.0 <= self.threshold_cutoff < 1.0:
             raise ValueError("threshold_cutoff must lie in [0, 1)")
-        if self.max_outer_iterations < 1:
-            raise ValueError("max_outer_iterations must be >= 1")
+        outer = self.max_outer_iterations
+        if not (is_integer(outer) and outer >= 1):
+            raise ValueError("max_outer_iterations must be an integer >= 1")
         if not self.move_limit > 0:
             raise ValueError("move_limit must be positive")
 

@@ -37,6 +37,7 @@ import numpy as np
 
 from .fem import BoundaryConditions, Material, Mesh, build_load
 from .krylov import SolverConfig
+from .linalg import is_integer
 from .optimizer import OptimizerConfig
 
 EDGES = ("left", "right", "top", "bottom")
@@ -77,6 +78,8 @@ class ProblemSpec:
     output_dir: str | None = None
 
     def __post_init__(self):
+        if not (is_integer(self.nx) and is_integer(self.ny)):
+            raise ConfigError("mesh.nx and mesh.ny must be integers")
         if self.nx < 1 or self.ny < 1:
             raise ConfigError("mesh.nx and mesh.ny must be >= 1")
         if not (self.domain_width > 0 and self.domain_height > 0):

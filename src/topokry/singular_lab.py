@@ -5,8 +5,9 @@ symmetric eigendecomposition, transforms matrices to the block "standard
 form" with a regular leading block and a zero trailing block, projects
 recorded residual histories onto the two subspaces, and checks the Conjugate
 Residual contraction bound, within ``CR_BOUND_SLACK`` = 1e-10.  The range
-is cut by ``linalg.RANK_TOLERANCE``, the zero-eigenvalue policy
-``pseudo_solve`` uses too.  Test-scale machinery: dense, n <= 2000.
+comes from the eigendecomposition and ``linalg.RANK_TOLERANCE`` cut that
+``linalg.pseudo_inverse`` takes too.  Test-scale machinery: dense,
+n <= 2000.
 """
 from __future__ import annotations
 
@@ -15,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .krylov import SolveReport
-from .linalg import (
-    RANK_TOLERANCE,
-    SparseSymMatrix,
-    as_small_square,
-    check_dense_size,
-    check_symmetric,
-)
+from .linalg import _rank_cut, as_small_square, check_symmetric
 
 # allowance on the squared residual ratio in ``cr_bound_check``
 CR_BOUND_SLACK = 1e-10
@@ -53,13 +48,6 @@ class ComponentTraces:
     residual_null: np.ndarray
 
 
-def _to_dense_symmetric(a, name: str = "matrix") -> np.ndarray:
-    if isinstance(a, SparseSymMatrix):
-        check_dense_size(a.dimension, name)
-        a = a.to_dense()
-    return check_symmetric(as_small_square(a, name), name)
-
-
 def range_basis(a) -> RangeDecomposition:
     """Split R^n into the range of a symmetric matrix and its complement.
 
@@ -67,15 +55,8 @@ def range_basis(a) -> RangeDecomposition:
     range; the rest span the null space (equal to the orthogonal complement
     for symmetric input).
     """
-    dense = _to_dense_symmetric(a)
-    n = dense.shape[0]
-    if n == 0:
-        empty = np.zeros((0, 0))
-        return RangeDecomposition(0, empty, empty, empty)
-    w, v = np.linalg.eigh(0.5 * (dense + dense.T))
+    dense, w, v, keep = _rank_cut(a, "matrix")
     magnitude = np.abs(w)
-    cutoff = RANK_TOLERANCE * magnitude.max() if magnitude.max() > 0 else 0.0
-    keep = magnitude > cutoff
     # descending magnitude inside each block keeps the layout predictable
     range_order = np.flatnonzero(keep)[np.argsort(-magnitude[keep])]
     null_order = np.flatnonzero(~keep)
@@ -91,7 +72,7 @@ def standard_form(a, dec: RangeDecomposition) -> np.ndarray:
     Raises :class:`DecompositionError` if the off-diagonal or trailing
     blocks fail to vanish, i.e. the decomposition does not belong to A.
     """
-    dense = _to_dense_symmetric(a)
+    dense = check_symmetric(as_small_square(a), "matrix")
     q = np.hstack([dec.q_range, dec.q_null])
     if q.shape != dense.shape:
         raise ValueError("decomposition size does not match the matrix")

@@ -15,9 +15,7 @@ from topokry import (
     assemble,
     cr_bound_check,
     decompose_history,
-    dense_solve,
     optimize,
-    pseudo_solve,
     range_basis,
     sensitivity,
     solve,
@@ -25,9 +23,16 @@ from topokry import (
 import topokry.cli as cli
 from topokry.cli import run
 from topokry.fem import Material, Mesh
+from topokry.linalg import pseudo_inverse
 from topokry.optimizer import MULTIPLIER_BRACKET
 from topokry.problem import load_problem
-from util import random_singular_psd, random_spd, sparse_from_dense
+from util import (
+    dense_solve,
+    elements_adjacent_to_node,
+    random_singular_psd,
+    random_spd,
+    sparse_from_dense,
+)
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 CONFIGS = os.path.join(os.path.dirname(TESTS), "configs")
@@ -194,6 +199,22 @@ def test_summary_counts_slack_updates(truss_outputs, tmp_path):
     assert read_summary(tmp_path / "summary.txt")["slack_updates"] == "0"
 
 
+def test_summary_reports_how_the_run_ended(truss_outputs, tmp_path):
+    for combo, data in truss_outputs.items():
+        assert data["history"].status == "converged", combo_name(*combo)
+        assert data["summary"]["status"] == "converged", combo_name(*combo)
+    # runs cut at the outer-iteration cap exit 0 too, and say so: the
+    # smoke run alternates between two designs until its cap of 30
+    assert run(load_problem(os.path.join(CONFIGS, "smoke_2x2.cfg")), tmp_path) == 0
+    summary = read_summary(tmp_path / "summary.txt")
+    assert (summary["status"], summary["outer_iters"]) == ("max_iterations", "30")
+    base = load_problem(CONFIG)
+    capped = replace(base, optimizer=replace(base.optimizer, max_outer_iterations=2))
+    assert run(capped, tmp_path) == 0
+    summary = read_summary(tmp_path / "summary.txt")
+    assert (summary["status"], summary["outer_iters"]) == ("max_iterations", "2")
+
+
 def test_summary_reports_true_residual(truss_outputs):
     # PCG converges on the shipped truss to the tolerance, judged on the
     # system as given; PCR's capped solves stop far from its solution
@@ -223,7 +244,7 @@ def test_criterion_4_singular_solve_correctness():
         dense, q1, _ = random_singular_psd(rng, n, nullity)
         b = dense @ rng.standard_normal(n)
         a = sparse_from_dense(dense)
-        oracle = pseudo_solve(dense, b)
+        oracle = pseudo_inverse(dense) @ b
         oracle_norm = np.linalg.norm(oracle)
         for method in ("cg", "cr"):
             cfg = SolverConfig(
@@ -334,7 +355,7 @@ def test_criterion_9_load_adjacent_material_every_iteration(canonical_history):
     spec, history = canonical_history
     mesh = spec.build_mesh()
     load = spec.loads[0]
-    adjacent = mesh.elements_adjacent_to_node(mesh.node_near(load.x, load.y))
+    adjacent = elements_adjacent_to_node(mesh, mesh.node_near(load.x, load.y))
     ok = all(snapshot[adjacent].max() > 1e-3 for snapshot in history.densities)
     check(9, "load keeps adjacent material", ok,
           f"{history.outer_iterations} iterations checked")

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from topokry import (
     BoundaryConditions,
@@ -19,7 +20,12 @@ from topokry import (
 )
 from topokry.multigrid import v_cycle
 from topokry.problem import loads_problem_text
-from util import assert_same_csr, element_dof_table, triplet_sum_oracle
+from util import (
+    assert_same_csr,
+    element_dof_table,
+    elements_adjacent_to_node,
+    triplet_sum_oracle,
+)
 
 
 def element_stiffness_oracle(mat, width, height, points=4):
@@ -120,14 +126,16 @@ class TestMesh:
         mesh = Mesh(3, 3, 3.0, 3.0)
         center = mesh.node_index(1, 1)
         np.testing.assert_array_equal(
-            mesh.elements_adjacent_to_node(center), [0, 1, 3, 4]
+            elements_adjacent_to_node(mesh, center), [0, 1, 3, 4]
         )
         corner = mesh.node_index(0, 0)
-        np.testing.assert_array_equal(mesh.elements_adjacent_to_node(corner), [0])
+        np.testing.assert_array_equal(elements_adjacent_to_node(mesh, corner), [0])
 
     def test_invalid(self):
         with pytest.raises(ValueError):
             Mesh(0, 1, 1.0, 1.0)
+        with pytest.raises(ValueError, match="whole number"):
+            Mesh(2.5, 1, 1.0, 1.0)
         with pytest.raises(ValueError):
             Mesh(1, 1, -1.0, 1.0)
 
@@ -336,7 +344,7 @@ class TestPatternAssembly:
             a = assemble(mesh, self.mat, DensityField(values))
             void_nodes = [
                 k for k in range(mesh.n_nodes)
-                if np.all(values[mesh.elements_adjacent_to_node(k)] == 0.0)
+                if np.all(values[elements_adjacent_to_node(mesh, k)] == 0.0)
             ]
             void_dofs = sorted(d for k in void_nodes for d in mesh.node_dofs(k))
             np.testing.assert_array_equal(a.zero_rows(), void_dofs, err_msg=name)
@@ -433,7 +441,7 @@ class TestApplyDirichlet:
 
         bc = BoundaryConditions(n_dofs=3, fixed_dofs=[1])
         reduced, b_red, dof_map = apply_dirichlet(
-            SparseSymMatrix.from_dense(a), np.array([1.0, 2.0, 3.0]), bc
+            SparseSymMatrix(sp.csr_matrix(a)), np.array([1.0, 2.0, 3.0]), bc
         )
         np.testing.assert_array_equal(dof_map, [0, 2])
         np.testing.assert_allclose(reduced.to_dense(), a[np.ix_([0, 2], [0, 2])])
@@ -444,7 +452,7 @@ class TestApplyDirichlet:
 
         bc = BoundaryConditions(n_dofs=2, fixed_dofs=[0, 1])
         reduced, b_red, dof_map = apply_dirichlet(
-            SparseSymMatrix.identity(2), np.array([1.0, 2.0]), bc
+            SparseSymMatrix(sp.identity(2, format="csr")), np.array([1.0, 2.0]), bc
         )
         assert reduced.dimension == 0
         assert b_red.size == 0

@@ -1,15 +1,16 @@
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from topokry import SingularMatrixError, SparseSymMatrix, dense_solve, pseudo_solve
-from topokry.linalg import TripletPattern
+from topokry import SparseSymMatrix, range_basis
+from topokry.linalg import TripletPattern, as_small_square, pseudo_inverse
 from util import (
+    SingularMatrixError,
     assert_same_csr,
+    dense_solve,
+    random_singular_psd,
     random_sparse_symmetric,
     random_spd,
     triplet_sum_oracle,
@@ -19,17 +20,15 @@ from util import (
 class TestSparseSymMatrix:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
-            SparseSymMatrix.from_dense([[1.0, 2.0], [0.0, 1.0]])
+            SparseSymMatrix(sp.csr_matrix([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_rejects_nonsquare(self):
-        import scipy.sparse as sp
-
         with pytest.raises(ValueError, match="square"):
             SparseSymMatrix(sp.csr_matrix((2, 3)))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
-            SparseSymMatrix.from_dense([[np.nan, 0.0], [0.0, 1.0]])
+            SparseSymMatrix(sp.csr_matrix([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_triplets_sum_duplicates(self):
         a = SparseSymMatrix.from_triplets(
@@ -64,10 +63,31 @@ class TestSparseSymMatrix:
             assert not np.shares_memory(scaled.indptr, a.csr.indptr)
 
     def test_zero_rows(self):
-        a = SparseSymMatrix.from_dense(
-            [[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [2.0, 0.0, 1.0]]
+        a = SparseSymMatrix(
+            sp.csr_matrix([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [2.0, 0.0, 1.0]])
         )
         np.testing.assert_array_equal(a.zero_rows(), [1])
+
+
+class TestAsSmallSquare:
+    @pytest.mark.parametrize(
+        "a, message",
+        [
+            (np.ones(3), "square 2-D"),
+            (np.ones((2, 3)), "square 2-D"),
+            ([[1.0, np.inf], [0.0, 1.0]], "non-finite"),
+            (np.broadcast_to(1.0, (2001, 2001)), "2001x2001"),
+            (SparseSymMatrix(sp.identity(2001, format="csr")), "2001x2001"),
+        ],
+        ids=["1-D", "2x3", "inf", "dense-2001", "sparse-2001"],
+    )
+    def test_rejects(self, a, message):
+        with pytest.raises(ValueError, match=message):
+            as_small_square(a)
+
+    def test_sparse_made_dense(self):
+        a = SparseSymMatrix(sp.diags([1.0, 2.0], format="csr"))
+        np.testing.assert_array_equal(as_small_square(a), np.diag([1.0, 2.0]))
 
 
 class TestTripletPattern:
@@ -129,7 +149,7 @@ class TestTripletPattern:
 
 class TestSpmv:
     def test_identity(self):
-        a = SparseSymMatrix.identity(3)
+        a = SparseSymMatrix(sp.identity(3, format="csr"))
         np.testing.assert_array_equal(a.csr @ np.array([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
     def test_matches_dense_multiply_oracle(self):
@@ -166,6 +186,9 @@ class TestSpmv:
 
 
 class TestDenseSolve:
+    """The LU oracle in the test helpers, which regular solves are checked
+    against."""
+
     def test_diagonal(self):
         x = dense_solve(np.diag([1.0, 2.0, 4.0]), [1.0, 2.0, 4.0])
         np.testing.assert_allclose(x, [1.0, 1.0, 1.0], atol=1e-14)
@@ -204,44 +227,34 @@ class TestDenseSolve:
         with pytest.raises(ValueError, match="2000"):
             dense_solve(np.eye(2001), np.ones(2001))
 
-    def test_import_leaves_scipy_linalg_unloaded(self):
-        # dense_solve imports scipy.linalg on first call, so that
-        # ``import topokry`` does not pay for it
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        code = "import sys, topokry; print('scipy.linalg' in sys.modules)"
-        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-            check=True, timeout=120,
-        )
-        assert out.stdout.strip() == "False"
-
 
 class TestPseudoSolve:
+    """x = A+ b through :func:`pseudo_inverse`."""
+
     def test_regular_block_untouched(self):
         np.testing.assert_allclose(
-            pseudo_solve(np.diag([1.0, 0.0]), [2.0, 0.0]), [2.0, 0.0], atol=1e-12
+            pseudo_inverse(np.diag([1.0, 0.0])) @ [2.0, 0.0], [2.0, 0.0], atol=1e-12
         )
 
     def test_null_component_annihilated(self):
         np.testing.assert_allclose(
-            pseudo_solve(np.diag([1.0, 0.0]), [2.0, 5.0]), [2.0, 0.0], atol=1e-12
+            pseudo_inverse(np.diag([1.0, 0.0])) @ [2.0, 5.0], [2.0, 0.0], atol=1e-12
         )
 
     def test_diagonal_pseudo_inverse(self):
         np.testing.assert_allclose(
-            pseudo_solve(np.diag([2.0, 3.0, 0.0]), [4.0, 9.0, 7.0]),
+            pseudo_inverse(np.diag([2.0, 3.0, 0.0])) @ [4.0, 9.0, 7.0],
             [2.0, 3.0, 0.0],
             atol=1e-12,
         )
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
-            pseudo_solve([[1.0, 2.0], [0.0, 1.0]], [1.0, 1.0])
+            pseudo_inverse([[1.0, 2.0], [0.0, 1.0]])
 
     def test_zero_matrix_maps_to_zero(self):
         np.testing.assert_array_equal(
-            pseudo_solve(np.zeros((3, 3)), [1.0, 2.0, 3.0]), np.zeros(3)
+            pseudo_inverse(np.zeros((3, 3))) @ [1.0, 2.0, 3.0], np.zeros(3)
         )
 
     def test_result_in_range_property(self):
@@ -249,10 +262,44 @@ class TestPseudoSolve:
         for _ in range(15):
             n = int(rng.integers(3, 12))
             nullity = int(rng.integers(1, n))
-            from util import random_singular_psd
-
             a, q1, _ = random_singular_psd(rng, n, nullity)
             b = rng.standard_normal(n)
-            x = pseudo_solve(a, b)
+            x = pseudo_inverse(a) @ b
             b_range = q1 @ (q1.T @ b)
             assert np.linalg.norm(a @ x - b_range) <= 1e-9 * max(np.linalg.norm(b), 1e-30)
+
+
+def rank_cut_cases():
+    """Seeded singular PSD matrices, the zero matrix and the empty one."""
+    rng = np.random.default_rng(29)
+    cases = [(np.zeros((4, 4)), 0), (np.zeros((0, 0)), 0)]
+    for n, nullity in ((3, 1), (8, 3), (12, 11), (20, 7)):
+        cases.append((random_singular_psd(rng, n, nullity)[0], n - nullity))
+    return cases
+
+
+class TestRankCut:
+    """``pseudo_inverse`` and ``range_basis`` share one eigenvalue cut."""
+
+    @pytest.mark.parametrize("a, rank", rank_cut_cases())
+    def test_range_rank_is_the_count_pseudo_inverse_keeps(self, a, rank):
+        # A A+ projects onto the eigenvectors the cut keeps: its trace counts them
+        kept = np.trace(a @ pseudo_inverse(a))
+        assert range_basis(a).rank == rank
+        assert abs(kept - rank) <= 1e-9
+
+    @pytest.mark.parametrize("a, rank", rank_cut_cases())
+    def test_pseudo_inverse_inverts_the_regular_block(self, a, rank):
+        dec = range_basis(a)
+        expected = dec.q_range @ np.linalg.inv(dec.a11) @ dec.q_range.T
+        got = pseudo_inverse(a)
+        assert got.shape == a.shape
+        assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_sparse_input_gives_the_dense_bits(self):
+        a, _, _ = random_singular_psd(np.random.default_rng(31), 9, 2)
+        sparse = SparseSymMatrix(sp.csr_matrix(a))
+        assert pseudo_inverse(sparse).tobytes() == pseudo_inverse(a).tobytes()
+        for name in ("q_range", "q_null", "a11"):
+            got, expected = getattr(range_basis(sparse), name), getattr(range_basis(a), name)
+            assert got.tobytes() == expected.tobytes(), name

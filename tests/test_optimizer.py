@@ -19,7 +19,6 @@ from topokry import (
     build_load,
     compliance,
     conlin_update,
-    dense_solve,
     element_stiffness,
     oc_update,
     optimize,
@@ -28,7 +27,7 @@ from topokry import (
     solve,
     threshold,
 )
-from util import element_dof_table
+from util import dense_solve, element_dof_table, elements_adjacent_to_node
 from topokry.optimizer import _clamped_candidate
 from topokry.problem import PointLoad, load_problem
 
@@ -263,7 +262,7 @@ class TestOptimize:
         hist = optimize(spec)
         mesh = spec.build_mesh()
         loaded = mesh.node_near(5.0, 2.5)
-        adjacent = mesh.elements_adjacent_to_node(loaded)
+        adjacent = elements_adjacent_to_node(mesh, loaded)
         cutoff = spec.optimizer.threshold_cutoff
         for snapshot in hist.densities:
             assert snapshot[adjacent].max() > cutoff
@@ -377,3 +376,9 @@ def test_element_stiffness_computed_once_per_run():
     ke = element_stiffness(Material(1.0, 0.3, 3.0), 1.0, 1.0)
     with pytest.raises(ValueError, match="read-only"):
         ke[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("cap", [2.5, 2.0])
+def test_outer_cap_must_be_an_integer(cap):
+    with pytest.raises(ValueError, match="max_outer_iterations must be an integer"):
+        OptimizerConfig(volume_fraction=0.5, max_outer_iterations=cap)

@@ -155,6 +155,15 @@ class TestLoadProblem:
         with pytest.raises(ConfigError, match="mesh.nx and mesh.ny must be >= 1"):
             loads_problem_text(MINIMAL.replace("mesh.nx = 4", "mesh.nx = 0"))
 
+    @pytest.mark.parametrize("field", ["nx", "ny"])
+    def test_non_integer_mesh_size(self, field):
+        # a truncated 2.5 would dump as 2 and reload as another spec
+        spec = loads_problem_text(MINIMAL)
+        with pytest.raises(ConfigError, match="mesh.nx and mesh.ny must be integers"):
+            replace(spec, **{field: 2.5})
+        numpy_sized = replace(spec, **{field: np.int64(4)})
+        assert loads_problem_text(dump_problem(numpy_sized)) == numpy_sized
+
     def test_seed_is_an_unknown_key(self):
         with pytest.raises(ConfigError, match="line 10: unknown key 'seed'"):
             loads_problem_text(MINIMAL + "seed = 1\n")

@@ -1,11 +1,56 @@
 """Shared generators and small oracles for the test suite."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import scipy.sparse as sp
 
 from topokry import SparseSymMatrix
 from topokry.krylov import BREAKDOWN_TOLERANCE, jacobi_preconditioner
+from topokry.linalg import as_small_square, as_vector
+
+# LU pivots with |u_kk| <= PIVOT_TOLERANCE * max|a_ij| make a matrix singular
+PIVOT_TOLERANCE = 1e-14
+
+
+class SingularMatrixError(ValueError):
+    """Raised when a direct solve meets a numerically singular matrix."""
+
+
+def dense_solve(a, b) -> np.ndarray:
+    """Solve A x = b by LU factorization with partial pivoting (LAPACK).
+
+    Test oracle for regular systems; n is limited to 2000.  Raises
+    :class:`SingularMatrixError` when a pivot of the factorization falls
+    to ``PIVOT_TOLERANCE`` times the largest entry of A.
+    """
+    # imported on first call, so importing these helpers loads no scipy.linalg
+    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+
+    a = as_small_square(a, "a")
+    n = a.shape[0]
+    b = as_vector(b, n, "b")
+    if n == 0:
+        return np.zeros(0)
+    scale = np.abs(a).max()
+    if scale == 0.0:
+        raise SingularMatrixError("zero matrix")
+    with warnings.catch_warnings():
+        # an exactly zero pivot is reported below, as any tiny one is
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu, piv = lu_factor(a, check_finite=False)
+    pivots = np.abs(np.diagonal(lu))
+    small = np.flatnonzero(pivots <= PIVOT_TOLERANCE * scale)
+    if small.size:
+        k = int(small[0])
+        raise SingularMatrixError(f"pivot {lu[k, k]:.3e} at column {k}")
+    return lu_solve((lu, piv), b, check_finite=False)
+
+
+def elements_adjacent_to_node(mesh, node: int) -> np.ndarray:
+    """Indices of the up-to-four elements with the node as a corner."""
+    return np.flatnonzero((mesh.element_nodes == node).any(axis=1))
 
 
 def random_spd(rng: np.random.Generator, n: int, spread: float = 10.0):
@@ -31,7 +76,7 @@ def random_singular_psd(rng: np.random.Generator, n: int, nullity: int):
 
 def sparse_from_dense(a) -> SparseSymMatrix:
     dense = np.asarray(a, dtype=float)
-    return SparseSymMatrix.from_dense(0.5 * (dense + dense.T))
+    return SparseSymMatrix(sp.csr_matrix(0.5 * (dense + dense.T)))
 
 
 def random_sparse_symmetric(rng: np.random.Generator, n: int, density: float = 0.3):
@@ -40,7 +85,7 @@ def random_sparse_symmetric(rng: np.random.Generator, n: int, density: float = 0
     vals = rng.standard_normal((n, n)) * mask
     dense = np.triu(vals)
     dense = dense + np.triu(dense, 1).T
-    return SparseSymMatrix.from_dense(dense), dense
+    return SparseSymMatrix(sp.csr_matrix(dense)), dense
 
 
 def triplet_sum_oracle(n: int, rows, cols, values) -> sp.csr_matrix:
