@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 usage/config error, 2 numerical failure, 3 I/O
 failure, 4 a load outside the range of the stiffness (a loaded node with
 no adjacent material).  Exit code 0 covers a run that converged and one
 that stopped at optimizer.max_outer_iterations; the ``status`` line of
-summary.txt, ``converged`` or ``max_iterations``, tells them apart.
+summary.txt tells them apart: ``converged``, ``max_iterations``, or
+``cycling`` when the last designs repeat with the period on the
+``cycle_period`` line (0 for a run that did not cycle).
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from .fem import Mesh
-from .krylov import NumericalFailure, SolverConfig
+from .krylov import MAX_ITERATIONS, NumericalFailure, SolverConfig
 from .optimizer import (
     MULTIPLIER_BRACKET,
     InfeasibleConstraintError,
@@ -79,9 +81,10 @@ def _write_summary(
         f"method: {_method_name(history.solver, spec.optimizer.update_rule)}",
         f"preconditioning: {history.solver.preconditioning}",
         f"status: {history.status}",
+        f"cycle_period: {history.cycle_period}",
         f"outer_iters: {history.outer_iterations}",
         f"total_inner_iters: {history.total_inner_iterations}",
-        f"capped_solves: {history.solver_status.count('max_iterations')}",
+        f"capped_solves: {history.solver_status.count(MAX_ITERATIONS)}",
         f"max_true_rel_residual: {max(history.true_relative_residual):.3e}",
         f"slack_updates: {slack}",
         f"final_compliance: {history.compliance[-1]:.12e}",

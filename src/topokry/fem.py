@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -59,19 +58,6 @@ class Material:
         )
 
 
-class ScatterPattern(NamedTuple):
-    """The 16 * n_elements node-pair scatter terms of a mesh, sorted.
-
-    Sorted term t adds ``scale[element[t]] * blocks[local[t]]`` to the
-    stored node-pair entry ``triplets.entry[t]``, where
-    ``blocks[4 * i + j]`` is the 2x2 block ``ke[2i:2i+2, 2j:2j+2]``.
-    """
-
-    triplets: TripletPattern
-    element: np.ndarray  # int32 element id of each sorted term
-    local: np.ndarray  # uint8 index into the 16 2x2 blocks of ke of each sorted term
-
-
 class Mesh:
     """Uniform nx-by-ny quadrilateral mesh on a width-by-height rectangle."""
 
@@ -100,26 +86,23 @@ class Mesh:
         self.element_nodes = np.column_stack([ll, lr, ur, ul])
 
     @cached_property
-    def scatter_pattern(self) -> ScatterPattern:
+    def scatter_pattern(self) -> TripletPattern:
         """Sorted node-pair scatter pattern, built by the first :func:`assemble`.
 
         Input term ``16 * e + 4 * i + j`` puts the 2x2 block
         ``ke[2i:2i+2, 2j:2j+2]`` of element e at the node pair
         (element_nodes[e, i], element_nodes[e, j]); DOFs 2k and 2k + 1 of
-        node k are its block's row (or column) 0 and 1.  The stable sort
-        keeps each node pair's terms in ascending element order, as a sort
-        of the 64 DOF-pair terms per element keeps each DOF pair's, with a
-        quarter of the terms.  It is built on first use and not in
-        ``__init__``, so building a mesh stays cheap.
+        node k are its block's row (or column) 0 and 1, and sorted term t
+        is input term ``order[t]``.  The stable sort keeps each node pair's
+        terms in ascending element order, as a sort of the 64 DOF-pair
+        terms per element keeps each DOF pair's, with a quarter of the
+        terms.  It is built on first use and not in ``__init__``, so
+        building a mesh stays cheap.
         """
         nodes = self.element_nodes
         rows = np.repeat(nodes, 4, axis=1).ravel()
         cols = np.tile(nodes, (1, 4)).ravel()
-        triplets, order = TripletPattern.sort(self.n_nodes, rows, cols)
-        element, local = np.divmod(order, 16)
-        return ScatterPattern(
-            triplets, element.astype(np.int32), local.astype(np.uint8)
-        )
+        return TripletPattern(self.n_nodes, rows, cols)
 
     def node_index(self, ix: int, iy: int) -> int:
         if not (0 <= ix <= self.nx and 0 <= iy <= self.ny):
@@ -253,7 +236,9 @@ def assemble(mesh: Mesh, mat: Material, rho: DensityField) -> SparseSymMatrix:
 
     The node-pair scatter terms are sorted once per mesh
     (:attr:`Mesh.scatter_pattern`, built on the first call).  Each call
-    masks out the terms of void elements, forms every kept 2x2 block as
+    masks out the terms of void elements, reads each kept term's element e
+    and block index 4 * i + j from its input index ``16 * e + 4 * i + j``
+    in the pattern's ``order``, gathers the blocks and then scales them to
     rho_e^p * ke block, sums the blocks of each node pair in sorted order
     and expands the block matrix to CSR, stored zeros included.  The result
     is bit-identical to sorting the active elements' 64 DOF-pair triplets
@@ -274,10 +259,13 @@ def assemble(mesh: Mesh, mat: Material, rho: DensityField) -> SparseSymMatrix:
     blocks = ke.reshape(4, 2, 4, 2).transpose(0, 2, 1, 3).reshape(16, 2, 2)
     scale = rho.values ** mat.penal
     pattern = mesh.scatter_pattern
-    kept = np.flatnonzero((scale > 0.0).take(pattern.element))
-    values = blocks.take(pattern.local.take(kept), axis=0)
-    values *= scale.take(pattern.element.take(kept))[:, None, None]
-    return SparseSymMatrix(pattern.triplets.sum(values, kept), check=False)
+    kept = np.flatnonzero(np.repeat(scale > 0.0, 16).take(pattern.order))
+    element, local = np.divmod(pattern.order.take(kept), 16)
+    # gathered, then scaled: scaling every element's blocks first gives the
+    # same bits but a higher peak of memory
+    values = blocks.take(local, axis=0)
+    values *= scale.take(element)[:, None, None]
+    return SparseSymMatrix(pattern.sum(values, kept), check=False)
 
 
 def apply_dirichlet(

@@ -10,12 +10,13 @@ RANK_TOLERANCE * |lambda|_max counts as zero.  Like every dense tool they
 are limited to n <= DENSE_SIZE_LIMIT = 2000 by contract.
 
 Sparse matrices are built from COO triplets by :class:`TripletPattern`,
-the one sort-and-sum implementation: it sorts the triplet positions once,
-so a caller whose positions never change (the element scatter of a mesh)
-pays for the sort once and for a linear masked sum on every build.  A
-triplet's value is an r-by-c block: the element scatter sorts node pairs
-and sums 2x2 blocks, a quarter of the terms a sort of DOF pairs would
-keep, and :meth:`SparseSymMatrix.from_triplets` sums 1x1 blocks.
+the one sort-and-sum implementation: it sorts the triplet positions once
+and keeps the sort permutation, so a caller whose positions never change
+(the element scatter of a mesh) pays for the sort once and for a linear
+masked sum on every build.  A triplet's value is an r-by-c block: the
+element scatter sorts node pairs and sums 2x2 blocks, a quarter of the
+terms a sort of DOF pairs would keep, and
+:meth:`SparseSymMatrix.from_triplets` sums 1x1 blocks.
 """
 from __future__ import annotations
 
@@ -126,8 +127,8 @@ class SparseSymMatrix:
             rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n
         ):
             raise ValueError("triplet index out of range")
-        pattern, order = TripletPattern.sort(n, rows, cols)
-        return cls(pattern.sum(values[order][:, None, None]))
+        pattern = TripletPattern(n, rows, cols)
+        return cls(pattern.sum(values[pattern.order][:, None, None]))
 
     def diagonal(self) -> np.ndarray:
         return self._csr.diagonal()
@@ -163,30 +164,21 @@ class SparseSymMatrix:
 class TripletPattern:
     """The positions of n-by-n COO triplets, sorted once by (row, col).
 
-    :meth:`sort` builds a pattern and hands back the stable sort
-    permutation ``order``: sorted term t is input term ``order[t]``.  The
-    pattern does not keep it.  :meth:`sum` takes values in that sorted
-    order and returns the matrix of their duplicate sums, so a caller
-    whose positions stay fixed builds each new matrix without sorting.
-    Indices are trusted: callers check their ranges before building a
-    pattern.
+    ``order`` is the stable sort permutation: sorted term t is input term
+    ``order[t]``.  :meth:`sum` takes values in that sorted order and
+    returns the matrix of their duplicate sums, so a caller whose
+    positions stay fixed builds each new matrix without sorting.  Indices
+    are trusted: callers check their ranges before building a pattern.
     """
 
-    @classmethod
-    def sort(cls, n: int, rows, cols) -> tuple["TripletPattern", np.ndarray]:
-        """The pattern of unsorted positions and their sort permutation."""
+    def __init__(self, n: int, rows, cols):
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         # Stable lexsort keeps the per-entry addend order identical for
         # (i, j) and (j, i), so symmetric inputs assemble symmetrically
         # down to the last bit.
         order = np.lexsort((cols, rows))
-        return cls(n, rows[order], cols[order]), order
-
-    def __init__(self, n: int, rows, cols):
-        """The pattern of positions already sorted by (row, col)."""
-        r = np.asarray(rows, dtype=np.int64)
-        c = np.asarray(cols, dtype=np.int64)
+        r, c = rows[order], cols[order]
         first = np.ones(r.size, dtype=bool)
         first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
         self.n = n
@@ -194,6 +186,7 @@ class TripletPattern:
         # scipy's block-to-CSR conversion widens them again if the expanded
         # matrix (r * n rows, r * c * entries values) needs int64
         index = np.int32 if max(n, r.size) <= np.iinfo(np.int32).max else np.int64
+        self.order = order.astype(index)
         # each distinct (row, col) is one entry; entry[t] is sorted term t's
         self.entry = np.cumsum(first, dtype=index) - 1
         self.rows = r[first].astype(index)

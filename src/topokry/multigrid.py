@@ -9,10 +9,10 @@ free fine DOFs as rows and the free coarse DOFs as columns; a coarse DOF
 is free iff the fine DOF at its node is.  Coarsening stops once a level
 has at most ``COARSEST_DOFS`` free DOFs.
 
-:func:`v_cycle` builds, per solve, the Galerkin operators P^T A P and the
-coarsest one's pseudo-inverse, and returns ``precondition(r, out)``.  It
-smooths with ``SMOOTHING_SWEEPS`` damped Jacobi sweeps (weight
-``SMOOTHING_WEIGHT``, zero rows passed through as in
+:func:`v_cycle` builds, per solve, the Galerkin operators P^T (A P) with
+scipy's sparse product and the coarsest one's pseudo-inverse, and returns
+``precondition(r, out)``.  It smooths with ``SMOOTHING_SWEEPS`` damped
+Jacobi sweeps (weight ``SMOOTHING_WEIGHT``, zero rows passed through as in
 ``krylov.jacobi_preconditioner``) before the coarse correction and as
 many after, so the cycle is symmetric.  Its output is zeroed on A's zero
 rows, so void DOFs keep their CG warm-start value; on the vectors CG
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matmat, csr_matmat_maxnnz
 
 from .fem import BoundaryConditions, Mesh
 from .krylov import csr_operator, jacobi_preconditioner
@@ -78,24 +77,6 @@ def prolongations(mesh: Mesh, bc: BoundaryConditions) -> list[tuple]:
     return levels
 
 
-def _product(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
-    """``a @ b`` by the two kernels scipy's product runs, without its
-    per-call dispatch, which is a third of a Galerkin product's time at
-    truss size; ``tests/test_multigrid.py`` checks it against ``a @ b``."""
-    dtype = np.result_type(a.indptr, a.indices, b.indptr, b.indices)
-    index = [i.astype(dtype, copy=False) for i in (a.indptr, a.indices, b.indptr, b.indices)]
-    n, m = a.shape[0], b.shape[1]
-    nnz = csr_matmat_maxnnz(n, m, *index)
-    if nnz > np.iinfo(dtype).max:
-        dtype = np.int64
-        index = [i.astype(dtype) for i in index]
-    indptr, indices = np.empty(n + 1, dtype), np.empty(nnz, dtype)
-    data = np.empty(nnz)
-    csr_matmat(n, m, index[0], index[1], a.data, index[2], index[3], b.data,
-               indptr, indices, data)
-    return sp.csr_matrix((data, indices, indptr), shape=(n, m))
-
-
 def _sweep(matvec, smoother, r, z, t) -> None:
     """One damped Jacobi sweep z += smoother * (r - A z), using t."""
     np.subtract(r, matvec(z, t), out=t)
@@ -130,7 +111,7 @@ def v_cycle(a: SparseSymMatrix, levels: list[tuple]):
             csr_operator(csr), SMOOTHING_WEIGHT * jacobi_preconditioner(csr),
             csr_operator(p), csr_operator(pt), np.empty(n), np.empty(nc), np.empty(nc),
         ))
-        csr = _product(pt, _product(csr, p))
+        csr = pt @ (csr @ p)
     pinv = pseudo_inverse(csr.toarray())
     zero = a.zero_rows()
 

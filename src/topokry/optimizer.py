@@ -11,7 +11,8 @@ meets the budget from the feasible side, to a relative
 ``BISECTION_TOLERANCE`` = 1e-8; if even the maximal move keeps the volume
 under budget the constraint is slack and the multiplier pins at its
 bracket edge.  The loop stops once the Lagrangian changes by less than
-``LAGRANGIAN_TOLERANCE`` = 1e-10.
+``LAGRANGIAN_TOLERANCE`` = 1e-10; a run cut at the outer-iteration cap is
+checked for a closing limit cycle of period 2 to 4 instead.
 
 Densities below the threshold cutoff are forced to exactly zero.  Zero
 stays zero under the multiplicative rules, elements lose their stiffness
@@ -49,6 +50,12 @@ OC_EXPONENT = 0.85
 BISECTION_TOLERANCE = 1e-8
 # absolute Lagrangian change between outer iterations that counts as converged
 LAGRANGIAN_TOLERANCE = 1e-10
+# largest density change between designs one cycle period apart
+CYCLE_TOLERANCE = 1e-6
+# how a run ended: OptimizationHistory.status
+CONVERGED = "converged"
+MAX_ITERATIONS = "max_iterations"
+CYCLING = "cycling"
 
 
 class InfeasibleConstraintError(RuntimeError):
@@ -86,7 +93,8 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizationHistory:
-    """Per-outer-iteration record of an optimization run, and the solver
+    """Per-outer-iteration record of an optimization run, how it ended
+    (``status`` and, if ``CYCLING``, ``cycle_period``), and the solver
     settings it resolved (``solver``: cap and preconditioning set)."""
 
     compliance: list[float] = field(default_factory=list)
@@ -96,7 +104,8 @@ class OptimizationHistory:
     true_relative_residual: list[float] = field(default_factory=list)
     volume: list[float] = field(default_factory=list)
     densities: list[np.ndarray] = field(default_factory=list)
-    status: str = "max_iterations"
+    status: str = MAX_ITERATIONS
+    cycle_period: int = 0
     solver: SolverConfig | None = None
 
     @property
@@ -215,23 +224,41 @@ def conlin_update(
     return _update(rho, sens, cfg, 0.5, sign=1.0)
 
 
+def _cycle_period(designs: list[np.ndarray]) -> int:
+    """The period, 2 to 4, of the limit cycle that closes a run, or 0.
+
+    It is the smallest p in 1..4 for which the run has at least 3p designs
+    and each of the last 2p matches the one p before it to within
+    ``CYCLE_TOLERANCE`` per density; p = 1, a frozen design, is no cycle.
+    """
+    for p in range(1, 5):
+        tail = designs[-3 * p:]
+        if len(tail) == 3 * p and all(
+            np.abs(new - old).max() <= CYCLE_TOLERANCE
+            for new, old in zip(tail[p:], tail)
+        ):
+            return p if p > 1 else 0
+    return 0
+
+
 def optimize(spec: "ProblemSpec") -> OptimizationHistory:
     """Run the full optimization loop for a problem specification.
 
     Per outer iteration: assemble the SIMP-scaled stiffness, eliminate
     supports, solve equilibrium with the configured Krylov method, evaluate
     compliance and sensitivities, update densities, and threshold.  Stops
-    when the Lagrangian change drops below tolerance or the iteration cap is
-    reached.  Stagnating or iteration-capped solves (expected for singular
-    or ill-conditioned states) are recorded and the loop continues; genuine
-    numerical failures propagate.  A load on a node with no adjacent
-    material raises :class:`LoadOutsideRangeError` before the solve: b has
-    left the range of A, so the system has no solution.  An unset
-    ``solver.max_iterations`` takes the paper's cap, one Krylov iteration
-    per mesh node, and an unset ``solver.preconditioning`` is ``"mg"`` for
-    CG and ``"jacobi"`` for CR; the history records the resolved settings.
-    Under ``"mg"`` the multigrid hierarchy is built once per run and each
-    solve gets a V-cycle of its own matrix.
+    when the Lagrangian change drops below tolerance (``CONVERGED``) or at
+    the iteration cap: ``CYCLING`` if :func:`_cycle_period` finds a limit
+    cycle, else ``MAX_ITERATIONS``.  Stagnating or iteration-capped solves
+    (expected for singular or ill-conditioned states) are recorded and the
+    loop continues; genuine numerical failures propagate.  A load on a node
+    with no adjacent material raises :class:`LoadOutsideRangeError` before
+    the solve: b has left the range of A, so the system has no solution.  An
+    unset ``solver.max_iterations`` takes the paper's cap, one Krylov
+    iteration per mesh node, and an unset ``solver.preconditioning`` is
+    ``"mg"`` for CG and ``"jacobi"`` for CR; the history records the
+    resolved settings.  Under ``"mg"`` the multigrid hierarchy is built once
+    per run and each solve gets a V-cycle of its own matrix.
 
     Each solve warm-starts from the previous displacement field, so
     successive solves keep refining the same equilibrium as the design
@@ -297,8 +324,12 @@ def optimize(spec: "ProblemSpec") -> OptimizationHistory:
             lagrangian_prev is not None
             and abs(lagrangian - lagrangian_prev) < LAGRANGIAN_TOLERANCE
         ):
-            history.status = "converged"
+            history.status = CONVERGED
             break
         lagrangian_prev = lagrangian
         rho = rho_new
+    else:
+        history.cycle_period = _cycle_period(history.densities)
+        if history.cycle_period:
+            history.status = CYCLING
     return history

@@ -24,7 +24,7 @@ import topokry.cli as cli
 from topokry.cli import run
 from topokry.fem import Material, Mesh
 from topokry.linalg import pseudo_inverse
-from topokry.optimizer import MULTIPLIER_BRACKET
+from topokry.optimizer import CONVERGED, CYCLING, MAX_ITERATIONS, MULTIPLIER_BRACKET
 from topokry.problem import load_problem
 from util import (
     dense_solve,
@@ -201,18 +201,24 @@ def test_summary_counts_slack_updates(truss_outputs, tmp_path):
 
 def test_summary_reports_how_the_run_ended(truss_outputs, tmp_path):
     for combo, data in truss_outputs.items():
-        assert data["history"].status == "converged", combo_name(*combo)
-        assert data["summary"]["status"] == "converged", combo_name(*combo)
+        assert data["history"].status == CONVERGED, combo_name(*combo)
+        assert data["summary"]["status"] == CONVERGED, combo_name(*combo)
+        assert data["summary"]["cycle_period"] == "0", combo_name(*combo)
     # runs cut at the outer-iteration cap exit 0 too, and say so: the
     # smoke run alternates between two designs until its cap of 30
     assert run(load_problem(os.path.join(CONFIGS, "smoke_2x2.cfg")), tmp_path) == 0
     summary = read_summary(tmp_path / "summary.txt")
-    assert (summary["status"], summary["outer_iters"]) == ("max_iterations", "30")
+    assert (summary["status"], summary["cycle_period"], summary["outer_iters"]) == (
+        CYCLING, "2", "30"
+    )
+    # two designs are too few to tell a cycle
     base = load_problem(CONFIG)
     capped = replace(base, optimizer=replace(base.optimizer, max_outer_iterations=2))
     assert run(capped, tmp_path) == 0
     summary = read_summary(tmp_path / "summary.txt")
-    assert (summary["status"], summary["outer_iters"]) == ("max_iterations", "2")
+    assert (summary["status"], summary["cycle_period"], summary["outer_iters"]) == (
+        MAX_ITERATIONS, "0", "2"
+    )
 
 
 def test_summary_reports_true_residual(truss_outputs):

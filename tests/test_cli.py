@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -11,7 +13,8 @@ from topokry.problem import load_problem, loads_problem_text
 from util import BAD_LOAD_CONFIGS
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-CONFIGS = os.path.join(os.path.dirname(HERE), "configs")
+ROOT = os.path.dirname(HERE)
+CONFIGS = os.path.join(ROOT, "configs")
 
 SMALL_TRUSS = """
 domain.width = 5
@@ -257,3 +260,46 @@ class TestMain:
         cfg.write_text(SMALL_TRUSS + f"output.directory = {out}\n")
         assert main(["run", str(cfg)]) == 0
         assert (out / "summary.txt").exists()
+
+
+class TestProcess:
+    """``python -m topokry.cli`` as a process: its exit status is main's."""
+
+    @staticmethod
+    def topokry(*args):
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        return subprocess.run(
+            [sys.executable, "-m", "topokry.cli", *map(str, args)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+
+    def test_smoke_run_writes_the_golden_outputs(self, tmp_path):
+        out = tmp_path / "smoke"
+        done = self.topokry("run", os.path.join(CONFIGS, "smoke_2x2.cfg"), "--out", out)
+        assert done.returncode == 0, done.stderr
+        golden = os.path.join(HERE, "golden", "smoke_2x2")
+        for name in ("density.pgm", "history.csv"):
+            with open(os.path.join(golden, name), "rb") as handle:
+                assert (out / name).read_bytes() == handle.read(), name
+
+    def test_missing_out_is_a_usage_error(self):
+        done = self.topokry("run", os.path.join(CONFIGS, "smoke_2x2.cfg"))
+        assert done.returncode == 1
+        assert done.stderr == "usage error: no output directory (use --out)\n"
+
+    def test_missing_config_is_an_io_error(self, tmp_path):
+        done = self.topokry("run", tmp_path / "nope.cfg", "--out", tmp_path / "o")
+        assert done.returncode == 3
+        assert done.stderr.startswith("i/o failure: ")
+
+    def test_load_outside_the_range(self, tmp_path):
+        with open(os.path.join(CONFIGS, "two_bar_truss.cfg")) as handle:
+            text = handle.read()
+        cfg = tmp_path / "thin.cfg"
+        cfg.write_text(text.replace("volume_fraction = 0.375", "volume_fraction = 0.02"))
+        done = self.topokry("run", cfg, "--out", tmp_path / "o", "--update", "oc")
+        assert done.returncode == 4
+        assert done.stderr == (
+            "load outside the range: outer iteration 3: "
+            "the load at node 440 has no adjacent material\n"
+        )

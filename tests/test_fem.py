@@ -370,21 +370,42 @@ class TestPatternAssembly:
         assemble(mesh, spec.material, rho)
         assert mesh.scatter_pattern is pattern
 
+    @pytest.mark.parametrize("nx,ny", meshes)
+    def test_order_maps_sorted_terms_to_element_blocks(self, nx, ny):
+        # sorted term t is input term order[t] = 16 * e + 4 * i + j, the
+        # block of element e at node pair (element_nodes[e, i], [e, j])
+        mesh = Mesh(nx, ny, 10.0, 20.0)
+        pattern = mesh.scatter_pattern
+        order = pattern.order
+        np.testing.assert_array_equal(np.sort(order), np.arange(16 * mesh.n_elements))
+        element, local = np.divmod(order, 16)
+        i, j = np.divmod(local, 4)
+        rows = pattern.rows[pattern.entry]
+        cols = pattern.cols[pattern.entry]
+        np.testing.assert_array_equal(rows, mesh.element_nodes[element, i])
+        np.testing.assert_array_equal(cols, mesh.element_nodes[element, j])
+        # (row, col) pairs non-decreasing, and each pair's terms in
+        # ascending input order: the sort is stable
+        key = rows.astype(np.int64) * mesh.n_nodes + cols
+        assert np.all(np.diff(key) >= 0)
+        same = np.diff(key) == 0
+        assert np.all(np.diff(order)[same] > 0)
+
     @staticmethod
     def retained_bytes(pattern):
-        held = [pattern.element, pattern.local, *vars(pattern.triplets).values()]
+        held = vars(pattern).values()
         return sum(a.nbytes for a in held if isinstance(a, np.ndarray))
 
     def test_retained_pattern_size_per_element(self):
         # the pattern keeps only what TripletPattern.sum and assemble read,
-        # about 220 B per element over node pairs; the DOF-pair pattern
+        # about 200 B per element over node pairs; the DOF-pair pattern
         # held about 1.0 KB and, with the int64 sort permutation, 1.5 KB
         mesh = Mesh(20, 40, 10.0, 20.0)
         size = self.retained_bytes(mesh.scatter_pattern)
         assert size <= 1100 * mesh.n_elements, f"{size / mesh.n_elements:.0f} B"
 
     def test_retained_node_pair_pattern_size_at_60x120(self):
-        # 16 node-pair terms per element with int32 indices: about 220 B
+        # 16 node-pair terms per element with int32 indices: about 200 B
         # per element; the 64 DOF-pair terms per element held about 1010 B
         mesh = Mesh(60, 120, 10.0, 20.0)
         size = self.retained_bytes(mesh.scatter_pattern)

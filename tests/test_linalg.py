@@ -100,7 +100,8 @@ class TestTripletPattern:
             cols = rng.integers(0, n, terms)
             values = rng.standard_normal(terms)
             blocks = values[:, None, None]
-            pattern, order = TripletPattern.sort(n, rows, cols)
+            pattern = TripletPattern(n, rows, cols)
+            order = pattern.order
             for share in (0.0, 0.3, 0.9, 1.0):
                 keep = rng.random(terms) < share
                 kept = np.flatnonzero(keep[order])
@@ -123,7 +124,8 @@ class TestTripletPattern:
             rows = rng.integers(0, n, terms)
             cols = rng.integers(0, n, terms)
             values = rng.standard_normal((terms, 2, 2))
-            pattern, order = TripletPattern.sort(n, rows, cols)
+            pattern = TripletPattern(n, rows, cols)
+            order = pattern.order
             for share in (0.0, 0.3, 1.0):
                 keep = rng.random(terms) < share
                 kept = np.flatnonzero(keep[order])
@@ -137,8 +139,8 @@ class TestTripletPattern:
                     assert_same_csr(got[p::2, q::2], expected)
 
     def test_indices_are_int32_when_they_fit(self):
-        pattern, _ = TripletPattern.sort(4, [3, 0, 3, 1], [0, 2, 0, 1])
-        for name in ("entry", "rows", "cols"):
+        pattern = TripletPattern(4, [3, 0, 3, 1], [0, 2, 0, 1])
+        for name in ("order", "entry", "rows", "cols"):
             assert getattr(pattern, name).dtype == np.int32, name
 
     def test_value_count_must_match_kept_terms(self):

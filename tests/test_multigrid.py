@@ -3,7 +3,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from topokry import (
     BoundaryConditions,
@@ -21,7 +20,6 @@ from topokry.cli import run
 from topokry.linalg import pseudo_inverse
 from topokry.multigrid import (
     COARSEST_DOFS,
-    _product,
     _prolongation,
     prolongations,
     v_cycle,
@@ -108,31 +106,6 @@ class TestProlongation:
         bc = left_clamped(mesh, mesh.node_index(15, 15))
         sizes = [p.shape[1] for p, _ in prolongations(mesh, bc)]
         assert len(sizes) >= 2 and sizes[-1] <= COARSEST_DOFS
-
-
-class TestProduct:
-    """``_product`` runs scipy's private ``csr_matmat`` kernels; these checks
-    fail if a scipy release removes them or changes what they compute."""
-
-    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
-    def test_bit_identical_to_csr_matmul(self, index_dtype):
-        rng = np.random.default_rng(5)
-        for n, k, m in ((1, 1, 1), (7, 5, 3), (60, 40, 90)):
-            a, b = (
-                sp.csr_matrix(rng.standard_normal(shape) * (rng.random(shape) < 0.3))
-                for shape in ((n, k), (k, m))
-            )
-            a.indices, a.indptr = a.indices.astype(index_dtype), a.indptr.astype(index_dtype)
-            got, expected = _product(a, b), a @ b
-            assert got.shape == expected.shape
-            np.testing.assert_array_equal(got.indptr, expected.indptr)
-            np.testing.assert_array_equal(got.indices, expected.indices)
-            assert got.data.tobytes() == expected.data.tobytes()
-
-    def test_empty(self):
-        a, b = sp.csr_matrix((0, 3)), sp.csr_matrix((3, 2))
-        assert _product(a, b).shape == (0, 2)
-        assert _product(b.T.tocsr(), b).nnz == 0
 
 
 class TestVCycle:

@@ -28,7 +28,14 @@ from topokry import (
     threshold,
 )
 from util import dense_solve, element_dof_table, elements_adjacent_to_node
-from topokry.optimizer import _clamped_candidate
+from topokry.optimizer import (
+    CONVERGED,
+    CYCLE_TOLERANCE,
+    CYCLING,
+    MAX_ITERATIONS,
+    _clamped_candidate,
+    _cycle_period,
+)
 from topokry.problem import PointLoad, load_problem
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -304,8 +311,54 @@ class TestOptimize:
             assert len(series) == n
         cum = hist.cumulative_inner_iterations()
         assert all(cum[i + 1] >= cum[i] for i in range(len(cum) - 1))
-        assert hist.status in ("converged", "max_iterations")
+        assert hist.status in (CONVERGED, MAX_ITERATIONS)
         assert all(d.min() >= 0.0 and d.max() <= 1.0 for d in hist.densities)
+
+
+class TestCyclePeriod:
+    """A run capped at its outer-iteration limit reports a closing limit
+    cycle of period 2 to 4; a frozen design or a short run does not."""
+
+    @staticmethod
+    def designs(pattern, n_elements=5, seed=0):
+        rng = np.random.default_rng(seed)
+        states = {label: rng.random(n_elements) for label in sorted(set(pattern))}
+        return [states[label].copy() for label in pattern]
+
+    @pytest.mark.parametrize("pattern,period", [
+        ("xabcabcabc", 3),
+        ("abcdabcdabcd", 4),
+        ("abcdeabcdeabcde", 0),  # period 5 is not looked for
+        ("abaaaa", 0),  # frozen: p = 1
+        ("ababa", 0),  # 5 designs: fewer than 3p = 6
+        ("ababab", 2),
+        ("aa", 0),
+        ("cbabab", 0),  # 3 of the last 2p = 4 match the design p = 2 earlier
+    ])
+    def test_smallest_period_over_the_last_designs(self, pattern, period):
+        assert _cycle_period(self.designs(pattern)) == period
+
+    def test_tolerance_per_density(self):
+        designs = self.designs("ababab")
+        designs[-1][0] += 0.9 * CYCLE_TOLERANCE
+        assert _cycle_period(designs) == 2
+        designs[-1][0] += 0.2 * CYCLE_TOLERANCE
+        assert _cycle_period(designs) == 0
+
+    @pytest.mark.parametrize("preconditioning", ["mg", "jacobi"])
+    def test_truss_at_two_percent_volume_cycles_under_conlin(self, preconditioning):
+        # from outer iteration 13 on the design flips between two layouts,
+        # each step moving a density by 0.85, until the cap of 100
+        spec = load_problem(os.path.join(CONFIGS, "two_bar_truss.cfg"))
+        spec = replace(
+            spec,
+            optimizer=replace(spec.optimizer, volume_fraction=0.02, update_rule="conlin"),
+            solver=replace(spec.solver, method="cg", preconditioning=preconditioning),
+        )
+        hist = optimize(spec)
+        assert (hist.status, hist.cycle_period, hist.outer_iterations) == (
+            CYCLING, 2, spec.optimizer.max_outer_iterations
+        )
 
 
 class TestSolverCap:
