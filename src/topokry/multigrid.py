@@ -11,13 +11,20 @@ has at most ``COARSEST_DOFS`` free DOFs.
 
 :func:`v_cycle` builds, per solve, the Galerkin operators P^T (A P) with
 scipy's sparse product and the coarsest one's pseudo-inverse, and returns
-``precondition(r, out)``.  It smooths with ``SMOOTHING_SWEEPS`` damped
-Jacobi sweeps (weight ``SMOOTHING_WEIGHT``, zero rows passed through as in
-``krylov.jacobi_preconditioner``) before the coarse correction and as
-many after, so the cycle is symmetric.  Its output is zeroed on A's zero
-rows, so void DOFs keep their CG warm-start value; on the vectors CG
-feeds it, which vanish there, the cycle stays symmetric.  A cycle
-allocates nothing: its work vectors are allocated once per solve.
+``precondition(r, out)``.  It smooths with one damped Jacobi sweep before
+the coarse correction and one after (zero rows passed through as in
+``krylov.jacobi_preconditioner``), so the cycle is symmetric and costs
+two fine matvecs.  It is positive definite if 2 D / w - A is, which holds
+for w * lambda_max(D^-1 A) < 2.  A = sum rho_e^p K_e and D is the sum of
+their diagonals, so lambda_max(D^-1 A) <= lambda_max(diag(K)^-1 K) for
+every design, support elimination and zero rows included;
+:func:`smoothing_weight` caps w at 2 over that bound.  The bound is
+proved for the finest level only: the coarse Galerkin levels are covered
+by a test over designs and Poisson ratios, not by a proof.  The output
+is zeroed on A's zero rows, so void DOFs keep their CG warm-start value;
+on the vectors CG feeds it, which vanish there, the cycle stays
+symmetric.  A cycle allocates nothing: its work vectors are allocated
+once per solve.
 """
 from __future__ import annotations
 
@@ -30,9 +37,8 @@ from .linalg import SparseSymMatrix, pseudo_inverse
 
 # a level with at most this many free DOFs is solved by its pseudo-inverse
 COARSEST_DOFS = 100
+# damped Jacobi weight, unless the element bound asks for less
 SMOOTHING_WEIGHT = 0.6
-# damped Jacobi sweeps before and, as many, after the coarse correction
-SMOOTHING_SWEEPS = 2
 
 
 def _interpolation(n: int) -> sp.csr_matrix:
@@ -77,11 +83,13 @@ def prolongations(mesh: Mesh, bc: BoundaryConditions) -> list[tuple]:
     return levels
 
 
-def _sweep(matvec, smoother, r, z, t) -> None:
-    """One damped Jacobi sweep z += smoother * (r - A z), using t."""
-    np.subtract(r, matvec(z, t), out=t)
-    t *= smoother
-    z += t
+def smoothing_weight(ke: np.ndarray) -> float:
+    """The Jacobi weight: ``SMOOTHING_WEIGHT``, or less so that it stays
+    within 2 / lambda_max(diag(K)^-1 K) of the element stiffness K, a bound
+    on lambda_max(D^-1 A) of every design's A."""
+    s = 1.0 / np.sqrt(np.diag(ke))
+    bound = np.linalg.eigvalsh(ke * s[:, None] * s).max()
+    return min(SMOOTHING_WEIGHT, 2.0 / float(bound))
 
 
 def _cycle(ops: list[tuple], pinv: np.ndarray, level: int, r, z) -> None:
@@ -90,25 +98,26 @@ def _cycle(ops: list[tuple], pinv: np.ndarray, level: int, r, z) -> None:
         np.dot(pinv, r, out=z)
         return
     matvec, smoother, prolong, restrict, t, rc, zc = ops[level]
-    np.multiply(smoother, r, out=z)  # the first sweep, from z = 0
-    for _ in range(SMOOTHING_SWEEPS - 1):
-        _sweep(matvec, smoother, r, z, t)
+    np.multiply(smoother, r, out=z)  # the pre-sweep, from z = 0
     np.subtract(r, matvec(z, t), out=t)
     _cycle(ops, pinv, level + 1, restrict(t, rc), zc)
     z += prolong(zc, t)
-    for _ in range(SMOOTHING_SWEEPS):
-        _sweep(matvec, smoother, r, z, t)
+    # the post-sweep z += smoother * (r - A z)
+    np.subtract(r, matvec(z, t), out=t)
+    t *= smoother
+    z += t
 
 
-def v_cycle(a: SparseSymMatrix, levels: list[tuple]):
+def v_cycle(a: SparseSymMatrix, levels: list[tuple], weight: float):
     """``precondition(r, out)``: one V-cycle for A over the hierarchy
-    :func:`prolongations` built, written into ``out``, which it returns."""
+    :func:`prolongations` built, smoothing with Jacobi weight ``weight``
+    (:func:`smoothing_weight`), written into ``out``, which it returns."""
     ops = []
     csr = a.csr
     for p, pt in levels:
         n, nc = p.shape
         ops.append((
-            csr_operator(csr), SMOOTHING_WEIGHT * jacobi_preconditioner(csr),
+            csr_operator(csr), weight * jacobi_preconditioner(csr),
             csr_operator(p), csr_operator(pt), np.empty(n), np.empty(nc), np.empty(nc),
         ))
         csr = pt @ (csr @ p)

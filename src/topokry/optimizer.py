@@ -38,7 +38,7 @@ from .fem import (
 )
 from .krylov import SolverConfig, solve
 from .linalg import is_integer
-from .multigrid import prolongations, v_cycle
+from .multigrid import prolongations, smoothing_weight, v_cycle
 
 if TYPE_CHECKING:  # pragma: no cover
     from .problem import ProblemSpec
@@ -132,8 +132,9 @@ def compliance(x, b) -> float:
 def sensitivity(mesh: Mesh, mat: Material, rho: DensityField, x) -> np.ndarray:
     """Compliance derivative per element: -p * rho^(p-1) * x_e^T D x_e.
 
-    Evaluated through the unpenalized element stiffness so zero-density
-    elements get exactly zero without any division; always <= 0.
+    Evaluated through the unpenalized element stiffness, on solid elements
+    only, so zero-density elements get exactly zero without any division;
+    always <= 0.
     """
     x = np.asarray(x, dtype=float)
     if x.size != mesh.n_dofs:
@@ -141,15 +142,17 @@ def sensitivity(mesh: Mesh, mat: Material, rho: DensityField, x) -> np.ndarray:
     if rho.n_elements != mesh.n_elements:
         raise ValueError("density field does not match the mesh")
     ke = element_stiffness(mat, mesh.elem_width, mesh.elem_height)
-    # each element's 8 DOFs: (2k, 2k + 1) of each of its corner nodes k
-    ue = x.reshape(-1, 2)[mesh.element_nodes].reshape(-1, 8)
+    values = rho.values
+    solid = np.flatnonzero(values > 0.0)
+    # each solid element's 8 DOFs: (2k, 2k + 1) of each of its corner nodes k
+    ue = x.reshape(-1, 2)[mesh.element_nodes[solid]].reshape(-1, 8)
     quad = np.einsum("ei,ij,ej->e", ue, ke, ue)
     # the element form is PSD; negative values are roundoff
     quad = np.maximum(quad, 0.0)
-    values = rho.values
-    # penal >= 1, so the power is finite for every density in [0, 1]
-    factor = np.where(values > 0.0, values ** (mat.penal - 1.0), 0.0)
-    return -mat.penal * factor * quad
+    # a void element's -p * 0 * x_e^T D x_e is -0.0
+    sens = np.full(values.size, -0.0)
+    sens[solid] = -mat.penal * values[solid] ** (mat.penal - 1.0) * quad
+    return sens
 
 
 def threshold(rho: DensityField, cutoff: float) -> DensityField:
@@ -160,13 +163,13 @@ def threshold(rho: DensityField, cutoff: float) -> DensityField:
 
 
 def _clamped_candidate(
-    values: np.ndarray, sens: np.ndarray, mu: float, exponent: float, move: float
+    values: np.ndarray, sens: np.ndarray, mu: float, exponent: float,
+    lower: np.ndarray, upper: np.ndarray,
 ) -> np.ndarray:
-    """Raw multiplicative update at multiplier magnitude mu, box-clamped."""
+    """Raw multiplicative update at multiplier magnitude mu, clamped to the
+    box [lower, upper]."""
     base = -sens / mu
     factor = base**exponent
-    lower = np.maximum(0.0, values - move)
-    upper = np.minimum(1.0, values + move)
     return np.clip(factor * values, lower, upper)
 
 
@@ -180,15 +183,23 @@ def _update(
         raise ValueError("sensitivities must be <= 0")
     target = cfg.volume_fraction * rho.n_elements
     tol = BISECTION_TOLERANCE * target
+    # a void element's candidate is 0 at every multiplier, so only solid
+    # ones are updated; the candidate keeps the zeros between them, so its
+    # sums run over the whole design in the same order
+    solid = np.flatnonzero(rho.values > 0.0)
+    values, sens = rho.values[solid], sens[solid]
+    lower = np.maximum(0.0, values - cfg.move_limit)
+    upper = np.minimum(1.0, values + cfg.move_limit)
+    out = np.zeros(rho.n_elements)
 
     def candidate(mu: float) -> np.ndarray:
-        return _clamped_candidate(rho.values, sens, mu, exponent, cfg.move_limit)
+        out[solid] = _clamped_candidate(values, sens, mu, exponent, lower, upper)
+        return out
 
     lo, hi = MULTIPLIER_BRACKET
-    maximal = candidate(lo)
-    if maximal.sum() <= target:
+    if candidate(lo).sum() <= target:
         # constraint slack: even the maximal move stays inside the budget
-        return DensityField(maximal), sign * lo
+        return DensityField(out), sign * lo
     if candidate(hi).sum() > target:
         raise InfeasibleConstraintError(
             "volume target unreachable inside the multiplier bracket"
@@ -277,6 +288,11 @@ def optimize(spec: "ProblemSpec") -> OptimizationHistory:
         pre = "mg" if solver.method == "cg" else "jacobi"
         solver = replace(solver, preconditioning=pre)
     levels = prolongations(mesh, bc) if solver.preconditioning == "mg" else None
+    # the V-cycle smooths only on the levels it coarsens
+    weight = None
+    if levels:
+        ke = element_stiffness(mat, mesh.elem_width, mesh.elem_height)
+        weight = smoothing_weight(ke)
 
     rho = DensityField.uniform(mesh.n_elements, opt.volume_fraction)
     target = opt.volume_fraction * mesh.n_elements
@@ -297,7 +313,7 @@ def optimize(spec: "ProblemSpec") -> OptimizationHistory:
                 f"outer iteration {outer}: the load at node "
                 f"{dof_map[loaded[0]] // 2} has no adjacent material"
             )
-        precondition = None if levels is None else v_cycle(a_red, levels)
+        precondition = None if levels is None else v_cycle(a_red, levels, weight)
         report = solve(
             a_red, b_red, x_full[dof_map], solver, precondition=precondition
         )

@@ -18,7 +18,7 @@ from topokry import (
     scatter_solution,
     solve,
 )
-from topokry.multigrid import v_cycle
+from topokry.multigrid import SMOOTHING_WEIGHT, v_cycle
 from topokry.problem import loads_problem_text
 from util import (
     assert_same_csr,
@@ -481,7 +481,9 @@ class TestApplyDirichlet:
         settings = [(m, pre) for m in ("cg", "cr") for pre in ("none", "jacobi")]
         for method, preconditioning in settings + [("cg", "mg")]:
             # with no coarsening the V-cycle is the pseudo-inverse itself
-            precondition = v_cycle(reduced, []) if preconditioning == "mg" else None
+            precondition = None
+            if preconditioning == "mg":
+                precondition = v_cycle(reduced, [], SMOOTHING_WEIGHT)
             for record in (False, True):
                 cfg = SolverConfig(
                     method=method,

@@ -13,6 +13,8 @@ from topokry import (
     apply_dirichlet,
     assemble,
     build_load,
+    element_stiffness,
+    optimize,
     range_basis,
     solve,
 )
@@ -20,11 +22,14 @@ from topokry.cli import run
 from topokry.linalg import pseudo_inverse
 from topokry.multigrid import (
     COARSEST_DOFS,
+    SMOOTHING_WEIGHT,
     _prolongation,
     prolongations,
+    smoothing_weight,
     v_cycle,
 )
 from topokry.problem import load_problem
+from util import dense_operator
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CONFIGS = os.path.join(os.path.dirname(HERE), "configs")
@@ -39,6 +44,16 @@ def left_clamped(mesh, load_node, fy=-1.0):
     )
 
 
+ISLAND_MATERIAL = Material(1.0, 0.3, 3.0)
+
+
+def mesh_cycle(mesh, mat, bc, a_red):
+    """The V-cycle ``optimize`` builds for A: its mesh's hierarchy and the
+    Jacobi weight of its element stiffness."""
+    ke = element_stiffness(mat, mesh.elem_width, mesh.elem_height)
+    return v_cycle(a_red, prolongations(mesh, bc), smoothing_weight(ke))
+
+
 def island_system(rng):
     """A left-clamped 16x16 mesh: graded material left of a void band two
     elements wide, and right of it a material island in void, so A has
@@ -49,7 +64,7 @@ def island_system(rng):
     rho = np.where(ex < 8, rng.uniform(0.2, 1.0, mesh.n_elements), 0.0)
     rho[(ex >= 11) & (ex <= 14) & (ey >= 5) & (ey <= 10)] = 1.0
     bc = left_clamped(mesh, mesh.node_index(8, 8))
-    a = assemble(mesh, Material(1.0, 0.3, 3.0), DensityField(rho))
+    a = assemble(mesh, ISLAND_MATERIAL, DensityField(rho))
     a_red, b_red, _ = apply_dirichlet(a, build_load(mesh, bc), bc)
     return mesh, bc, a_red, b_red
 
@@ -62,7 +77,7 @@ def uniform_truss_system(nx):
     a_red, b_red, _ = apply_dirichlet(
         assemble(mesh, spec.material, rho), build_load(mesh, bc), bc
     )
-    return mesh, bc, a_red, b_red
+    return mesh_cycle(mesh, spec.material, bc, a_red), a_red, b_red
 
 
 class TestProlongation:
@@ -112,27 +127,59 @@ class TestVCycle:
     def test_symmetric_on_singular_fem_system(self):
         rng = np.random.default_rng(7)
         mesh, bc, a_red, _ = island_system(rng)
-        assert a_red.zero_rows().size > 0
-        levels = prolongations(mesh, bc)
-        assert len(levels) >= 2
-        precondition = v_cycle(a_red, levels)
+        zero = a_red.zero_rows()
+        assert zero.size > 0
+        assert len(prolongations(mesh, bc)) >= 2
+        precondition = mesh_cycle(mesh, ISLAND_MATERIAL, bc, a_red)
         n = a_red.dimension
-        u, v = rng.standard_normal(n), rng.standard_normal(n)
-        # CG residuals vanish on zero rows; so do these
-        u[a_red.zero_rows()] = v[a_red.zero_rows()] = 0.0
-        bu = precondition(u, np.empty(n)).copy()
-        bv = precondition(v, np.empty(n))
-        scale = np.linalg.norm(u) * np.linalg.norm(bv)
-        assert abs(u @ bv - v @ bu) <= 1e-12 * scale
-        assert u @ bu > 0.0
-        assert np.all(bv[a_red.zero_rows()] == 0.0)
+        dense = dense_operator(precondition, n)
+        assert np.all(dense[zero] == 0.0)
+        # CG residuals vanish on zero rows, so only the active block counts
+        active = np.setdiff1d(np.arange(n), zero)
+        block = dense[np.ix_(active, active)]
+        assert np.abs(block - block.T).max() <= 1e-12 * np.abs(block).max()
+        u = rng.standard_normal(active.size)
+        assert u @ block @ u > 0.0
 
     def test_input_untouched(self):
-        mesh, bc, a_red, b_red = uniform_truss_system(10)
+        precondition, _, b_red = uniform_truss_system(10)
         b_before = b_red.copy()
-        out = v_cycle(a_red, prolongations(mesh, bc))(b_red, np.empty(b_red.size))
+        out = precondition(b_red, np.empty(b_red.size))
         assert b_red.tobytes() == b_before.tobytes()
         assert not np.shares_memory(out, b_red)
+
+    @pytest.mark.parametrize("nu,weight", [
+        (0.3, 0.6), (0.4, 0.467), (0.45, 0.4), (0.49, 0.347),
+    ])
+    def test_weight_from_the_element_bound(self, nu, weight):
+        ke = element_stiffness(Material(2.1e5, nu, 3.0, 10.0), 0.5, 0.5)
+        got = smoothing_weight(ke)
+        assert got == pytest.approx(weight, abs=5e-4)
+        assert got <= SMOOTHING_WEIGHT
+
+    @pytest.mark.parametrize("nu", [0.3, 0.45, 0.49])
+    def test_spd_over_a_jacobi_pcg_run(self, nu):
+        # every level's Jacobi sweep must contract, or the cycle turns
+        # indefinite: at nu = 0.49 a fixed weight of 0.6 is past 2 / 3.47
+        spec = load_problem(os.path.join(CONFIGS, "two_bar_truss.cfg"))
+        spec = replace(
+            spec, nx=10, ny=20,
+            material=replace(spec.material, poisson_ratio=nu),
+        )
+        history = optimize(spec)
+        assert history.solver.preconditioning == "jacobi"
+        mesh = spec.build_mesh()
+        bc = spec.build_boundary_conditions(mesh)
+        uniform = np.full(mesh.n_elements, spec.optimizer.volume_fraction)
+        for values in [uniform] + history.densities[::3]:
+            a = assemble(mesh, spec.material, DensityField(values))
+            a_red, _, _ = apply_dirichlet(a, build_load(mesh, bc), bc)
+            n = a_red.dimension
+            dense = dense_operator(mesh_cycle(mesh, spec.material, bc, a_red), n)
+            active = np.setdiff1d(np.arange(n), a_red.zero_rows())
+            block = dense[np.ix_(active, active)]
+            eig = np.linalg.eigvalsh(0.5 * (block + block.T))
+            assert eig[0] / eig[-1] >= -1e-9
 
 
 class TestMultigridCg:
@@ -144,7 +191,8 @@ class TestMultigridCg:
         assert n <= 2000
         x0 = rng.standard_normal(n)
         cfg = SolverConfig(preconditioning="mg", rel_tolerance=1e-10)
-        rep = solve(a_red, b_red, x0, cfg, precondition=v_cycle(a_red, prolongations(mesh, bc)))
+        precondition = mesh_cycle(mesh, ISLAND_MATERIAL, bc, a_red)
+        rep = solve(a_red, b_red, x0, cfg, precondition=precondition)
         assert rep.status == "converged"
         assert rep.true_relative_residual <= 1e-8
         dense = a_red.to_dense()
@@ -157,10 +205,10 @@ class TestMultigridCg:
 
     @pytest.mark.parametrize("nx", [20, 40, 60])
     def test_iterations_flat_over_mesh_ladder(self, nx):
-        mesh, bc, a_red, b_red = uniform_truss_system(nx)
+        precondition, a_red, b_red = uniform_truss_system(nx)
         rep = solve(
             a_red, b_red, None, SolverConfig(preconditioning="mg"),
-            precondition=v_cycle(a_red, prolongations(mesh, bc)),
+            precondition=precondition,
         )
         assert rep.status == "converged"
         assert rep.iterations <= 25

@@ -27,7 +27,13 @@ from topokry import (
     solve,
     threshold,
 )
-from util import dense_solve, element_dof_table, elements_adjacent_to_node
+from util import (
+    dense_solve,
+    element_dof_table,
+    elements_adjacent_to_node,
+    sensitivity_oracle,
+    update_oracle,
+)
 from topokry.optimizer import (
     CONVERGED,
     CYCLE_TOLERANCE,
@@ -135,8 +141,9 @@ class TestOcUpdate:
     def test_scalar_formula(self):
         # rho' = (C/lambda)^eta * rho at lambda = -1, no clamping active;
         # frozen oracle value 0.5 * 2^0.85
+        # the move-limit box of 0.5 +- 0.5 is [0, 1]
         got = _clamped_candidate(
-            np.array([0.5]), np.array([-2.0]), 1.0, 0.85, 0.5
+            np.array([0.5]), np.array([-2.0]), 1.0, 0.85, 0.0, 1.0
         )
         assert got[0] == pytest.approx(0.9012504626108302, rel=1e-12)
 
@@ -171,7 +178,7 @@ class TestConlinUpdate:
     cfg = OptimizerConfig(volume_fraction=0.6, update_rule="conlin", move_limit=0.5)
 
     def test_perfect_square_formula(self):
-        got = _clamped_candidate(np.array([0.3]), np.array([-4.0]), 1.0, 0.5, 1.0)
+        got = _clamped_candidate(np.array([0.3]), np.array([-4.0]), 1.0, 0.5, 0.0, 1.0)
         assert got[0] == pytest.approx(0.6, rel=1e-14)
 
     def test_zero_density_is_fixed_point(self):
@@ -185,14 +192,73 @@ class TestConlinUpdate:
         rng = np.random.default_rng(13)
         values = rng.uniform(0.3, 0.7, 12)
         sens = -rng.uniform(0.5, 2.0, 12)
-        lo = _clamped_candidate(values, sens, 1.0, 0.5, 1.0)
-        hi = _clamped_candidate(values, sens, 2.0, 0.5, 1.0)
+        lo = _clamped_candidate(values, sens, 1.0, 0.5, 0.0, 1.0)
+        hi = _clamped_candidate(values, sens, 2.0, 0.5, 0.0, 1.0)
         unclamped = (lo > 0) & (lo < 1.0)
         assert unclamped.any()
         np.testing.assert_allclose(
             hi[unclamped], lo[unclamped] / np.sqrt(2.0), rtol=1e-12
         )
         assert hi.sum() < lo.sum()
+
+
+class TestVoidElementsSkipped:
+    """sensitivity and the updates work on solid elements only and match
+    the formulas evaluated over every element byte for byte."""
+
+    mesh = Mesh(20, 40, 10.0, 20.0)
+
+    def designs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = self.mesh.n_elements
+        for void_share in (0.0, 0.3, 0.9, 1.0):
+            values = rng.uniform(0.001, 1.0, n)
+            values[rng.random(n) < void_share] = 0.0
+            values[rng.random(n) < 0.1] = 1.0
+            yield values, rng.standard_normal(self.mesh.n_dofs)
+
+    @pytest.mark.parametrize("penal", [1.0, 2.5, 3.0])
+    def test_sensitivity_matches_oracle(self, penal):
+        mat = Material(2.1e5, 0.3, penal, 10.0)
+        for values, x in self.designs(int(10 * penal)):
+            rho = DensityField(values)
+            got = sensitivity(self.mesh, mat, rho, x)
+            expected = sensitivity_oracle(self.mesh, mat, rho, x)
+            assert got.tobytes() == expected.tobytes()
+            assert np.all(np.signbit(got[values == 0.0]))
+
+    @pytest.mark.parametrize("rule", ["oc", "conlin"])
+    @pytest.mark.parametrize("fraction,move", [
+        (0.375, 1.0), (0.375, 0.2), (0.3, 0.05), (1.0, 0.2),
+    ])
+    def test_update_matches_oracle(self, rule, fraction, move):
+        update, exponent, sign = {
+            "oc": (oc_update, 0.85, -1.0), "conlin": (conlin_update, 0.5, 1.0),
+        }[rule]
+        cfg = OptimizerConfig(volume_fraction=fraction, update_rule=rule, move_limit=move)
+        mat = Material(2.1e5, 0.3, 3.0, 10.0)
+        branches = set()
+        for values, x in self.designs(7):
+            rho = DensityField(values)
+            sens = sensitivity(self.mesh, mat, rho, x)
+            try:
+                expected, lam_expected = update_oracle(values, sens, cfg, exponent, sign)
+            except InfeasibleConstraintError:
+                with pytest.raises(InfeasibleConstraintError):
+                    update(rho, sens, cfg)
+                branches.add("infeasible")
+                continue
+            new, lam = update(rho, sens, cfg)
+            assert new.values.tobytes() == expected.tobytes()
+            assert lam == lam_expected
+            branches.add("slack" if abs(lam) == 1e-12 else "bisection")
+        expected_branches = {
+            (0.375, 1.0): {"bisection", "slack"},
+            (0.375, 0.2): {"bisection", "slack"},
+            (0.3, 0.05): {"infeasible", "slack"},
+            (1.0, 0.2): {"slack"},
+        }[fraction, move]
+        assert branches == expected_branches
 
 
 class TestThreshold:

@@ -6,9 +6,14 @@ import warnings
 import numpy as np
 import scipy.sparse as sp
 
-from topokry import SparseSymMatrix
+from topokry import SparseSymMatrix, element_stiffness
 from topokry.krylov import BREAKDOWN_TOLERANCE, jacobi_preconditioner
 from topokry.linalg import as_small_square, as_vector
+from topokry.optimizer import (
+    BISECTION_TOLERANCE,
+    MULTIPLIER_BRACKET,
+    InfeasibleConstraintError,
+)
 
 # LU pivots with |u_kk| <= PIVOT_TOLERANCE * max|a_ij| make a matrix singular
 PIVOT_TOLERANCE = 1e-14
@@ -176,6 +181,65 @@ def textbook_solve(a: SparseSymMatrix, b, method: str, preconditioning: str,
             p = r + beta * p
             ap = ar + beta * ap
     return x, history
+
+
+def dense_operator(apply, n: int) -> np.ndarray:
+    """The dense matrix of an operator ``apply(r, out)``, built one column
+    at a time from the unit vectors."""
+    dense = np.empty((n, n))
+    unit = np.zeros(n)
+    for j in range(n):
+        unit[j] = 1.0
+        dense[:, j] = apply(unit, np.empty(n))
+        unit[j] = 0.0
+    return dense
+
+
+def sensitivity_oracle(mesh, mat, rho, x) -> np.ndarray:
+    """-p * rho^(p-1) * x_e^T K x_e over every element, void ones included
+    (their factor is 0), in plain numpy: the reference for
+    :func:`topokry.sensitivity`."""
+    ke = element_stiffness(mat, mesh.elem_width, mesh.elem_height)
+    ue = np.asarray(x, dtype=float).reshape(-1, 2)[mesh.element_nodes].reshape(-1, 8)
+    quad = np.maximum(np.einsum("ei,ij,ej->e", ue, ke, ue), 0.0)
+    values = rho.values
+    factor = np.where(values > 0.0, values ** (mat.penal - 1.0), 0.0)
+    return -mat.penal * factor * quad
+
+
+def update_oracle(values, sens, cfg, exponent: float, sign: float):
+    """The OC (exponent 0.85, sign -1) or CONLIN (1/2, +1) update evaluated
+    on every element at every bisection step, void ones included: the
+    reference for :func:`topokry.oc_update` and :func:`topokry.conlin_update`.
+    Returns (densities, multiplier)."""
+    values = np.asarray(values, dtype=float)
+    sens = np.asarray(sens, dtype=float)
+    target = cfg.volume_fraction * values.size
+    tol = BISECTION_TOLERANCE * target
+
+    def candidate(mu):
+        lower = np.maximum(0.0, values - cfg.move_limit)
+        upper = np.minimum(1.0, values + cfg.move_limit)
+        return np.clip((-sens / mu) ** exponent * values, lower, upper)
+
+    lo, hi = MULTIPLIER_BRACKET
+    maximal = candidate(lo)
+    if maximal.sum() <= target:
+        return maximal, sign * lo
+    if candidate(hi).sum() > target:
+        raise InfeasibleConstraintError("volume target unreachable")
+    for _ in range(200):
+        mid = np.sqrt(lo * hi)
+        vol = candidate(mid).sum()
+        if vol > target:
+            lo = mid
+        else:
+            hi = mid
+            if target - vol <= tol:
+                break
+        if hi / lo < 1.0 + 1e-15:
+            break
+    return candidate(hi), sign * hi
 
 
 # 4x4 left-clamped configs that parse but whose loads cannot be applied,
