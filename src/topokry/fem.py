@@ -14,12 +14,32 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import SparseSymMatrix, TripletPattern, as_vector, is_integer
+from .linalg import CsrLayout, SparseSymMatrix, TripletPattern, as_vector, is_integer
 
 # 2x2 Gauss points and weights on [-1, 1]
 _GAUSS_2 = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
 # corner coordinates in the reference square, counterclockwise from (-1,-1)
 _CORNERS = ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
+# the corner pairs (i, j) of an element with node i <= node j: its nodes
+# run LL < LR < UL < UR, so these are the node pairs of the stiffness
+# matrix's upper block triangle, and UPPER_PAIRS[m] is block 4 i + j
+UPPER_PAIRS = np.array([0, 1, 2, 3, 5, 6, 7, 10, 14, 15])
+# node a = (ix, iy) pairs with the nodes b = (ix + dx, iy + dy) at these
+# offsets (dx, dy), listed by ascending b: the last five are its upper
+# pairs k = 0..4 (b >= a), and the first four mirror upper pairs 4..1 of b
+_NEIGHBOURS = np.array([
+    (-1, -1), (0, -1), (1, -1), (-1, 0), (0, 0), (1, 0), (-1, 1), (0, 1), (1, 1),
+])
+# the terms of node a's upper pairs, each pair's in ascending element
+# order: (upper pair k, element (ix + ex, iy + ey), corner pair m); a is
+# the UR, UL, LR and LL corner of the elements around it
+_TERMS = np.array([
+    (0, -1, -1, 7), (0, 0, -1, 9), (0, -1, 0, 4), (0, 0, 0, 0),
+    (1, 0, -1, 8), (1, 0, 0, 1),
+    (2, -1, 0, 6),
+    (3, -1, 0, 5), (3, 0, 0, 3),
+    (4, 0, 0, 2),
+])
 
 
 @dataclass(frozen=True)
@@ -84,25 +104,91 @@ class Mesh:
         ul = ll + (self.nx + 1)
         ur = ul + 1
         self.element_nodes = np.column_stack([ll, lr, ur, ul])
+        self._free_layouts: dict[bytes, CsrLayout] = {}
+
+    def _neighbours(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each node's nine ``_NEIGHBOURS`` b (0 where b is off the mesh),
+        which of them exist, and the pattern's entry number of each upper
+        pair (a, b)."""
+        iy, ix = np.divmod(np.arange(self.n_nodes), self.nx + 1)
+        bx = ix[:, None] + _NEIGHBOURS[:, 0]
+        by = iy[:, None] + _NEIGHBOURS[:, 1]
+        exists = (bx >= 0) & (bx <= self.nx) & (by >= 0) & (by <= self.ny)
+        b = np.where(exists, by * (self.nx + 1) + bx, 0)
+        upper = np.cumsum(exists[:, 4:]).reshape(-1, 5) - 1
+        return b, exists, upper
 
     @cached_property
     def scatter_pattern(self) -> TripletPattern:
-        """Sorted node-pair scatter pattern, built by the first :func:`assemble`.
+        """Sorted scatter pattern of the upper node pairs, built by the
+        first :func:`assemble`.
 
-        Input term ``16 * e + 4 * i + j`` puts the 2x2 block
-        ``ke[2i:2i+2, 2j:2j+2]`` of element e at the node pair
-        (element_nodes[e, i], element_nodes[e, j]); DOFs 2k and 2k + 1 of
-        node k are its block's row (or column) 0 and 1, and sorted term t
-        is input term ``order[t]``.  The stable sort keeps each node pair's
-        terms in ascending element order, as a sort of the 64 DOF-pair
-        terms per element keeps each DOF pair's, with a quarter of the
-        terms.  It is built on first use and not in ``__init__``, so
-        building a mesh stays cheap.
+        Input term ``10 * e + m`` puts the 2x2 block ``ke[2i:2i+2,
+        2j:2j+2]`` of element e, 4 i + j = ``UPPER_PAIRS[m]``, at the node
+        pair (element_nodes[e, i], element_nodes[e, j]), whose first node
+        is never the larger; DOFs 2k and 2k + 1 of node k are its block's
+        row (or column) 0 and 1, and sorted term t is input term
+        ``order[t]``.  Sorted means by node pair, and within a pair by
+        ascending element, as a stable sort of the 64 DOF-pair terms per
+        element keeps each DOF pair's, with 10 terms in place of 64: the
+        lower pairs' blocks are the transposes of their mirrors'
+        (:meth:`free_layout`).  The grid fixes that order, so it is laid
+        out node by node from ``_TERMS`` and not sorted.  It is built on
+        first use and not in ``__init__``, so building a mesh stays cheap.
         """
-        nodes = self.element_nodes
-        rows = np.repeat(nodes, 4, axis=1).ravel()
-        cols = np.tile(nodes, (1, 4)).ravel()
-        return TripletPattern(self.n_nodes, rows, cols)
+        b, exists, upper = self._neighbours()
+        k, dx, dy, m = _TERMS.T
+        iy, ix = np.divmod(np.arange(self.n_nodes)[:, None], self.nx + 1)
+        ex, ey = ix + dx, iy + dy
+        held = (ex >= 0) & (ex < self.nx) & (ey >= 0) & (ey < self.ny)
+        index = np.int32 if 16 * self.n_elements <= np.iinfo(np.int32).max else np.int64
+        rows = np.broadcast_to(np.arange(self.n_nodes)[:, None], (self.n_nodes, 5))
+        return TripletPattern.presorted(
+            self.n_nodes,
+            (10 * (ey * self.nx + ex) + m)[held].astype(index),
+            upper[:, k][held].astype(index),
+            rows[exists[:, 4:]].astype(index),
+            b[:, 4:][exists[:, 4:]].astype(index),
+        )
+
+    def free_layout(self, fixed_dofs: np.ndarray) -> CsrLayout:
+        """The CSR layout of the symmetric matrix whose upper node pairs
+        :attr:`scatter_pattern` sums, on the DOFs not in ``fixed_dofs``
+        (sorted, unique); built on first use for each fixed set.
+
+        A lower node pair (a, b), b < a, reads the sums of its mirror
+        (b, a) transposed.  That is the block a sort of every element's 16
+        node pairs would sum, bit for bit: ke is bit-symmetric and both
+        pairs take the same elements' terms in the same order.
+        """
+        key = np.asarray(fixed_dofs, dtype=np.int64).tobytes()
+        layout = self._free_layouts.get(key)
+        if layout is not None:
+            return layout
+        free = np.ones(self.n_dofs, dtype=bool)
+        free[fixed_dofs] = False
+        index = self.scatter_pattern.order.dtype
+        b, exists, upper = self._neighbours()
+        # the entry each neighbour reads: its own upper pair, or the upper
+        # pair of b that mirrors it
+        lower = np.arange(9) < 4
+        owner = np.where(lower, b, np.arange(self.n_nodes)[:, None])
+        entry = upper[owner, np.where(lower, 4 - np.arange(9), np.arange(9) - 4)]
+        # slot (a, p, neighbour, q): row 2 a + p, column 2 b + q, in CSR order
+        p = np.arange(2)[:, None, None]
+        q = np.arange(2)
+        component = np.where(lower[:, None], 2 * q + p, 2 * p + q).astype(index)
+        src = (4 * entry.astype(index))[:, None, :, None] + component
+        col = (2 * b.astype(index))[:, None, :, None] + q
+        kept = exists[:, None, :, None] & free.reshape(-1, 2)[:, :, None, None]
+        kept = kept & free.take(col)
+        renumber = (np.cumsum(free) - 1).astype(index)
+        slot_ptr = np.zeros(np.count_nonzero(free) + 1, dtype=index)
+        np.cumsum(kept.sum(axis=(2, 3)).ravel()[free], out=slot_ptr[1:])
+        cols = renumber.take(np.broadcast_to(col, kept.shape)[kept])
+        layout = CsrLayout(src[kept], cols, slot_ptr)
+        self._free_layouts[key] = layout
+        return layout
 
     def node_index(self, ix: int, iy: int) -> int:
         if not (0 <= ix <= self.nx and 0 <= iy <= self.ny):
@@ -227,62 +313,74 @@ def element_stiffness(
     return ke
 
 
-def assemble(mesh: Mesh, mat: Material, rho: DensityField) -> SparseSymMatrix:
-    """Global stiffness A = sum_j rho_j^p * scatter(D_j) over all elements.
+def assemble(
+    mesh: Mesh, mat: Material, rho: DensityField, bc: BoundaryConditions
+) -> SparseSymMatrix:
+    """Stiffness A = sum_j rho_j^p * scatter(D_j) on the DOFs bc leaves free.
 
-    Elements with rho = 0 contribute no entries at all, so nodes surrounded
-    by void elements produce genuinely empty rows: the matrix is returned
-    singular, not regularized.  Fixed DOFs are not removed here.
+    Fixed DOFs are eliminated by row and column removal, so fixing
+    everything gives a legal 0-dimensional matrix and fixing nothing gives
+    the full, singular matrix under study.  Elements with rho = 0
+    contribute no entries at all and exact-zero sums are not stored, so
+    nodes surrounded by void elements produce genuinely empty rows: the
+    matrix is returned singular, not regularized.
 
-    The node-pair scatter terms are sorted once per mesh
-    (:attr:`Mesh.scatter_pattern`, built on the first call).  Each call
-    masks out the terms of void elements, reads each kept term's element e
-    and block index 4 * i + j from its input index ``16 * e + 4 * i + j``
-    in the pattern's ``order``, gathers the blocks and then scales them to
-    rho_e^p * ke block, sums the blocks of each node pair in sorted order
-    and expands the block matrix to CSR, stored zeros included.  The result
+    The scatter terms of the upper node pairs are laid out in sorted
+    order once per mesh (:attr:`Mesh.scatter_pattern`, built on the first
+    call), and the CSR layout of the free DOFs once per set of fixed DOFs
+    (:meth:`Mesh.free_layout`).  Each call masks out the terms of void
+    elements, reads each kept term's element e and corner pair m from its
+    input index ``10 * e + m`` in the pattern's ``order``, gathers the
+    blocks and then scales them to rho_e^p * ke block, sums the blocks of
+    each node pair in sorted order and gathers the free DOFs' entries
+    into CSR, the lower pairs' transposed from their mirrors.  The result
     is bit-identical to sorting the active elements' 64 DOF-pair triplets
-    afresh: every DOF entry (2a + p, 2b + q) is the same product
+    afresh and then removing the fixed rows and columns and the exact
+    zeros: every DOF entry (2a + p, 2b + q) is the same product
     rho_e^p * ke[i, j] per element, its terms come in the same ascending
     element order (a stable sort at either level), and ``reduceat`` along
     the block axis adds each component exactly as the scalar sum does.
-    Symmetry holds by construction and is not checked: ke is bit-symmetric,
-    an element's mask drops a block and its mirror alike, and the stable
-    sort adds the blocks of (a, b) and of (b, a) in the same element order.
+    Dropping an exact zero changes no product A v: ``csr_matvec`` starts
+    each row sum at +0.0, and adding +0.0 or -0.0 to a sum that is not
+    -0.0 leaves it as it is.  Symmetry holds by construction and is not
+    checked: ke is bit-symmetric, so the mirrored block of (b, a) is the
+    sum over (b, a)'s own element terms in the same element order.
     """
     if rho.n_elements != mesh.n_elements:
         raise ValueError(
             f"density field has {rho.n_elements} entries, mesh has {mesh.n_elements}"
         )
+    if bc.n_dofs != mesh.n_dofs:
+        raise ValueError("boundary conditions sized for a different mesh")
     ke = element_stiffness(mat, mesh.elem_width, mesh.elem_height)
-    # blocks[4 * i + j] is ke[2i:2i+2, 2j:2j+2], the 2x2 block of node pair (i, j)
+    # blocks[m] is the 2x2 block ke[2i:2i+2, 2j:2j+2] of corner pair
+    # 4 i + j = UPPER_PAIRS[m]
     blocks = ke.reshape(4, 2, 4, 2).transpose(0, 2, 1, 3).reshape(16, 2, 2)
+    blocks = blocks[UPPER_PAIRS]
     scale = rho.values ** mat.penal
     pattern = mesh.scatter_pattern
-    kept = np.flatnonzero(np.repeat(scale > 0.0, 16).take(pattern.order))
-    element, local = np.divmod(pattern.order.take(kept), 16)
+    kept = np.flatnonzero(np.repeat(scale > 0.0, 10).take(pattern.order))
+    element, local = np.divmod(pattern.order.take(kept), 10)
     # gathered, then scaled: scaling every element's blocks first gives the
     # same bits but a higher peak of memory
     values = blocks.take(local, axis=0)
     values *= scale.take(element)[:, None, None]
-    return SparseSymMatrix(pattern.sum(values, kept), check=False)
+    # each array goes once it is read, so the peak is one stage's arrays
+    del element, local
+    sums = pattern.sum(values, kept)
+    del values, kept
+    csr = mesh.free_layout(bc.fixed_dofs).csr(sums)
+    return SparseSymMatrix(csr, check=False)
 
 
 def apply_dirichlet(
-    a: SparseSymMatrix, b: np.ndarray, bc: BoundaryConditions
-) -> tuple[SparseSymMatrix, np.ndarray, np.ndarray]:
-    """Eliminate fixed DOFs by row/column removal.
-
-    Returns the reduced matrix, reduced load vector, and the map from
-    reduced indices back to full DOF indices.  Fixing everything yields a
-    legal 0-dimensional system; fixing nothing returns the system unchanged
-    (the singular case under study).
-    """
-    b = as_vector(b, a.dimension, "load")
-    if bc.n_dofs != a.dimension:
-        raise ValueError("boundary conditions sized for a different system")
+    b: np.ndarray, bc: BoundaryConditions
+) -> tuple[np.ndarray, np.ndarray]:
+    """The load on the free DOFs, and the map from those back to full DOF
+    indices: the rows :func:`assemble` keeps, in its order."""
+    b = as_vector(b, bc.n_dofs, "load")
     free = bc.free_dofs()
-    return a.submatrix(free), b[free], free
+    return b[free], free
 
 
 def build_load(mesh: Mesh, bc: BoundaryConditions) -> np.ndarray:

@@ -10,13 +10,15 @@ RANK_TOLERANCE * |lambda|_max counts as zero.  Like every dense tool they
 are limited to n <= DENSE_SIZE_LIMIT = 2000 by contract.
 
 Sparse matrices are built from COO triplets by :class:`TripletPattern`,
-the one sort-and-sum implementation: it sorts the triplet positions once
-and keeps the sort permutation, so a caller whose positions never change
-(the element scatter of a mesh) pays for the sort once and for a linear
-masked sum on every build.  A triplet's value is an r-by-c block: the
-element scatter sorts node pairs and sums 2x2 blocks, a quarter of the
-terms a sort of DOF pairs would keep, and
-:meth:`SparseSymMatrix.from_triplets` sums 1x1 blocks.
+the one sum implementation: it holds the triplet positions in sorted
+order with the sort permutation, so a caller whose positions never
+change (the element scatter of a mesh, which lays its order out from the
+grid) pays for the order once and for a linear masked sum on every
+build.  A triplet's value is an r-by-c block: the element scatter sums
+2x2 blocks of the upper node pairs, 10 terms per element where a sort of
+DOF pairs would keep 64, and :meth:`SparseSymMatrix.from_triplets` sums
+1x1 blocks.  A :class:`CsrLayout` gathers the sums into CSR and stores
+no exact-zero sum.
 """
 from __future__ import annotations
 
@@ -128,7 +130,11 @@ class SparseSymMatrix:
         ):
             raise ValueError("triplet index out of range")
         pattern = TripletPattern(n, rows, cols)
-        return cls(pattern.sum(values[pattern.order][:, None, None]))
+        sums = pattern.sum(values[pattern.order][:, None, None])
+        indptr = np.searchsorted(pattern.rows, np.arange(n + 1))
+        csr = sp.csr_matrix((sums.ravel(), pattern.cols, indptr), shape=(n, n))
+        csr.eliminate_zeros()
+        return cls(csr)
 
     def diagonal(self) -> np.ndarray:
         return self._csr.diagonal()
@@ -166,9 +172,11 @@ class TripletPattern:
 
     ``order`` is the stable sort permutation: sorted term t is input term
     ``order[t]``.  :meth:`sum` takes values in that sorted order and
-    returns the matrix of their duplicate sums, so a caller whose
-    positions stay fixed builds each new matrix without sorting.  Indices
-    are trusted: callers check their ranges before building a pattern.
+    returns the duplicate sums of each distinct position, an entry, and a
+    :class:`CsrLayout` puts those sums into a CSR matrix, so a caller
+    whose positions stay fixed builds each new matrix without sorting.
+    Indices are trusted: callers check their ranges before building a
+    pattern.
     """
 
     def __init__(self, n: int, rows, cols):
@@ -182,9 +190,7 @@ class TripletPattern:
         first = np.ones(r.size, dtype=bool)
         first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
         self.n = n
-        # int32 indices, as scipy prefers, whenever they hold every index;
-        # scipy's block-to-CSR conversion widens them again if the expanded
-        # matrix (r * n rows, r * c * entries values) needs int64
+        # int32 indices, as scipy prefers, whenever they hold every index
         index = np.int32 if max(n, r.size) <= np.iinfo(np.int32).max else np.int64
         self.order = order.astype(index)
         # each distinct (row, col) is one entry; entry[t] is sorted term t's
@@ -192,19 +198,28 @@ class TripletPattern:
         self.rows = r[first].astype(index)
         self.cols = c[first].astype(index)
 
-    def sum(self, values, kept=None) -> sp.csr_matrix:
-        """CSR matrix of the sorted terms' r-by-c block values, duplicates
-        summed.
+    @classmethod
+    def presorted(cls, n: int, order, entry, rows, cols) -> "TripletPattern":
+        """The pattern of a caller that knows its sort: the ``order``,
+        ``entry``, ``rows`` and ``cols`` that sorting its terms would
+        give."""
+        pattern = cls.__new__(cls)
+        pattern.n = n
+        pattern.order, pattern.entry = order, entry
+        pattern.rows, pattern.cols = rows, cols
+        return pattern
+
+    def sum(self, values, kept=None) -> np.ndarray:
+        """Each entry's sum of its kept terms' r-by-c block values, shape
+        (entries, r, c).
 
         ``kept`` lists the sorted terms to sum, in ascending order, and
         ``values`` (shape (K, r, c)) holds one block per kept term; ``None``
-        keeps every term.  An entry none of whose terms is kept is not
-        stored at all.  Each stored block is the ``np.add.reduceat`` sum of
-        its kept blocks in sorted order, the same sum a stable sort of the
-        kept triplets alone would give, and ``reduceat`` along the term axis
-        adds each block component exactly as it adds a 1-D run.  The result
-        is the (r n)-by-(c n) expansion of the block matrix, stored zeros
-        included.
+        keeps every term.  An entry none of whose terms is kept sums to
+        zero.  Each other block is the ``np.add.reduceat`` sum of its kept
+        blocks in sorted order, the same sum a stable sort of the kept
+        triplets alone would give, and ``reduceat`` along the term axis adds
+        each block component exactly as it adds a 1-D run.
         """
         entry = self.entry if kept is None else self.entry.take(kept)
         values = np.asarray(values, dtype=float)
@@ -212,21 +227,41 @@ class TripletPattern:
             raise ValueError(
                 f"values of shape {values.shape} for {entry.size} kept terms"
             )
-        first = np.ones(entry.size, dtype=bool)
-        np.not_equal(entry[1:], entry[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        stored = entry.take(starts)
-        data = np.add.reduceat(values, starts, axis=0)
-        indptr = np.zeros(self.n + 1, dtype=self.cols.dtype)
-        np.cumsum(
-            np.bincount(self.rows.take(stored), minlength=self.n), out=indptr[1:]
+        sums = np.zeros((self.rows.size,) + values.shape[1:])
+        if entry.size:
+            first = np.ones(entry.size, dtype=bool)
+            np.not_equal(entry[1:], entry[:-1], out=first[1:])
+            starts = np.flatnonzero(first)
+            sums[entry.take(starts)] = np.add.reduceat(values, starts, axis=0)
+        return sums
+
+
+class CsrLayout:
+    """Where block sums go in a CSR matrix, fixed for a run.
+
+    Slot s, in CSR order, holds the sum at flat index ``src[s]`` of the
+    block sums :meth:`csr` takes, in column ``cols[s]``; the slots of row
+    i run from ``slot_ptr[i]`` to ``slot_ptr[i + 1]``.  A caller works the
+    layout out once from its own pattern; :meth:`csr` then costs one
+    gather and one compaction per matrix.
+    """
+
+    def __init__(self, src: np.ndarray, cols: np.ndarray, slot_ptr: np.ndarray):
+        self.src = src
+        self.cols = cols
+        self.slot_ptr = slot_ptr
+        self.n = len(slot_ptr) - 1
+
+    def csr(self, sums) -> sp.csr_matrix:
+        """The CSR matrix of the block sums.  An exact-zero sum is not
+        stored, so a row whose every sum is zero stays empty."""
+        data = np.asarray(sums, dtype=float).reshape(-1).take(self.src)
+        csr = sp.csr_matrix(
+            (data, self.cols.copy(), self.slot_ptr.copy()), shape=(self.n, self.n)
         )
-        r, c = values.shape[1:]
-        return sp.bsr_matrix(
-            (data, self.cols.take(stored), indptr),
-            shape=(r * self.n, c * self.n),
-            blocksize=(r, c),
-        ).tocsr()
+        csr.has_sorted_indices = True
+        csr.eliminate_zeros()
+        return csr
 
 
 def _rank_cut(a, name: str):

@@ -1,37 +1,58 @@
 """Geometric multigrid V-cycle: the SPD preconditioner of CG on the
 reduced stiffness systems of the voxel mesh, singular ones included.
 
-:func:`prolongations` builds the hierarchy once per run.  Each axis
-coarsens from n to ceil(n/2) elements, coarse node j sitting at fine node
+:func:`hierarchy` builds the levels once per run.  Each axis coarsens
+from n to ceil(n/2) elements, coarse node j sitting at fine node
 min(2j, n), with linear interpolation between coarse nodes, so odd sizes
 keep coarsening.  The DOF prolongation kron(kron(Py, Px), I2) keeps the
 free fine DOFs as rows and the free coarse DOFs as columns; a coarse DOF
 is free iff the fine DOF at its node is.  Coarsening stops once a level
 has at most ``COARSEST_DOFS`` free DOFs.
 
-:func:`v_cycle` builds, per solve, the Galerkin operators P^T (A P) with
-scipy's sparse product and the coarsest one's pseudo-inverse, and returns
-``precondition(r, out)``.  It smooths with one damped Jacobi sweep before
-the coarse correction and one after (zero rows passed through as in
-``krylov.jacobi_preconditioner``), so the cycle is symmetric and costs
-two fine matvecs.  It is positive definite if 2 D / w - A is, which holds
-for w * lambda_max(D^-1 A) < 2.  A = sum rho_e^p K_e and D is the sum of
-their diagonals, so lambda_max(D^-1 A) <= lambda_max(diag(K)^-1 K) for
-every design, support elimination and zero rows included;
-:func:`smoothing_weight` caps w at 2 over that bound.  The bound is
-proved for the finest level only: the coarse Galerkin levels are covered
-by a test over designs and Poisson ratios, not by a proof.  The output
-is zeroed on A's zero rows, so void DOFs keep their CG warm-start value;
-on the vectors CG feeds it, which vanish there, the cycle stays
-symmetric.  A cycle allocates nothing: its work vectors are allocated
-once per solve.
+The Galerkin operator of level l is Q^T A Q, Q the product of the
+prolongations down to it, and it is built from element blocks, not from
+sparse products (Amir, Aage & Lazarov 2014).  A = sum_f rho_f^p K_f over
+the fine elements f, so Q^T A Q = sum_f rho_f^p (C_f)^T K C_f scattered
+onto the level's free DOFs, where the 8x8 C_f interpolates f's DOFs from
+those of its level-l ancestor element c: every fine node of f lies in c,
+so the bilinear interpolation reaches it from c's four nodes alone.  C_f
+is the product, one level at a time, of the masked one-level steps
+diag(m) W: W interpolates an element from its parent element, and m
+zeroes the element's fixed DOFs, as the prolongations drop fixed rows
+and columns at every level.  Without the masks a support that fixes a
+node the coarse level does not keep would leak into the coarse operator.
+C_f depends only on f's position in c and on those masks, so a level has
+few distinct C_f; it keeps one C^T K C per distinct C_f.  Each solve
+then takes one sparse product of the densities with those to sum every
+coarse element's block, one sparse 0/1 product to sum the blocks of each
+node pair of the coarse mesh's scatter pattern, and the coarse free-DOF
+layout, which drops exact-zero sums as :func:`fem.assemble` does: a
+coarse DOF with no material around it keeps an empty row.  The sums run
+in another order than the sparse products P^T (A P), so the operators
+agree with those to rounding, not to the bit.
+
+:func:`v_cycle` builds, per solve, the Galerkin operators and the
+coarsest one's pseudo-inverse, and returns ``precondition(r, out)``.  It
+smooths with one damped Jacobi sweep before the coarse correction and one
+after (zero rows passed through as in ``krylov.jacobi_preconditioner``),
+so the cycle is symmetric and costs two fine matvecs.  It is positive
+definite if 2 D / w - A is, which holds for w * lambda_max(D^-1 A) < 2.
+A = sum rho_e^p K_e and D is the sum of their diagonals, so
+lambda_max(D^-1 A) <= lambda_max(diag(K)^-1 K) for every design, support
+elimination and zero rows included; :func:`smoothing_weight` caps w at 2
+over that bound.  The bound is proved for the finest level only: the
+coarse Galerkin levels are covered by a test over designs and Poisson
+ratios, not by a proof.  The output is zeroed on A's zero rows, so void
+DOFs keep their CG warm-start value; on the vectors CG feeds it, which
+vanish there, the cycle stays symmetric.  A cycle allocates nothing: its
+work vectors are allocated once per solve.
 """
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import BoundaryConditions, Mesh
+from .fem import UPPER_PAIRS, BoundaryConditions, Material, Mesh, element_stiffness
 from .krylov import csr_operator, jacobi_preconditioner
 from .linalg import SparseSymMatrix, pseudo_inverse
 
@@ -40,46 +61,153 @@ COARSEST_DOFS = 100
 # damped Jacobi weight, unless the element bound asks for less
 SMOOTHING_WEIGHT = 0.6
 
+# local (x, y) grid position of element corners LL, LR, UR, UL
+_CORNER_X = np.array([0, 1, 1, 0])
+_CORNER_Y = np.array([0, 0, 1, 1])
+# a child element's two nodes along one axis from its parent's two: the
+# left half, the right half, or the whole parent (the last element of an
+# odd axis, whose parent covers it alone)
+_HALVES = np.array([
+    [[1.0, 0.0], [0.5, 0.5]],
+    [[0.5, 0.5], [0.0, 1.0]],
+    [[1.0, 0.0], [0.0, 1.0]],
+])
 
-def _interpolation(n: int) -> sp.csr_matrix:
-    """(n + 1)-by-(ceil(n/2) + 1) linear interpolation along one axis."""
+
+def _interpolation(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Linear interpolation of the n + 1 nodes of an axis from the
+    ceil(n/2) + 1 of its coarsening: fine node i takes weight[i, a] of
+    coarse node left[i] + a, a = 0, 1."""
     nc = (n + 1) // 2
     fine = np.arange(n + 1)
     left = np.minimum(fine // 2, nc - 1)  # coarse node at fine node 2 * left
     weight = (fine - 2 * left) / (np.minimum(2 * left + 2, n) - 2 * left)
-    return sp.csr_matrix(
-        (
-            np.column_stack([1.0 - weight, weight]).ravel(),
-            (np.repeat(fine, 2), np.column_stack([left, left + 1]).ravel()),
-        ),
-        shape=(n + 1, nc + 1),
-    )
+    return left, np.column_stack([1.0 - weight, weight])
 
 
 def _prolongation(nx: int, ny: int) -> tuple[sp.csr_matrix, np.ndarray]:
     """The DOF prolongation kron(kron(Py, Px), I2) of an nx-by-ny mesh onto
-    it from its coarsening, and the fine node at each coarse node."""
-    px, py = _interpolation(nx), _interpolation(ny)
-    at_x = np.minimum(2 * np.arange(px.shape[1]), nx)
-    at_y = np.minimum(2 * np.arange(py.shape[1]), ny)
-    p = sp.kron(sp.kron(py, px), sp.identity(2), format="csr")
-    p.eliminate_zeros()  # zero weights, and I2's zeros if kron went by blocks
+    it from its coarsening, without its zero weights, and the fine node at
+    each coarse node."""
+    (left_x, wx), (left_y, wy) = _interpolation(nx), _interpolation(ny)
+    ncx = (nx + 1) // 2 + 1
+    # fine node (ix, iy) takes coarse node (left_x + a, left_y + c) with
+    # weight wy[iy, c] * wx[ix, a], listed by ascending coarse node
+    weight = (wy[:, None, :, None] * wx[None, :, None, :]).reshape(-1, 1, 4)
+    node = (left_y[:, None] * ncx + left_x)[:, :, None, None] + (
+        np.arange(2)[:, None] * ncx + np.arange(2)
+    )
+    # each node's two DOFs take their coarse nodes' DOFs of the same axis
+    dof = (2 * node.reshape(-1, 1, 4) + np.arange(2)[:, None]).astype(np.int32)
+    weight = np.broadcast_to(weight, dof.shape)
+    nonzero = weight != 0.0
+    indptr = np.zeros(dof.shape[0] * 2 + 1, dtype=np.int32)
+    np.cumsum(nonzero.sum(axis=2, dtype=np.int32).ravel(), out=indptr[1:])
+    p = sp.csr_matrix(
+        (weight[nonzero], dof[nonzero], indptr),
+        shape=(len(indptr) - 1, 2 * ncx * ((ny + 1) // 2 + 1)),
+    )
+    at_x = np.minimum(2 * np.arange(ncx), nx)
+    at_y = np.minimum(2 * np.arange((ny + 1) // 2 + 1), ny)
     # nodes are numbered row-major from the bottom left, as fem numbers them
     return p, (at_y[:, None] * (nx + 1) + at_x).ravel()
 
 
-def prolongations(mesh: Mesh, bc: BoundaryConditions) -> list[tuple]:
-    """(P, P^T) of every coarsening, finest first, between free DOFs."""
+def _position(n: int) -> np.ndarray:
+    """Which of ``_HALVES`` each of n elements along an axis is of its
+    parent in the coarsening."""
+    position = np.arange(n) % 2
+    if n % 2:
+        position[-1] = 2
+    return position
+
+
+def _steps(mesh: Mesh, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The masked one-level steps diag(m) W of the mesh's elements: the
+    distinct 8x8 matrices, and which one each element takes."""
+    px, py = _position(mesh.nx), _position(mesh.ny)
+    position = (px[None, :] + 3 * py[:, None]).ravel()
+    mask = free.reshape(-1, 2)[mesh.element_nodes].reshape(-1, 8)
+    code = position + 9 * (mask @ (1 << np.arange(8)))
+    codes, which = np.unique(code, return_inverse=True)
+    position, bits = codes % 9, codes // 9
+    hx = _HALVES[position % 3][:, _CORNER_X][:, :, _CORNER_X]
+    hy = _HALVES[position // 3][:, _CORNER_Y][:, :, _CORNER_Y]
+    # nodes, then the two DOFs of each node: kron(W_nodes, I2)
+    w = ((hx * hy)[:, :, None, :, None] * np.eye(2)[:, None, :]).reshape(-1, 8, 8)
+    m = (bits[:, None] >> np.arange(8)) & 1
+    return m[:, :, None] * w, which
+
+
+class Level:
+    """One coarsening: the prolongation ``p`` from this level's free DOFs
+    onto the finer level's (and ``pt``, its transpose), and what builds
+    the level's Galerkin operator from the fine densities."""
+
+    def __init__(self, p, mesh: Mesh, free, types, kind, ancestor, ke):
+        self.p, self.pt = p, p.T.tocsr()
+        self.layout = mesh.free_layout(np.flatnonzero(~free))
+        # C^T K C of each distinct composite, symmetric to the bit, as the
+        # 2x2 blocks of the upper corner pairs the node-pair pattern takes
+        blocks = types.transpose(0, 2, 1) @ ke @ types
+        blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
+        blocks = blocks.reshape(-1, 4, 2, 4, 2).transpose(0, 1, 3, 2, 4)
+        self.blocks = blocks.reshape(len(types), 16, 4)[:, UPPER_PAIRS].reshape(len(types), -1)
+        # the fine elements in ancestor order: row c of the sparse
+        # (coarse element x composite) matrix holds c's descendants
+        self.fine = np.argsort(ancestor, kind="stable").astype(np.int32)
+        self.kind = kind.take(self.fine).astype(np.int32)
+        self.indptr = np.zeros(mesh.n_elements + 1, dtype=np.int32)
+        np.cumsum(np.bincount(ancestor, minlength=mesh.n_elements), out=self.indptr[1:])
+        # the 0/1 matrix that sums the node-pair terms of each entry
+        pattern = mesh.scatter_pattern
+        entries, terms = pattern.rows.size, pattern.entry.size
+        self.summation = sp.csr_matrix(
+            (
+                np.ones(terms),
+                pattern.order,
+                np.searchsorted(pattern.entry, np.arange(entries + 1)),
+            ),
+            shape=(entries, terms),
+        )
+
+    def galerkin(self, scale: np.ndarray) -> sp.csr_matrix:
+        """The level's operator Q^T A Q for fine densities rho^p = scale."""
+        shape = (self.indptr.size - 1, len(self.blocks))
+        weights = sp.csr_matrix((scale.take(self.fine), self.kind, self.indptr), shape=shape)
+        blocks = (weights @ self.blocks).reshape(-1, 4)
+        return self.layout.csr(self.summation @ blocks)
+
+
+def hierarchy(mesh: Mesh, bc: BoundaryConditions, mat: Material) -> list[Level]:
+    """Every coarsening of the mesh, finest first, between free DOFs, for
+    the material's element stiffness."""
     nx, ny = mesh.nx, mesh.ny
-    free = np.zeros(mesh.n_dofs, dtype=bool)
-    free[bc.free_dofs()] = True
+    free = np.ones(mesh.n_dofs, dtype=bool)
+    free[bc.fixed_dofs] = False
+    fine_x, fine_y = np.meshgrid(np.arange(nx), np.arange(ny))
+    fine_x, fine_y = fine_x.ravel(), fine_y.ravel()
+    level_mesh = mesh
+    # the composite C_f of every fine element f onto its ancestor on the
+    # current level: its distinct values, and which one f takes
+    types, kind = np.eye(8)[None], np.zeros(mesh.n_elements, dtype=np.int64)
+    ke = None  # looked up with the first level: a run without one needs none
     levels = []
     while np.count_nonzero(free) > COARSEST_DOFS and max(nx, ny) > 1:
+        if ke is None:
+            ke = element_stiffness(mat, mesh.elem_width, mesh.elem_height)
         p, at = _prolongation(nx, ny)
         coarse_free = free.reshape(-1, 2)[at].ravel()
         p = p[np.flatnonzero(free)][:, np.flatnonzero(coarse_free)].tocsr()
-        levels.append((p, p.T.tocsr()))
+        steps, step = _steps(level_mesh, free)
+        depth = len(levels)
+        ancestor = (fine_y >> depth) * nx + (fine_x >> depth)
+        pairs, kind = np.unique(kind * len(steps) + step.take(ancestor), return_inverse=True)
+        types = types[pairs // len(steps)] @ steps[pairs % len(steps)]
         nx, ny, free = (nx + 1) // 2, (ny + 1) // 2, coarse_free
+        level_mesh = Mesh(nx, ny, mesh.width, mesh.height)
+        ancestor = (fine_y >> depth + 1) * nx + (fine_x >> depth + 1)
+        levels.append(Level(p, level_mesh, free, types, kind, ancestor, ke))
     return levels
 
 
@@ -108,19 +236,21 @@ def _cycle(ops: list[tuple], pinv: np.ndarray, level: int, r, z) -> None:
     z += t
 
 
-def v_cycle(a: SparseSymMatrix, levels: list[tuple], weight: float):
-    """``precondition(r, out)``: one V-cycle for A over the hierarchy
-    :func:`prolongations` built, smoothing with Jacobi weight ``weight``
-    (:func:`smoothing_weight`), written into ``out``, which it returns."""
+def v_cycle(a: SparseSymMatrix, scale: np.ndarray, levels: list[Level], weight: float):
+    """``precondition(r, out)``: one V-cycle for A, assembled from fine
+    densities rho^p = ``scale``, over the levels :func:`hierarchy` built,
+    smoothing with Jacobi weight ``weight`` (:func:`smoothing_weight`),
+    written into ``out``, which it returns."""
     ops = []
     csr = a.csr
-    for p, pt in levels:
-        n, nc = p.shape
+    for level in levels:
+        n, nc = level.p.shape
         ops.append((
             csr_operator(csr), weight * jacobi_preconditioner(csr),
-            csr_operator(p), csr_operator(pt), np.empty(n), np.empty(nc), np.empty(nc),
+            csr_operator(level.p), csr_operator(level.pt),
+            np.empty(n), np.empty(nc), np.empty(nc),
         ))
-        csr = pt @ (csr @ p)
+        csr = level.galerkin(scale)
     pinv = pseudo_inverse(csr.toarray())
     zero = a.zero_rows()
 

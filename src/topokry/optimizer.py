@@ -38,7 +38,7 @@ from .fem import (
 )
 from .krylov import SolverConfig, solve
 from .linalg import is_integer
-from .multigrid import prolongations, smoothing_weight, v_cycle
+from .multigrid import hierarchy, smoothing_weight, v_cycle
 
 if TYPE_CHECKING:  # pragma: no cover
     from .problem import ProblemSpec
@@ -255,8 +255,8 @@ def _cycle_period(designs: list[np.ndarray]) -> int:
 def optimize(spec: "ProblemSpec") -> OptimizationHistory:
     """Run the full optimization loop for a problem specification.
 
-    Per outer iteration: assemble the SIMP-scaled stiffness, eliminate
-    supports, solve equilibrium with the configured Krylov method, evaluate
+    Per outer iteration: assemble the SIMP-scaled stiffness on the free
+    DOFs, solve equilibrium with the configured Krylov method, evaluate
     compliance and sensitivities, update densities, and threshold.  Stops
     when the Lagrangian change drops below tolerance (``CONVERGED``) or at
     the iteration cap: ``CYCLING`` if :func:`_cycle_period` finds a limit
@@ -268,8 +268,10 @@ def optimize(spec: "ProblemSpec") -> OptimizationHistory:
     unset ``solver.max_iterations`` takes the paper's cap, one Krylov
     iteration per mesh node, and an unset ``solver.preconditioning`` is
     ``"mg"`` for CG and ``"jacobi"`` for CR; the history records the
-    resolved settings.  Under ``"mg"`` the multigrid hierarchy is built once
-    per run and each solve gets a V-cycle of its own matrix.
+    resolved settings.  Under ``"mg"`` the multigrid hierarchy, with each
+    level's element-block kinds for the run's material, is built once per
+    run, and each solve gets a V-cycle of its own matrix, its coarse
+    operators summed from the iteration's rho^p.
 
     Each solve warm-starts from the previous displacement field, so
     successive solves keep refining the same equilibrium as the design
@@ -287,7 +289,11 @@ def optimize(spec: "ProblemSpec") -> OptimizationHistory:
     if solver.preconditioning is None:
         pre = "mg" if solver.method == "cg" else "jacobi"
         solver = replace(solver, preconditioning=pre)
-    levels = prolongations(mesh, bc) if solver.preconditioning == "mg" else None
+    # the free-DOF layout before the hierarchy: the hierarchy's build then
+    # reuses the space the layout's build freed, which keeps the peak
+    # memory of a run (and of many in one process) lower
+    mesh.free_layout(bc.fixed_dofs)
+    levels = hierarchy(mesh, bc, mat) if solver.preconditioning == "mg" else None
     # the V-cycle smooths only on the levels it coarsens
     weight = None
     if levels:
@@ -297,15 +303,14 @@ def optimize(spec: "ProblemSpec") -> OptimizationHistory:
     rho = DensityField.uniform(mesh.n_elements, opt.volume_fraction)
     target = opt.volume_fraction * mesh.n_elements
     b_full = build_load(mesh, bc)
+    b_red, dof_map = apply_dirichlet(b_full, bc)
     update_rule = oc_update if opt.update_rule == "oc" else conlin_update
 
     history = OptimizationHistory(solver=solver)
     lagrangian_prev = None
     x_full = np.zeros(mesh.n_dofs)
     for outer in range(1, opt.max_outer_iterations + 1):
-        a_red, b_red, dof_map = apply_dirichlet(
-            assemble(mesh, mat, rho), b_full, bc
-        )
+        a_red = assemble(mesh, mat, rho, bc)
         empty = a_red.zero_rows()
         loaded = empty[b_red.take(empty) != 0.0]
         if loaded.size:
@@ -313,7 +318,9 @@ def optimize(spec: "ProblemSpec") -> OptimizationHistory:
                 f"outer iteration {outer}: the load at node "
                 f"{dof_map[loaded[0]] // 2} has no adjacent material"
             )
-        precondition = None if levels is None else v_cycle(a_red, levels, weight)
+        precondition = None
+        if levels is not None:
+            precondition = v_cycle(a_red, rho.values**mat.penal, levels, weight)
         report = solve(
             a_red, b_red, x_full[dof_map], solver, precondition=precondition
         )

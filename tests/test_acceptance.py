@@ -32,6 +32,7 @@ from util import (
     random_singular_psd,
     random_spd,
     sparse_from_dense,
+    unsupported,
 )
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -333,6 +334,7 @@ def test_criterion_8_sensitivity_gradient_check():
     mesh = Mesh(3, 3, 3.0, 3.0)
     mat = Material(1.0, 0.3, 3.0)
     rng = np.random.default_rng(113)
+    free = unsupported(mesh)
     h = 1e-6
     worst = 0.0
     samples = 0
@@ -346,8 +348,8 @@ def test_criterion_8_sensitivity_gradient_check():
             up, dn = values.copy(), values.copy()
             up[j] += h
             dn[j] -= h
-            g_up = -x @ (assemble(mesh, mat, DensityField(up)).csr @ x)
-            g_dn = -x @ (assemble(mesh, mat, DensityField(dn)).csr @ x)
+            g_up = -x @ (assemble(mesh, mat, DensityField(up), free).csr @ x)
+            g_dn = -x @ (assemble(mesh, mat, DensityField(dn), free).csr @ x)
             fd = (g_up - g_dn) / (2.0 * h)
             rel = abs(fd - sens[j]) / max(abs(sens[j]), 1e-8 * scale)
             worst = max(worst, rel)
@@ -370,7 +372,9 @@ def test_criterion_9_load_adjacent_material_every_iteration(canonical_history):
 def test_criterion_10_singularity_exercised(canonical_history, truss_outputs):
     spec, history = canonical_history
     mesh = spec.build_mesh()
-    a_full = assemble(mesh, spec.material, DensityField(history.densities[-1]))
+    a_full = assemble(
+        mesh, spec.material, DensityField(history.densities[-1]), unsupported(mesh)
+    )
     zero = set(a_full.zero_rows().tolist())
     void_nodes = [n for n in range(mesh.n_nodes) if 2 * n in zero and 2 * n + 1 in zero]
     exits = [data["exit"] for data in truss_outputs.values()]

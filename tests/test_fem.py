@@ -2,7 +2,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from topokry import (
     BoundaryConditions,
@@ -18,13 +17,17 @@ from topokry import (
     scatter_solution,
     solve,
 )
+from topokry.fem import UPPER_PAIRS
+from topokry.linalg import TripletPattern
 from topokry.multigrid import SMOOTHING_WEIGHT, v_cycle
 from topokry.problem import loads_problem_text
 from util import (
+    assembly_oracle,
     assert_same_csr,
     element_dof_table,
     elements_adjacent_to_node,
-    triplet_sum_oracle,
+    full_scatter_oracle,
+    unsupported,
 )
 
 
@@ -50,20 +53,6 @@ def element_stiffness_oracle(mat, width, height, points=4):
                 b[2, 2 * i + 1] = dndx
             ke += wx * wy * (b.T @ c @ b) * (width * height / 4.0)
     return mat.thickness * ke
-
-
-def assemble_oracle(mesh, mat, rho):
-    """Assembly that sorts the active elements' triplets afresh on every
-    call, kept as the reference.  Returns the triplets and the CSR matrix."""
-    ke = element_stiffness(mat, mesh.elem_width, mesh.elem_height)
-    scale = rho.values ** mat.penal
-    active = np.flatnonzero(scale > 0.0)
-    dofs = element_dof_table(mesh.element_nodes)[active]
-    rows = np.repeat(dofs, 8, axis=1).ravel()
-    cols = np.tile(dofs, (1, 8)).ravel()
-    values = (scale[active][:, None, None] * ke[None, :, :]).ravel()
-    csr = triplet_sum_oracle(mesh.n_dofs, rows, cols, values)
-    return (rows, cols, values), csr
 
 
 def density_cases(mesh, seed=0):
@@ -215,13 +204,13 @@ class TestAssemble:
 
     def test_all_zero_densities(self):
         mesh = Mesh(2, 2, 2.0, 2.0)
-        a = assemble(mesh, self.mat, DensityField.uniform(4, 0.0))
+        a = assemble(mesh, self.mat, DensityField.uniform(4, 0.0), unsupported(mesh))
         assert a.csr.nnz == 0
         assert a.dimension == mesh.n_dofs
 
     def test_single_element_identity_scaling(self):
         mesh = Mesh(1, 1, 1.0, 1.0)
-        a = assemble(mesh, self.mat, DensityField.uniform(1, 1.0))
+        a = assemble(mesh, self.mat, DensityField.uniform(1, 1.0), unsupported(mesh))
         ke = element_stiffness(self.mat, 1.0, 1.0)
         dofs = element_dof_table(mesh.element_nodes)[0]
         dense = a.to_dense()
@@ -230,7 +219,7 @@ class TestAssemble:
     def test_two_elements_against_dense_scatter_oracle(self):
         mesh = Mesh(2, 1, 2.0, 1.0)
         rho = DensityField(np.array([1.0, 1.0]))
-        a = assemble(mesh, self.mat, rho).to_dense()
+        a = assemble(mesh, self.mat, rho, unsupported(mesh)).to_dense()
         ke = element_stiffness(self.mat, 1.0, 1.0)
         oracle = np.zeros((mesh.n_dofs, mesh.n_dofs))
         for dofs in element_dof_table(mesh.element_nodes):
@@ -240,20 +229,23 @@ class TestAssemble:
     def test_density_power_scaling(self):
         mesh = Mesh(1, 1, 1.0, 1.0)
         rho = DensityField(np.array([0.5]))
-        a = assemble(mesh, self.mat, rho).to_dense()
-        full = assemble(mesh, self.mat, DensityField.uniform(1, 1.0)).to_dense()
+        a = assemble(mesh, self.mat, rho, unsupported(mesh)).to_dense()
+        full = assemble(
+            mesh, self.mat, DensityField.uniform(1, 1.0), unsupported(mesh)
+        ).to_dense()
         np.testing.assert_allclose(a, 0.5**3 * full, rtol=1e-14)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="density field"):
-            assemble(Mesh(2, 2, 2.0, 2.0), self.mat, DensityField.uniform(3, 0.5))
+            mesh = Mesh(2, 2, 2.0, 2.0)
+            assemble(mesh, self.mat, DensityField.uniform(3, 0.5), unsupported(mesh))
 
     def test_positive_semidefinite_property(self):
         rng = np.random.default_rng(29)
         mesh = Mesh(3, 3, 3.0, 3.0)
         for _ in range(10):
             rho = DensityField(rng.uniform(0.0, 1.0, mesh.n_elements))
-            a = assemble(mesh, self.mat, rho)
+            a = assemble(mesh, self.mat, rho, unsupported(mesh))
             dense = a.to_dense()
             scale = max(np.abs(dense).max(), 1e-30)
             for _ in range(5):
@@ -265,8 +257,8 @@ class TestAssemble:
         mesh = Mesh(3, 2, 3.0, 2.0)
         lo = rng.uniform(0.0, 0.7, mesh.n_elements)
         hi = np.minimum(lo + rng.uniform(0.0, 0.3, mesh.n_elements), 1.0)
-        a_lo = assemble(mesh, self.mat, DensityField(lo))
-        a_hi = assemble(mesh, self.mat, DensityField(hi))
+        a_lo = assemble(mesh, self.mat, DensityField(lo), unsupported(mesh))
+        a_hi = assemble(mesh, self.mat, DensityField(hi), unsupported(mesh))
         scale = np.abs(a_hi.to_dense()).max()
         for _ in range(10):
             v = rng.standard_normal(mesh.n_dofs)
@@ -277,21 +269,21 @@ class TestAssemble:
         # touch only the void element, so their DOF rows must be empty
         mesh = Mesh(2, 1, 2.0, 1.0)
         rho = DensityField(np.array([1.0, 0.0]))
-        a = assemble(mesh, self.mat, rho)
+        a = assemble(mesh, self.mat, rho, unsupported(mesh))
         void_nodes = [mesh.node_index(2, 0), mesh.node_index(2, 1)]
         void_dofs = {d for n in void_nodes for d in (2 * n, 2 * n + 1)}
         assert void_dofs == set(a.zero_rows().tolist())
 
     def test_full_density_reduced_system_is_definite(self):
         mesh = Mesh(4, 4, 4.0, 4.0)
-        a = assemble(mesh, self.mat, DensityField.uniform(mesh.n_elements, 1.0))
         bc = BoundaryConditions(
             n_dofs=mesh.n_dofs,
             fixed_dofs=mesh.edge_dofs("left"),
             point_loads=((2 * mesh.node_near(4.0, 2.0) + 1, -1.0),),
         )
-        b = build_load(mesh, bc)
-        a_red, b_red, _ = apply_dirichlet(a, b, bc)
+        rho = DensityField.uniform(mesh.n_elements, 1.0)
+        a_red = assemble(mesh, self.mat, rho, bc)
+        b_red, _ = apply_dirichlet(build_load(mesh, bc), bc)
         rep = solve(
             a_red, b_red, None, SolverConfig(rel_tolerance=1e-8, max_iterations=2000)
         )
@@ -299,13 +291,29 @@ class TestAssemble:
         assert rep.final_relative_residual <= 1e-8
 
 
+def support_cases(mesh):
+    """No support, a clamped left edge, two point supports (both DOFs of
+    two nodes) and a single fixed DOF, each as boundary conditions."""
+    corner = mesh.node_index(mesh.nx, mesh.ny)
+    return {
+        "none": unsupported(mesh),
+        "clamped": BoundaryConditions(n_dofs=mesh.n_dofs, fixed_dofs=mesh.edge_dofs("left")),
+        "points": BoundaryConditions(
+            n_dofs=mesh.n_dofs, fixed_dofs=[0, 1, 2 * corner, 2 * corner + 1]
+        ),
+        "one dof": BoundaryConditions(n_dofs=mesh.n_dofs, fixed_dofs=[2 * corner + 1]),
+    }
+
+
 class TestPatternAssembly:
-    """assemble sums over the mesh's pre-sorted scatter pattern; its output
-    must be the very matrix the sort-per-call reference builds."""
+    """assemble sums over the mesh's pre-sorted scatter pattern into the
+    free-DOF CSR; its output must be the very matrix the reference builds
+    by a full scatter sorted afresh, support elimination and exact-zero
+    elimination."""
 
     mat = Material(2.1e5, 0.3, 3.0, 10.0)
     # nu = 0.25 rounds some entries of ke to exact zeros, which the matrix
-    # must store like any other sum
+    # must not store
     materials = [mat, Material(2.1e5, 0.25, 3.0, 10.0), Material(1.0, 0.25, 3.0)]
     # 7x3 elements on the 10x20 domain: a non-square mesh of 1.4x6.7 elements
     meshes = [(1, 1), (3, 2), (7, 3), (20, 40)]
@@ -313,35 +321,39 @@ class TestPatternAssembly:
     @pytest.mark.parametrize("nx,ny", meshes)
     def test_bit_identical_to_sorting_afresh(self, nx, ny):
         mesh = Mesh(nx, ny, 10.0, 20.0)
+        supports = support_cases(mesh)
         for mat in self.materials:
             for values in density_cases(mesh).values():
                 rho = DensityField(values)
-                got = assemble(mesh, mat, rho).csr
-                (rows, cols, vals), expected = assemble_oracle(mesh, mat, rho)
-                assert_same_csr(got, expected)
+                for bc in supports.values():
+                    got = assemble(mesh, mat, rho, bc).csr
+                    assert_same_csr(got, assembly_oracle(mesh, mat, rho, bc))
                 # the one-shot path over the same triplets gives the same bytes
-                one_shot = SparseSymMatrix.from_triplets(
-                    mesh.n_dofs, rows, cols, vals
-                )
+                (rows, cols, vals), _ = full_scatter_oracle(mesh, mat, rho)
+                one_shot = SparseSymMatrix.from_triplets(mesh.n_dofs, rows, cols, vals)
+                expected = assembly_oracle(mesh, mat, rho, supports["none"])
                 assert_same_csr(one_shot.csr, expected)
 
-    def test_exact_zero_sums_stay_stored(self):
+    def test_exact_zero_sums_are_not_stored(self):
         # ke of this material and mesh holds exact zeros (8 with OpenBLAS
-        # on x86-64): their entries stay stored, as the scalar triplet sum
-        # stores them
+        # on x86-64), and a uniform design cancels more entries exactly:
+        # the full scatter stores them, the assembled matrix does not
         mat = self.materials[1]
         mesh = Mesh(3, 2, 10.0, 20.0)
         assert np.any(element_stiffness(mat, 10.0 / 3, 10.0) == 0.0)
         rho = DensityField.uniform(mesh.n_elements, 1.0)
-        got = assemble(mesh, mat, rho).csr
-        assert np.count_nonzero(got.data == 0.0) > 0
-        assert_same_csr(got, assemble_oracle(mesh, mat, rho)[1])
+        full = full_scatter_oracle(mesh, mat, rho)[1]
+        assert np.count_nonzero(full.data == 0.0) > 0
+        for bc in support_cases(mesh).values():
+            got = assemble(mesh, mat, rho, bc).csr
+            assert np.count_nonzero(got.data == 0.0) == 0
+            assert_same_csr(got, assembly_oracle(mesh, mat, rho, bc))
 
     @pytest.mark.parametrize("nx,ny", meshes)
     def test_void_nodes_have_empty_rows(self, nx, ny):
         mesh = Mesh(nx, ny, 10.0, 20.0)
         for name, values in density_cases(mesh, seed=1).items():
-            a = assemble(mesh, self.mat, DensityField(values))
+            a = assemble(mesh, self.mat, DensityField(values), unsupported(mesh))
             void_nodes = [
                 k for k in range(mesh.n_nodes)
                 if np.all(values[elements_adjacent_to_node(mesh, k)] == 0.0)
@@ -353,8 +365,9 @@ class TestPatternAssembly:
     def test_bit_symmetric_without_a_check(self, nx, ny):
         mesh = Mesh(nx, ny, 10.0, 20.0)
         for name, values in density_cases(mesh, seed=2).items():
-            csr = assemble(mesh, self.mat, DensityField(values)).csr
-            assert (csr != csr.T).nnz == 0, name
+            for bc in support_cases(mesh).values():
+                csr = assemble(mesh, self.mat, DensityField(values), bc).csr
+                assert (csr != csr.T).nnz == 0, name
 
     def test_pattern_built_on_first_assemble_not_with_the_mesh(self):
         spec = loads_problem_text(
@@ -363,33 +376,56 @@ class TestPatternAssembly:
             "loads.0.x = 4\nloads.0.y = 4\nloads.0.fy = -1\n"
         )
         mesh = spec.build_mesh()
+        bc = spec.build_boundary_conditions(mesh)
         assert "scatter_pattern" not in vars(mesh)
         rho = DensityField.uniform(mesh.n_elements, 0.5)
-        assemble(mesh, spec.material, rho)
+        assemble(mesh, spec.material, rho, bc)
         pattern = vars(mesh)["scatter_pattern"]
-        assemble(mesh, spec.material, rho)
+        layout = mesh.free_layout(bc.fixed_dofs)
+        assemble(mesh, spec.material, rho, bc)
         assert mesh.scatter_pattern is pattern
+        assert mesh.free_layout(bc.fixed_dofs) is layout
 
     @pytest.mark.parametrize("nx,ny", meshes)
     def test_order_maps_sorted_terms_to_element_blocks(self, nx, ny):
-        # sorted term t is input term order[t] = 16 * e + 4 * i + j, the
-        # block of element e at node pair (element_nodes[e, i], [e, j])
+        # sorted term t is input term order[t] = 10 * e + m, the block of
+        # element e at node pair (element_nodes[e, i], [e, j]) with
+        # 4 * i + j = UPPER_PAIRS[m], never below the diagonal
         mesh = Mesh(nx, ny, 10.0, 20.0)
         pattern = mesh.scatter_pattern
         order = pattern.order
-        np.testing.assert_array_equal(np.sort(order), np.arange(16 * mesh.n_elements))
-        element, local = np.divmod(order, 16)
-        i, j = np.divmod(local, 4)
+        np.testing.assert_array_equal(np.sort(order), np.arange(10 * mesh.n_elements))
+        element, local = np.divmod(order, 10)
+        i, j = np.divmod(UPPER_PAIRS[local], 4)
         rows = pattern.rows[pattern.entry]
         cols = pattern.cols[pattern.entry]
         np.testing.assert_array_equal(rows, mesh.element_nodes[element, i])
         np.testing.assert_array_equal(cols, mesh.element_nodes[element, j])
+        assert np.all(rows <= cols)
+        # every element's 16 node pairs are its 10 upper ones and the
+        # mirrors of the 6 off the diagonal
+        assert len(set(zip(*np.divmod(UPPER_PAIRS, 4)))) == 10
         # (row, col) pairs non-decreasing, and each pair's terms in
         # ascending input order: the sort is stable
         key = rows.astype(np.int64) * mesh.n_nodes + cols
         assert np.all(np.diff(key) >= 0)
         same = np.diff(key) == 0
         assert np.all(np.diff(order)[same] > 0)
+
+    @pytest.mark.parametrize("nx,ny", meshes)
+    def test_laid_out_as_the_stable_sort_orders_it(self, nx, ny):
+        # the pattern is laid out from the grid, not sorted: it must be
+        # what sorting the elements' upper corner pairs gives, array for
+        # array
+        mesh = Mesh(nx, ny, 10.0, 20.0)
+        i, j = np.divmod(UPPER_PAIRS, 4)
+        nodes = mesh.element_nodes
+        expected = TripletPattern(mesh.n_nodes, nodes[:, i].ravel(), nodes[:, j].ravel())
+        got = mesh.scatter_pattern
+        for name in ("order", "entry", "rows", "cols"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
 
     @staticmethod
     def retained_bytes(pattern):
@@ -398,22 +434,25 @@ class TestPatternAssembly:
 
     def test_retained_pattern_size_per_element(self):
         # the pattern keeps only what TripletPattern.sum and assemble read,
-        # about 200 B per element over node pairs; the DOF-pair pattern
-        # held about 1.0 KB and, with the int64 sort permutation, 1.5 KB
+        # about 120 B per element over upper node pairs; the DOF-pair
+        # pattern held about 1.0 KB and, with the int64 sort permutation,
+        # 1.5 KB
         mesh = Mesh(20, 40, 10.0, 20.0)
         size = self.retained_bytes(mesh.scatter_pattern)
         assert size <= 1100 * mesh.n_elements, f"{size / mesh.n_elements:.0f} B"
 
     def test_retained_node_pair_pattern_size_at_60x120(self):
-        # 16 node-pair terms per element with int32 indices: about 200 B
-        # per element; the 64 DOF-pair terms per element held about 1010 B
+        # 10 upper node-pair terms per element with int32 indices: about
+        # 120 B per element; the 64 DOF-pair terms per element held about
+        # 1010 B
         mesh = Mesh(60, 120, 10.0, 20.0)
         size = self.retained_bytes(mesh.scatter_pattern)
         assert size <= 300 * mesh.n_elements, f"{size / mesh.n_elements:.0f} B"
 
     def test_peak_memory_of_the_pattern_build(self):
-        # 60x120 elements: sorting the node pairs peaked at about 6 MB
-        # here, sorting the DOF pairs at about 25 MB
+        # 60x120 elements: laying out the upper node pairs peaked at about
+        # 4 MB here, sorting all node pairs at about 6 MB and the DOF pairs
+        # at about 25 MB
         mesh = Mesh(60, 120, 10.0, 20.0)
         tracemalloc.start()
         try:
@@ -424,14 +463,16 @@ class TestPatternAssembly:
         assert peak < 10e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_peak_memory_of_a_uniform_assembly(self):
-        # 60x120 elements, every one active: summing 2x2 blocks peaked at
-        # about 10 MB here, summing scalar DOF-pair terms at about 20 MB
+        # 60x120 elements, every one active: summing 2x2 blocks of the
+        # upper node pairs peaked at about 6 MB here, summing scalar
+        # DOF-pair terms at about 20 MB
         mesh = Mesh(60, 120, 10.0, 20.0)
         rho = DensityField.uniform(mesh.n_elements, 0.375)
-        mesh.scatter_pattern
+        bc = unsupported(mesh)
+        assemble(mesh, self.mat, rho, bc)  # builds the pattern and layout
         tracemalloc.start()
         try:
-            assemble(mesh, self.mat, rho)
+            assemble(mesh, self.mat, rho, bc)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -440,15 +481,15 @@ class TestPatternAssembly:
     def test_peak_memory_of_one_reduced_assembly(self):
         # 60x120 elements with 40 % void: sorting every element triplet
         # per call peaked at about 26 MB here, the pre-sorted DOF-pair
-        # pattern at about 13 MB and the node-pair pattern at about 7 MB
+        # pattern at about 13 MB, the node-pair pattern at about 7 MB and
+        # the upper node pairs, straight onto the free DOFs, at about 5 MB
         mesh = Mesh(60, 120, 10.0, 20.0)
         rho = DensityField(density_cases(mesh, seed=3)["random"])
         bc = BoundaryConditions(n_dofs=mesh.n_dofs, fixed_dofs=mesh.edge_dofs("left"))
-        b = np.zeros(mesh.n_dofs)
-        assemble(mesh, self.mat, rho)  # builds the mesh's pattern
+        assemble(mesh, self.mat, rho, bc)  # builds the pattern and layout
         tracemalloc.start()
         try:
-            apply_dirichlet(assemble(mesh, self.mat, rho), b, bc)
+            assemble(mesh, self.mat, rho, bc)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -456,25 +497,26 @@ class TestPatternAssembly:
 
 
 class TestApplyDirichlet:
-    def test_index_deletion(self):
-        a = np.array([[2.0, 1.0, 0.5], [1.0, 3.0, 1.5], [0.5, 1.5, 4.0]])
-        from topokry import SparseSymMatrix
+    mat = Material(1.0, 0.3, 3.0)
 
-        bc = BoundaryConditions(n_dofs=3, fixed_dofs=[1])
-        reduced, b_red, dof_map = apply_dirichlet(
-            SparseSymMatrix(sp.csr_matrix(a)), np.array([1.0, 2.0, 3.0]), bc
-        )
-        np.testing.assert_array_equal(dof_map, [0, 2])
-        np.testing.assert_allclose(reduced.to_dense(), a[np.ix_([0, 2], [0, 2])])
-        np.testing.assert_array_equal(b_red, [1.0, 3.0])
+    def test_index_deletion(self):
+        mesh = Mesh(1, 1, 1.0, 1.0)
+        bc = BoundaryConditions(n_dofs=8, fixed_dofs=[1, 6])
+        b_red, dof_map = apply_dirichlet(np.arange(8.0), bc)
+        keep = [0, 2, 3, 4, 5, 7]
+        np.testing.assert_array_equal(dof_map, keep)
+        np.testing.assert_array_equal(b_red, keep)
+        rho = DensityField.uniform(1, 1.0)
+        reduced = assemble(mesh, self.mat, rho, bc).to_dense()
+        full = assemble(mesh, self.mat, rho, unsupported(mesh)).to_dense()
+        np.testing.assert_array_equal(reduced, full[np.ix_(keep, keep)])
 
     def test_fix_everything_gives_empty_system(self):
-        from topokry import SparseSymMatrix
-
-        bc = BoundaryConditions(n_dofs=2, fixed_dofs=[0, 1])
-        reduced, b_red, dof_map = apply_dirichlet(
-            SparseSymMatrix(sp.identity(2, format="csr")), np.array([1.0, 2.0]), bc
-        )
+        mesh = Mesh(1, 1, 1.0, 1.0)
+        bc = BoundaryConditions(n_dofs=8, fixed_dofs=np.arange(8))
+        rho = DensityField.uniform(1, 1.0)
+        reduced = assemble(mesh, self.mat, rho, bc)
+        b_red, dof_map = apply_dirichlet(np.arange(1.0, 9.0), bc)
         assert reduced.dimension == 0
         assert b_red.size == 0
         assert dof_map.size == 0
@@ -483,7 +525,7 @@ class TestApplyDirichlet:
             # with no coarsening the V-cycle is the pseudo-inverse itself
             precondition = None
             if preconditioning == "mg":
-                precondition = v_cycle(reduced, [], SMOOTHING_WEIGHT)
+                precondition = v_cycle(reduced, rho.values, [], SMOOTHING_WEIGHT)
             for record in (False, True):
                 cfg = SolverConfig(
                     method=method,
@@ -503,20 +545,20 @@ class TestApplyDirichlet:
 
     def test_scattered_solution_satisfies_full_equilibrium(self):
         mesh = Mesh(3, 3, 3.0, 3.0)
-        mat = Material(1.0, 0.3, 3.0)
-        a = assemble(mesh, mat, DensityField.uniform(mesh.n_elements, 1.0))
+        rho = DensityField.uniform(mesh.n_elements, 1.0)
         bc = BoundaryConditions(
             n_dofs=mesh.n_dofs,
             fixed_dofs=mesh.edge_dofs("bottom"),
             point_loads=((2 * mesh.node_near(3.0, 3.0), 1.0),),
         )
         b = build_load(mesh, bc)
-        a_red, b_red, dof_map = apply_dirichlet(a, b, bc)
+        a_red = assemble(mesh, self.mat, rho, bc)
+        b_red, dof_map = apply_dirichlet(b, bc)
         rep = solve(
             a_red, b_red, None, SolverConfig(rel_tolerance=1e-12, max_iterations=5000)
         )
         x_full = scatter_solution(rep.solution, dof_map, mesh.n_dofs)
-        residual = b - a.csr @ x_full
+        residual = b - assemble(mesh, self.mat, rho, unsupported(mesh)).csr @ x_full
         free = bc.free_dofs()
         assert np.abs(residual[free]).max() <= 1e-10 * max(np.abs(b).max(), 1e-30)
 

@@ -53,8 +53,8 @@ class TestJacobiPreconditioner:
         mesh = spec.build_mesh()
         bc = spec.build_boundary_conditions(mesh)
         rho = DensityField(optimize(spec).densities[-1])
-        a = assemble(mesh, spec.material, rho)
-        a_red, b_red, _ = apply_dirichlet(a, build_load(mesh, bc), bc)
+        a_red = assemble(mesh, spec.material, rho, bc)
+        b_red, _ = apply_dirichlet(build_load(mesh, bc), bc)
         base = dict(method="cg", rel_tolerance=1e-8, max_iterations=3000)
         unpre = solve(a_red, b_red, None, SolverConfig(preconditioning="none", **base))
         pre = solve(a_red, b_red, None, SolverConfig(preconditioning="jacobi", **base))
@@ -217,8 +217,8 @@ class TestPreconditionedSolves:
             fixed_dofs=mesh.edge_dofs("left"),
             point_loads=((2 * mesh.node_near(5.0, 5.0) + 1, -105.0),),
         )
-        a = assemble(mesh, Material(2.1e5, 0.3, 3.0), DensityField.uniform(72, 0.375))
-        a_red, b_red, _ = apply_dirichlet(a, build_load(mesh, bc), bc)
+        a_red = assemble(mesh, Material(2.1e5, 0.3, 3.0), DensityField.uniform(72, 0.375), bc)
+        b_red, _ = apply_dirichlet(build_load(mesh, bc), bc)
         rep = solve(
             a_red, b_red, None,
             SolverConfig(method="cr", preconditioning="jacobi",
@@ -366,8 +366,8 @@ def void_column_system():
     )
     rho = np.ones(mesh.n_elements)
     rho[[3, 7, 11]] = 0.0  # right column void
-    a = assemble(mesh, Material(1.0, 0.3, 3.0), DensityField(rho))
-    a_red, b_red, _ = apply_dirichlet(a, build_load(mesh, bc), bc)
+    a_red = assemble(mesh, Material(1.0, 0.3, 3.0), DensityField(rho), bc)
+    b_red, _ = apply_dirichlet(build_load(mesh, bc), bc)
     assert a_red.zero_rows().size > 0
     return a_red, b_red
 
@@ -526,3 +526,73 @@ class TestConfigValidation:
     def test_bad_preconditioning(self):
         with pytest.raises(ValueError, match="preconditioning"):
             SolverConfig(preconditioning="ilu")
+
+
+@pytest.fixture(scope="module")
+def truss_designs():
+    """The shipped truss (Jacobi PCG, OC): its mesh, material, supports
+    and the uniform start followed by every fourth design of its run."""
+    import os
+
+    from topokry import optimize
+    from topokry.problem import load_problem
+
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = load_problem(os.path.join(here, "configs", "two_bar_truss.cfg"))
+    history = optimize(spec)
+    mesh = spec.build_mesh()
+    uniform = np.full(mesh.n_elements, spec.optimizer.volume_fraction)
+    designs = [uniform] + history.densities[::4]
+    return mesh, spec.material, spec.build_boundary_conditions(mesh), designs
+
+
+class TestStoredZerosChangeNothing:
+    """The assembled matrix stores no exact-zero sum.  ``csr_matvec``
+    starts each row sum at +0.0 and adding +0.0 or -0.0 to a sum that is
+    not -0.0 leaves it as it is, so with or without the zeros every
+    product, and every solve built on the products, is the same bytes."""
+
+    @staticmethod
+    def both(mesh, mat, bc, values):
+        """The free-DOF matrix with the full scatter's stored zeros, and
+        the one ``assemble`` returns."""
+        from topokry import assemble
+        from util import full_scatter_oracle
+
+        rho = DensityField(values)
+        full = SparseSymMatrix(full_scatter_oracle(mesh, mat, rho)[1], check=False)
+        return full.submatrix(bc.free_dofs()), assemble(mesh, mat, rho, bc)
+
+    def test_products_are_the_same_bytes(self, truss_designs):
+        mesh, mat, bc, designs = truss_designs
+        rng = np.random.default_rng(41)
+        exact_zeros = 0
+        for values in designs:
+            stored, assembled = self.both(mesh, mat, bc, values)
+            assert np.count_nonzero(assembled.csr.data == 0.0) == 0
+            n = stored.dimension
+            # a rigid translation in x: most rows sum to zero, many exactly
+            shift = np.tile([1.0, 0.0], n // 2)
+            for v in (rng.standard_normal(n), shift, -shift):
+                got = csr_operator(assembled.csr)(v, np.empty(n))
+                expected = csr_operator(stored.csr)(v, np.empty(n))
+                assert got.tobytes() == expected.tobytes()
+                exact_zeros += np.count_nonzero(got == 0.0)
+        assert np.count_nonzero(self.both(mesh, mat, bc, designs[0])[0].csr.data == 0.0)
+        assert exact_zeros > 0
+
+    @pytest.mark.parametrize("method", ["cg", "cr"])
+    def test_jacobi_solves_are_the_same_bytes(self, truss_designs, method):
+        from topokry import apply_dirichlet, build_load
+
+        mesh, mat, bc, designs = truss_designs
+        b_red, _ = apply_dirichlet(build_load(mesh, bc), bc)
+        cfg = SolverConfig(method=method, preconditioning="jacobi", max_iterations=mesh.n_nodes)
+        for values in designs[:3]:
+            stored, assembled = self.both(mesh, mat, bc, values)
+            got = solve(assembled, b_red, None, cfg)
+            expected = solve(stored, b_red, None, cfg)
+            assert got.solution.tobytes() == expected.solution.tobytes()
+            assert got.residual_history == expected.residual_history
+            assert (got.status, got.iterations) == (expected.status, expected.iterations)
+            assert got.true_relative_residual == expected.true_relative_residual

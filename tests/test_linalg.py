@@ -90,6 +90,23 @@ class TestAsSmallSquare:
         np.testing.assert_array_equal(as_small_square(a), np.diag([1.0, 2.0]))
 
 
+def block_csr(pattern, sums):
+    """The CSR matrix of a pattern's r-by-r entry sums, through scipy's
+    block format, without its exact zeros."""
+    r = sums.shape[1]
+    indptr = np.searchsorted(pattern.rows, np.arange(pattern.n + 1))
+    shape = (r * pattern.n, r * pattern.n)
+    csr = sp.bsr_matrix((sums, pattern.cols, indptr.astype(np.int32)), shape=shape).tocsr()
+    csr.eliminate_zeros()
+    return csr
+
+
+def without_zeros(csr):
+    csr = csr.copy()
+    csr.eliminate_zeros()
+    return csr
+
+
 class TestTripletPattern:
     def test_masked_sum_matches_sorting_the_kept_triplets(self):
         # up to ~30 duplicates per position, so the sums run past the
@@ -105,14 +122,14 @@ class TestTripletPattern:
             for share in (0.0, 0.3, 0.9, 1.0):
                 keep = rng.random(terms) < share
                 kept = np.flatnonzero(keep[order])
-                got = pattern.sum(blocks[order][kept], kept)
+                got = block_csr(pattern, pattern.sum(blocks[order][kept], kept))
                 expected = triplet_sum_oracle(
                     n, rows[keep], cols[keep], values[keep]
                 )
-                assert_same_csr(got, expected)
+                assert_same_csr(got, without_zeros(expected))
             assert_same_csr(
-                pattern.sum(blocks[order]),
-                triplet_sum_oracle(n, rows, cols, values),
+                block_csr(pattern, pattern.sum(blocks[order])),
+                without_zeros(triplet_sum_oracle(n, rows, cols, values)),
             )
 
     def test_block_sum_matches_the_scalar_sum_of_each_component(self):
@@ -129,14 +146,14 @@ class TestTripletPattern:
             for share in (0.0, 0.3, 1.0):
                 keep = rng.random(terms) < share
                 kept = np.flatnonzero(keep[order])
-                got = pattern.sum(values[order][kept], kept)
+                got = block_csr(pattern, pattern.sum(values[order][kept], kept))
                 assert got.format == "csr"
                 assert got.shape == (2 * n, 2 * n)
                 for p, q in np.ndindex(2, 2):
                     expected = triplet_sum_oracle(
                         n, rows[keep], cols[keep], values[keep, p, q]
                     )
-                    assert_same_csr(got[p::2, q::2], expected)
+                    assert_same_csr(got[p::2, q::2], without_zeros(expected))
 
     def test_indices_are_int32_when_they_fit(self):
         pattern = TripletPattern(4, [3, 0, 3, 1], [0, 2, 0, 1])

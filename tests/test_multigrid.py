@@ -24,12 +24,12 @@ from topokry.multigrid import (
     COARSEST_DOFS,
     SMOOTHING_WEIGHT,
     _prolongation,
-    prolongations,
+    hierarchy,
     smoothing_weight,
     v_cycle,
 )
-from topokry.problem import load_problem
-from util import dense_operator
+from topokry.problem import load_problem, loads_problem_text
+from util import dense_operator, galerkin_oracle
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CONFIGS = os.path.join(os.path.dirname(HERE), "configs")
@@ -47,11 +47,12 @@ def left_clamped(mesh, load_node, fy=-1.0):
 ISLAND_MATERIAL = Material(1.0, 0.3, 3.0)
 
 
-def mesh_cycle(mesh, mat, bc, a_red):
-    """The V-cycle ``optimize`` builds for A: its mesh's hierarchy and the
-    Jacobi weight of its element stiffness."""
+def mesh_cycle(mesh, mat, bc, rho, a_red):
+    """The V-cycle ``optimize`` builds for A: its mesh's hierarchy, the
+    densities' rho^p and the Jacobi weight of its element stiffness."""
     ke = element_stiffness(mat, mesh.elem_width, mesh.elem_height)
-    return v_cycle(a_red, prolongations(mesh, bc), smoothing_weight(ke))
+    scale = rho.values ** mat.penal
+    return v_cycle(a_red, scale, hierarchy(mesh, bc, mat), smoothing_weight(ke))
 
 
 def island_system(rng):
@@ -64,9 +65,10 @@ def island_system(rng):
     rho = np.where(ex < 8, rng.uniform(0.2, 1.0, mesh.n_elements), 0.0)
     rho[(ex >= 11) & (ex <= 14) & (ey >= 5) & (ey <= 10)] = 1.0
     bc = left_clamped(mesh, mesh.node_index(8, 8))
-    a = assemble(mesh, ISLAND_MATERIAL, DensityField(rho))
-    a_red, b_red, _ = apply_dirichlet(a, build_load(mesh, bc), bc)
-    return mesh, bc, a_red, b_red
+    rho = DensityField(rho)
+    a_red = assemble(mesh, ISLAND_MATERIAL, rho, bc)
+    b_red, _ = apply_dirichlet(build_load(mesh, bc), bc)
+    return mesh, bc, rho, a_red, b_red
 
 
 def uniform_truss_system(nx):
@@ -74,10 +76,9 @@ def uniform_truss_system(nx):
     mesh = Mesh(nx, 2 * nx, spec.domain_width, spec.domain_height)
     bc = spec.build_boundary_conditions(mesh)
     rho = DensityField.uniform(mesh.n_elements, spec.optimizer.volume_fraction)
-    a_red, b_red, _ = apply_dirichlet(
-        assemble(mesh, spec.material, rho), build_load(mesh, bc), bc
-    )
-    return mesh_cycle(mesh, spec.material, bc, a_red), a_red, b_red
+    a_red = assemble(mesh, spec.material, rho, bc)
+    b_red, _ = apply_dirichlet(build_load(mesh, bc), bc)
+    return mesh_cycle(mesh, spec.material, bc, rho, a_red), a_red, b_red
 
 
 class TestProlongation:
@@ -100,37 +101,104 @@ class TestProlongation:
     def test_levels_cut_to_free_dofs(self, nx, ny):
         mesh = Mesh(nx, ny, float(nx), float(ny))
         bc = left_clamped(mesh, mesh.node_index(nx, ny // 2))
-        levels = prolongations(mesh, bc)
+        levels = hierarchy(mesh, bc, ISLAND_MATERIAL)
         full, at = _prolongation(nx, ny)
         free = bc.free_dofs()
         if free.size <= COARSEST_DOFS:
             assert levels == []
             return
-        p, pt = levels[0]
+        p, pt = levels[0].p, levels[0].pt
         fixed_nodes = np.unique(bc.fixed_dofs // 2)
         coarse_free = np.flatnonzero(~np.isin(np.repeat(at, 2), fixed_nodes))
         assert p.shape == (free.size, coarse_free.size)
         assert (p != full[free][:, coarse_free]).nnz == 0
         assert (pt != p.T).nnz == 0
-        shapes = [q.shape for q, _ in levels]
+        shapes = [level.p.shape for level in levels]
         assert all(a[1] == b[0] for a, b in zip(shapes, shapes[1:]))
         assert shapes[-1][1] <= COARSEST_DOFS < shapes[-1][0]
 
     def test_odd_sizes_keep_coarsening(self):
         mesh = Mesh(15, 30, 15.0, 30.0)
         bc = left_clamped(mesh, mesh.node_index(15, 15))
-        sizes = [p.shape[1] for p, _ in prolongations(mesh, bc)]
+        sizes = [level.p.shape[1] for level in hierarchy(mesh, bc, ISLAND_MATERIAL)]
         assert len(sizes) >= 2 and sizes[-1] <= COARSEST_DOFS
+
+
+def point_supported_truss():
+    """The shipped truss held by two point supports at the left edge, 0.5
+    from its ends, instead of the clamped edge: supports at nodes that
+    no coarse level keeps."""
+    with open(os.path.join(CONFIGS, "two_bar_truss.cfg")) as handle:
+        lines = handle.read().splitlines()
+    lines = [line for line in lines if not line.startswith(("supports.edges", "solver."))]
+    return loads_problem_text("\n".join(lines + ["supports.nodes = 0, 0.5; 0, 19.5"]))
+
+
+def assert_galerkin_matches_the_product(mesh, mat, bc, rho):
+    """Every level's block-built operator equals pt @ (a @ p) to 1e-12 of
+    its largest entry, with the same zero rows."""
+    a = assemble(mesh, mat, rho, bc)
+    levels = hierarchy(mesh, bc, mat)
+    assert levels
+    scale = rho.values ** mat.penal
+    for depth, (level, oracle) in enumerate(zip(levels, galerkin_oracle(a, levels))):
+        got = level.galerkin(scale)
+        assert np.count_nonzero(got.data == 0.0) == 0
+        expected = oracle.toarray()
+        scale_max = np.abs(expected).max()
+        error = np.abs(got.toarray() - expected).max()
+        assert error <= 1e-12 * scale_max, f"level {depth + 1}: {error / scale_max:.2e}"
+        empty = np.flatnonzero(np.diff(got.indptr) == 0)
+        np.testing.assert_array_equal(empty, np.flatnonzero(~expected.any(axis=1)))
+
+
+class TestGalerkin:
+    def test_truss_over_a_jacobi_pcg_run(self):
+        spec = load_problem(os.path.join(CONFIGS, "two_bar_truss.cfg"))
+        history = optimize(spec)
+        assert history.solver.preconditioning == "jacobi"
+        mesh = spec.build_mesh()
+        bc = spec.build_boundary_conditions(mesh)
+        uniform = np.full(mesh.n_elements, spec.optimizer.volume_fraction)
+        for values in [uniform] + history.densities[::5]:
+            assert_galerkin_matches_the_product(mesh, spec.material, bc, DensityField(values))
+
+    def test_partial_coarse_elements(self):
+        # 7x13 elements: every level ends each axis with an element whose
+        # parent covers it alone
+        mesh = Mesh(7, 13, 7.0, 13.0)
+        bc = left_clamped(mesh, mesh.node_index(7, 6))
+        rng = np.random.default_rng(5)
+        values = np.where(rng.random(mesh.n_elements) < 0.3, 0.0, rng.uniform(0.1, 1.0, mesh.n_elements))
+        for rho in (DensityField.uniform(mesh.n_elements, 0.5), DensityField(values)):
+            assert_galerkin_matches_the_product(mesh, ISLAND_MATERIAL, bc, rho)
+
+    def test_point_supports_are_masked_on_every_level(self):
+        # the supported nodes sit at odd fine positions: unmasked
+        # composites would interpolate the fixed DOFs into the coarse
+        # operators, about 8 % off on the first level
+        spec = point_supported_truss()
+        mesh = spec.build_mesh()
+        bc = spec.build_boundary_conditions(mesh)
+        assert bc.fixed_dofs.size == 4
+        rho = DensityField.uniform(mesh.n_elements, spec.optimizer.volume_fraction)
+        assert_galerkin_matches_the_product(mesh, spec.material, bc, rho)
+
+    def test_floating_islands(self):
+        rng = np.random.default_rng(7)
+        mesh, bc, rho, a_red, _ = island_system(rng)
+        assert a_red.zero_rows().size > 0
+        assert_galerkin_matches_the_product(mesh, ISLAND_MATERIAL, bc, rho)
 
 
 class TestVCycle:
     def test_symmetric_on_singular_fem_system(self):
         rng = np.random.default_rng(7)
-        mesh, bc, a_red, _ = island_system(rng)
+        mesh, bc, rho, a_red, _ = island_system(rng)
         zero = a_red.zero_rows()
         assert zero.size > 0
-        assert len(prolongations(mesh, bc)) >= 2
-        precondition = mesh_cycle(mesh, ISLAND_MATERIAL, bc, a_red)
+        assert len(hierarchy(mesh, bc, ISLAND_MATERIAL)) >= 2
+        precondition = mesh_cycle(mesh, ISLAND_MATERIAL, bc, rho, a_red)
         n = a_red.dimension
         dense = dense_operator(precondition, n)
         assert np.all(dense[zero] == 0.0)
@@ -172,10 +240,10 @@ class TestVCycle:
         bc = spec.build_boundary_conditions(mesh)
         uniform = np.full(mesh.n_elements, spec.optimizer.volume_fraction)
         for values in [uniform] + history.densities[::3]:
-            a = assemble(mesh, spec.material, DensityField(values))
-            a_red, _, _ = apply_dirichlet(a, build_load(mesh, bc), bc)
+            rho = DensityField(values)
+            a_red = assemble(mesh, spec.material, rho, bc)
             n = a_red.dimension
-            dense = dense_operator(mesh_cycle(mesh, spec.material, bc, a_red), n)
+            dense = dense_operator(mesh_cycle(mesh, spec.material, bc, rho, a_red), n)
             active = np.setdiff1d(np.arange(n), a_red.zero_rows())
             block = dense[np.ix_(active, active)]
             eig = np.linalg.eigvalsh(0.5 * (block + block.T))
@@ -186,12 +254,12 @@ class TestMultigridCg:
     @pytest.mark.parametrize("seed", [11, 12])
     def test_singular_system_against_pseudo_solve(self, seed):
         rng = np.random.default_rng(seed)
-        mesh, bc, a_red, b_red = island_system(rng)
+        mesh, bc, rho, a_red, b_red = island_system(rng)
         n = a_red.dimension
         assert n <= 2000
         x0 = rng.standard_normal(n)
         cfg = SolverConfig(preconditioning="mg", rel_tolerance=1e-10)
-        precondition = mesh_cycle(mesh, ISLAND_MATERIAL, bc, a_red)
+        precondition = mesh_cycle(mesh, ISLAND_MATERIAL, bc, rho, a_red)
         rep = solve(a_red, b_red, x0, cfg, precondition=precondition)
         assert rep.status == "converged"
         assert rep.true_relative_residual <= 1e-8

@@ -32,6 +32,7 @@ from util import (
     element_dof_table,
     elements_adjacent_to_node,
     sensitivity_oracle,
+    unsupported,
     update_oracle,
 )
 from topokry.optimizer import (
@@ -116,6 +117,7 @@ class TestSensitivity:
         mesh = Mesh(3, 3, 3.0, 3.0)
         mat = Material(1.0, 0.3, 3.0)
         rng = np.random.default_rng(11)
+        free = unsupported(mesh)
         h = 1e-6
         checked = 0
         for _ in range(12):
@@ -127,8 +129,8 @@ class TestSensitivity:
                 up, dn = values.copy(), values.copy()
                 up[j] += h
                 dn[j] -= h
-                g_up = -x @ (assemble(mesh, mat, DensityField(up)).csr @ x)
-                g_dn = -x @ (assemble(mesh, mat, DensityField(dn)).csr @ x)
+                g_up = -x @ (assemble(mesh, mat, DensityField(up), free).csr @ x)
+                g_dn = -x @ (assemble(mesh, mat, DensityField(dn), free).csr @ x)
                 fd = (g_up - g_dn) / (2.0 * h)
                 assert abs(fd - sens[j]) <= 1e-5 * max(abs(sens[j]), 1e-8 * scale)
                 checked += 1
@@ -274,7 +276,7 @@ class TestThreshold:
     def test_all_below_cutoff_composes_with_assemble(self):
         mesh = Mesh(2, 1, 2.0, 1.0)
         rho = threshold(DensityField(np.array([1e-4, 5e-4])), 1e-3)
-        a = assemble(mesh, Material(1.0, 0.3, 3.0), rho)
+        a = assemble(mesh, Material(1.0, 0.3, 3.0), rho, unsupported(mesh))
         assert a.csr.nnz == 0
 
     def test_bad_cutoff(self):
@@ -290,9 +292,9 @@ class TestOptimize:
         # compliance must equal the direct dense solve on the same system
         mesh = spec.build_mesh()
         bc = spec.build_boundary_conditions(mesh)
-        a = assemble(mesh, spec.material, DensityField.uniform(9, 1.0))
+        a_red = assemble(mesh, spec.material, DensityField.uniform(9, 1.0), bc)
         b = build_load(mesh, bc)
-        a_red, b_red, dof_map = apply_dirichlet(a, b, bc)
+        b_red, dof_map = apply_dirichlet(b, bc)
         x = scatter_solution(dense_solve(a_red.to_dense(), b_red), dof_map, mesh.n_dofs)
         assert hist.compliance[-1] == pytest.approx(compliance(x, b), rel=1e-7)
 
@@ -348,9 +350,9 @@ class TestOptimize:
         mesh = spec.build_mesh()
         bc = spec.build_boundary_conditions(mesh)
         rho = DensityField(hist.densities[-1])
-        a = assemble(mesh, spec.material, rho)
+        a_red = assemble(mesh, spec.material, rho, bc)
         b = build_load(mesh, bc)
-        a_red, b_red, dof_map = apply_dirichlet(a, b, bc)
+        b_red, dof_map = apply_dirichlet(b, bc)
         rep = solve(
             a_red, b_red, None,
             SolverConfig(rel_tolerance=1e-12, max_iterations=5000,
@@ -358,6 +360,7 @@ class TestOptimize:
         )
         x = scatter_solution(rep.solution, dof_map, mesh.n_dofs)
         c_direct = compliance(x, b)
+        a = assemble(mesh, spec.material, rho, unsupported(mesh))
         c_recomputed = 0.5 * float(x @ (a.csr @ x))
         assert c_recomputed == pytest.approx(c_direct, rel=1e-8)
 

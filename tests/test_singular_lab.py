@@ -9,7 +9,6 @@ from topokry import (
     Mesh,
     SolverConfig,
     SparseSymMatrix,
-    apply_dirichlet,
     assemble,
     cr_bound_check,
     decompose_history,
@@ -120,11 +119,10 @@ class TestStandardForm:
         mesh = Mesh(3, 1, 3.0, 1.0)
         mat = Material(1.0, 0.3, 3.0)
         rho = DensityField(np.array([1.0, 1.0, 0.0]))
-        a = assemble(mesh, mat, rho)
         from topokry import BoundaryConditions
 
         bc = BoundaryConditions(n_dofs=mesh.n_dofs, fixed_dofs=mesh.edge_dofs("left"))
-        a_red, _, _ = apply_dirichlet(a, np.zeros(mesh.n_dofs), bc)
+        a_red = assemble(mesh, mat, rho, bc)
         dec = range_basis(a_red)
         tilde = standard_form(a_red, dec)
         n_void_nodes = 2

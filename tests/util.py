@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import scipy.sparse as sp
 
-from topokry import SparseSymMatrix, element_stiffness
+from topokry import BoundaryConditions, SparseSymMatrix, element_stiffness
 from topokry.krylov import BREAKDOWN_TOLERANCE, jacobi_preconditioner
 from topokry.linalg import as_small_square, as_vector
 from topokry.optimizer import (
@@ -108,6 +108,47 @@ def triplet_sum_oracle(n: int, rows, cols, values) -> sp.csr_matrix:
     starts = np.flatnonzero(boundary)
     summed = np.add.reduceat(v, starts)
     return sp.csr_matrix((summed, (r[starts], c[starts])), shape=(n, n))
+
+
+def unsupported(mesh) -> BoundaryConditions:
+    """Boundary conditions that fix no DOF: ``assemble`` with them returns
+    the full, singular stiffness matrix."""
+    return BoundaryConditions(n_dofs=mesh.n_dofs)
+
+
+def full_scatter_oracle(mesh, mat, rho):
+    """Every active element's 64 DOF-pair triplets, sorted afresh and
+    summed, stored zeros included: the full stiffness matrix.  Returns the
+    triplets and the CSR matrix."""
+    ke = element_stiffness(mat, mesh.elem_width, mesh.elem_height)
+    scale = rho.values ** mat.penal
+    active = np.flatnonzero(scale > 0.0)
+    dofs = element_dof_table(mesh.element_nodes)[active]
+    rows = np.repeat(dofs, 8, axis=1).ravel()
+    cols = np.tile(dofs, (1, 8)).ravel()
+    values = (scale[active][:, None, None] * ke[None, :, :]).ravel()
+    return (rows, cols, values), triplet_sum_oracle(mesh.n_dofs, rows, cols, values)
+
+
+def assembly_oracle(mesh, mat, rho, bc) -> sp.csr_matrix:
+    """The free-DOF stiffness the reference way: the full scatter
+    (:func:`full_scatter_oracle`), the fixed rows and columns cut out by
+    ``SparseSymMatrix.submatrix``, then the exact zeros eliminated."""
+    full = SparseSymMatrix(full_scatter_oracle(mesh, mat, rho)[1], check=False)
+    reduced = full.submatrix(bc.free_dofs()).csr.copy()
+    reduced.eliminate_zeros()
+    return reduced
+
+
+def galerkin_oracle(a, levels) -> list:
+    """Every level's Galerkin operator as scipy's sparse products
+    ``pt @ (a @ p)``, down the hierarchy from the fine matrix a."""
+    operators = []
+    csr = a.csr
+    for level in levels:
+        csr = level.pt @ (csr @ level.p)
+        operators.append(csr)
+    return operators
 
 
 def assert_same_csr(got, expected) -> None:
