@@ -159,7 +159,10 @@ class Level:
         self.kind = kind.take(self.fine).astype(np.int32)
         self.indptr = np.zeros(mesh.n_elements + 1, dtype=np.int32)
         np.cumsum(np.bincount(ancestor, minlength=mesh.n_elements), out=self.indptr[1:])
-        # the 0/1 matrix that sums the node-pair terms of each entry
+        # the 0/1 matrix that sums the node-pair terms of each entry: every
+        # term counts here, and one sparse product costs a fraction of
+        # TripletPattern.sum's reduceat, which the fine level keeps because
+        # its bytes must follow the full scatter's rounding
         pattern = mesh.scatter_pattern
         entries, terms = pattern.rows.size, pattern.entry.size
         self.summation = sp.csr_matrix(
