@@ -172,9 +172,10 @@ class TripletPattern:
 
     ``order`` is the stable sort permutation: sorted term t is input term
     ``order[t]``.  :meth:`sum` takes values in that sorted order and
-    returns the duplicate sums of each distinct position, an entry, and a
-    :class:`CsrLayout` puts those sums into a CSR matrix, so a caller
-    whose positions stay fixed builds each new matrix without sorting.
+    returns the duplicate sums of each distinct position, an entry, which
+    the caller puts into a CSR matrix (a mesh through a
+    :class:`CsrLayout`), so a caller whose positions stay fixed builds
+    each new matrix without sorting.
     Indices are trusted: callers check their ranges before building a
     pattern.
     """
