@@ -33,21 +33,10 @@ from .optimizer import (
     threshold,
 )
 from .problem import ConfigError, PointLoad, ProblemSpec, dump_problem, load_problem
-from .singular_lab import (
-    ComponentTraces,
-    DecompositionError,
-    RangeDecomposition,
-    cr_bound_check,
-    decompose_history,
-    range_basis,
-    standard_form,
-)
 
 __all__ = [
     "BoundaryConditions",
-    "ComponentTraces",
     "ConfigError",
-    "DecompositionError",
     "DensityField",
     "InfeasibleConstraintError",
     "LoadOutsideRangeError",
@@ -58,7 +47,6 @@ __all__ = [
     "OptimizerConfig",
     "PointLoad",
     "ProblemSpec",
-    "RangeDecomposition",
     "SolveReport",
     "SolverConfig",
     "SparseSymMatrix",
@@ -67,18 +55,14 @@ __all__ = [
     "build_load",
     "compliance",
     "conlin_update",
-    "cr_bound_check",
-    "decompose_history",
     "dump_problem",
     "element_stiffness",
     "jacobi_preconditioner",
     "load_problem",
     "oc_update",
     "optimize",
-    "range_basis",
     "scatter_solution",
     "sensitivity",
     "solve",
-    "standard_form",
     "threshold",
 ]

@@ -26,19 +26,9 @@ _CORNERS = ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
 UPPER_PAIRS = np.array([0, 1, 2, 3, 5, 6, 7, 10, 14, 15])
 # node a = (ix, iy) pairs with the nodes b = (ix + dx, iy + dy) at these
 # offsets (dx, dy), listed by ascending b: the last five are its upper
-# pairs k = 0..4 (b >= a), and the first four mirror upper pairs 4..1 of b
+# pairs, and the first four mirror upper pairs 4..1 of b
 _NEIGHBOURS = np.array([
     (-1, -1), (0, -1), (1, -1), (-1, 0), (0, 0), (1, 0), (-1, 1), (0, 1), (1, 1),
-])
-# the terms of node a's upper pairs, each pair's in ascending element
-# order: (upper pair k, element (ix + ex, iy + ey), corner pair m); a is
-# the UR, UL, LR and LL corner of the elements around it
-_TERMS = np.array([
-    (0, -1, -1, 7), (0, 0, -1, 9), (0, -1, 0, 4), (0, 0, 0, 0),
-    (1, 0, -1, 8), (1, 0, 0, 1),
-    (2, -1, 0, 6),
-    (3, -1, 0, 5), (3, 0, 0, 3),
-    (4, 0, 0, 2),
 ])
 
 
@@ -123,33 +113,21 @@ class Mesh:
         """Sorted scatter pattern of the upper node pairs, built by the
         first :func:`assemble`.
 
-        Input term ``10 * e + m`` puts the 2x2 block ``ke[2i:2i+2,
-        2j:2j+2]`` of element e, 4 i + j = ``UPPER_PAIRS[m]``, at the node
-        pair (element_nodes[e, i], element_nodes[e, j]), whose first node
-        is never the larger; DOFs 2k and 2k + 1 of node k are its block's
-        row (or column) 0 and 1, and sorted term t is input term
-        ``order[t]``.  Sorted means by node pair, and within a pair by
+        Input term ``10 * e + m`` puts the 2x2 block m of
+        :func:`upper_blocks` of element e, corner pair 4 i + j =
+        ``UPPER_PAIRS[m]``, at the node pair (element_nodes[e, i],
+        element_nodes[e, j]), whose first node is never the larger; DOFs
+        2k and 2k + 1 of node k are its block's row (or column) 0 and 1.
+        The stable sort orders the terms by node pair, and within a pair by
         ascending element, as a stable sort of the 64 DOF-pair terms per
-        element keeps each DOF pair's, with 10 terms in place of 64: the
+        element orders each DOF pair's, with 10 terms in place of 64: the
         lower pairs' blocks are the transposes of their mirrors'
-        (:meth:`free_layout`).  The grid fixes that order, so it is laid
-        out node by node from ``_TERMS`` and not sorted.  It is built on
-        first use and not in ``__init__``, so building a mesh stays cheap.
+        (:meth:`free_layout`).  It is built on first use and not in
+        ``__init__``, so building a mesh stays cheap.
         """
-        b, exists, upper = self._neighbours()
-        k, dx, dy, m = _TERMS.T
-        iy, ix = np.divmod(np.arange(self.n_nodes)[:, None], self.nx + 1)
-        ex, ey = ix + dx, iy + dy
-        held = (ex >= 0) & (ex < self.nx) & (ey >= 0) & (ey < self.ny)
-        index = np.int32 if 16 * self.n_elements <= np.iinfo(np.int32).max else np.int64
-        rows = np.broadcast_to(np.arange(self.n_nodes)[:, None], (self.n_nodes, 5))
-        return TripletPattern.presorted(
-            self.n_nodes,
-            (10 * (ey * self.nx + ex) + m)[held].astype(index),
-            upper[:, k][held].astype(index),
-            rows[exists[:, 4:]].astype(index),
-            b[:, 4:][exists[:, 4:]].astype(index),
-        )
+        i, j = np.divmod(UPPER_PAIRS, 4)
+        nodes = self.element_nodes
+        return TripletPattern(self.n_nodes, nodes[:, i].ravel(), nodes[:, j].ravel())
 
     def free_layout(self, fixed_dofs: np.ndarray) -> CsrLayout:
         """The CSR layout of the symmetric matrix whose upper node pairs
@@ -313,6 +291,16 @@ def element_stiffness(
     return ke
 
 
+def upper_blocks(k: np.ndarray) -> np.ndarray:
+    """The 2x2 blocks ``k[2i:2i+2, 2j:2j+2]`` of the upper corner pairs
+    4 i + j = ``UPPER_PAIRS[m]``, m = 0..9, of an 8x8 matrix, shape
+    (10, 2, 2), or of each of a stack of them, shape (K, 10, 2, 2): the
+    blocks the node pairs of :attr:`Mesh.scatter_pattern` take."""
+    lead = k.shape[:-2]
+    blocks = k.reshape(lead + (4, 2, 4, 2)).swapaxes(-3, -2)
+    return blocks.reshape(lead + (16, 2, 2))[..., UPPER_PAIRS, :, :]
+
+
 def assemble(
     mesh: Mesh, mat: Material, rho: DensityField, bc: BoundaryConditions
 ) -> SparseSymMatrix:
@@ -325,18 +313,18 @@ def assemble(
     nodes surrounded by void elements produce genuinely empty rows: the
     matrix is returned singular, not regularized.
 
-    The scatter terms of the upper node pairs are laid out in sorted
-    order once per mesh (:attr:`Mesh.scatter_pattern`, built on the first
-    call), and the CSR layout of the free DOFs once per set of fixed DOFs
+    The scatter terms of the upper node pairs are sorted once per mesh
+    (:attr:`Mesh.scatter_pattern`, built on the first call), and the CSR
+    layout of the free DOFs is worked out once per set of fixed DOFs
     (:meth:`Mesh.free_layout`).  Each call masks out the terms of void
     elements, reads each kept term's element e and corner pair m from its
     input index ``10 * e + m`` in the pattern's ``order``, gathers the
-    blocks and then scales them to rho_e^p * ke block, sums the blocks of
-    each node pair in sorted order and gathers the free DOFs' entries
-    into CSR, the lower pairs' transposed from their mirrors.  The result
-    is bit-identical to sorting the active elements' 64 DOF-pair triplets
-    afresh and then removing the fixed rows and columns and the exact
-    zeros: every DOF entry (2a + p, 2b + q) is the same product
+    :func:`upper_blocks` of ke and then scales them by rho_e^p, sums the
+    blocks of each node pair in sorted order and gathers the free DOFs'
+    entries into CSR, the lower pairs' transposed from their mirrors.  The
+    result is bit-identical to sorting the active elements' 64 DOF-pair
+    triplets afresh and then removing the fixed rows and columns and the
+    exact zeros: every DOF entry (2a + p, 2b + q) is the same product
     rho_e^p * ke[i, j] per element, its terms come in the same ascending
     element order (a stable sort at either level), and ``reduceat`` along
     the block axis adds each component exactly as the scalar sum does.
@@ -352,11 +340,7 @@ def assemble(
         )
     if bc.n_dofs != mesh.n_dofs:
         raise ValueError("boundary conditions sized for a different mesh")
-    ke = element_stiffness(mat, mesh.elem_width, mesh.elem_height)
-    # blocks[m] is the 2x2 block ke[2i:2i+2, 2j:2j+2] of corner pair
-    # 4 i + j = UPPER_PAIRS[m]
-    blocks = ke.reshape(4, 2, 4, 2).transpose(0, 2, 1, 3).reshape(16, 2, 2)
-    blocks = blocks[UPPER_PAIRS]
+    blocks = upper_blocks(element_stiffness(mat, mesh.elem_width, mesh.elem_height))
     scale = rho.values ** mat.penal
     pattern = mesh.scatter_pattern
     kept = np.flatnonzero(np.repeat(scale > 0.0, 10).take(pattern.order))

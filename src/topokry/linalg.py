@@ -3,22 +3,23 @@
 Vectors are plain 1-D float64 numpy arrays and dense matrices are 2-D
 float64 numpy arrays; :func:`as_vector` / :func:`as_small_square` validate
 them at API boundaries.  :func:`pseudo_inverse` solves the coarsest
-multigrid level, and ``singular_lab.range_basis`` splits a matrix into its
-range and null space; both take one symmetric eigendecomposition, cut at
-``RANK_TOLERANCE`` = 1e-10: an eigenvalue with |lambda| <=
-RANK_TOLERANCE * |lambda|_max counts as zero.  Like every dense tool they
-are limited to n <= DENSE_SIZE_LIMIT = 2000 by contract.
+multigrid level, and the tests' ``singular_lab.range_basis`` splits a
+matrix into its range and null space; both take one symmetric
+eigendecomposition, cut at ``RANK_TOLERANCE`` = 1e-10: an eigenvalue
+with |lambda| <= RANK_TOLERANCE * |lambda|_max counts as zero.  Like
+every dense tool they are limited to n <= DENSE_SIZE_LIMIT = 2000 by
+contract.
 
 Sparse matrices are built from COO triplets by :class:`TripletPattern`,
-the one sum implementation: it holds the triplet positions in sorted
-order with the sort permutation, so a caller whose positions never
-change (the element scatter of a mesh, which lays its order out from the
-grid) pays for the order once and for a linear masked sum on every
-build.  A triplet's value is an r-by-c block: the element scatter sums
-2x2 blocks of the upper node pairs, 10 terms per element where a sort of
-DOF pairs would keep 64, and :meth:`SparseSymMatrix.from_triplets` sums
-1x1 blocks.  A :class:`CsrLayout` gathers the sums into CSR and stores
-no exact-zero sum.
+the one sum implementation: it sorts the triplet positions once and
+keeps the sort permutation, so a caller whose positions never change
+(the element scatter of a mesh) pays for the sort once and for a linear
+masked sum on every build.  A triplet's value is an r-by-c block: the
+element scatter sums 2x2 blocks of the upper node pairs, 10 terms per
+element where a sort of DOF pairs would keep 64, and
+:meth:`SparseSymMatrix.from_triplets` sums 1x1 blocks.  A
+:class:`CsrLayout` gathers the sums into CSR and stores no exact-zero
+sum.
 """
 from __future__ import annotations
 
@@ -175,40 +176,27 @@ class TripletPattern:
     returns the duplicate sums of each distinct position, an entry, which
     the caller puts into a CSR matrix (a mesh through a
     :class:`CsrLayout`), so a caller whose positions stay fixed builds
-    each new matrix without sorting.
-    Indices are trusted: callers check their ranges before building a
-    pattern.
+    each new matrix without sorting.  Indices are trusted: callers check
+    their ranges before building a pattern.
     """
 
     def __init__(self, n: int, rows, cols):
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
+        self.n = n
+        # int32 indices, as scipy prefers, whenever they hold every index
+        index = np.int32 if max(n, rows.size) <= np.iinfo(np.int32).max else np.int64
         # Stable lexsort keeps the per-entry addend order identical for
         # (i, j) and (j, i), so symmetric inputs assemble symmetrically
         # down to the last bit.
-        order = np.lexsort((cols, rows))
-        r, c = rows[order], cols[order]
+        self.order = np.lexsort((cols, rows)).astype(index)
+        r, c = rows[self.order], cols[self.order]
         first = np.ones(r.size, dtype=bool)
         first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-        self.n = n
-        # int32 indices, as scipy prefers, whenever they hold every index
-        index = np.int32 if max(n, r.size) <= np.iinfo(np.int32).max else np.int64
-        self.order = order.astype(index)
         # each distinct (row, col) is one entry; entry[t] is sorted term t's
         self.entry = np.cumsum(first, dtype=index) - 1
         self.rows = r[first].astype(index)
         self.cols = c[first].astype(index)
-
-    @classmethod
-    def presorted(cls, n: int, order, entry, rows, cols) -> "TripletPattern":
-        """The pattern of a caller that knows its sort: the ``order``,
-        ``entry``, ``rows`` and ``cols`` that sorting its terms would
-        give."""
-        pattern = cls.__new__(cls)
-        pattern.n = n
-        pattern.order, pattern.entry = order, entry
-        pattern.rows, pattern.cols = rows, cols
-        return pattern
 
     def sum(self, values, kept=None) -> np.ndarray:
         """Each entry's sum of its kept terms' r-by-c block values, shape

@@ -40,19 +40,20 @@ definite if 2 D / w - A is, which holds for w * lambda_max(D^-1 A) < 2.
 A = sum rho_e^p K_e and D is the sum of their diagonals, so
 lambda_max(D^-1 A) <= lambda_max(diag(K)^-1 K) for every design, support
 elimination and zero rows included; :func:`smoothing_weight` caps w at 2
-over that bound.  The bound is proved for the finest level only: the
-coarse Galerkin levels are covered by a test over designs and Poisson
-ratios, not by a proof.  The output is zeroed on A's zero rows, so void
-DOFs keep their CG warm-start value; on the vectors CG feeds it, which
-vanish there, the cycle stays symmetric.  A cycle allocates nothing: its
-work vectors are allocated once per solve.
+over that bound, and :func:`hierarchy` gives each level that weight of
+the run's element stiffness.  The bound is proved for the finest level
+only: the coarse Galerkin levels are covered by a test over designs and
+Poisson ratios, not by a proof.  The output is zeroed on A's zero rows,
+so void DOFs keep their CG warm-start value; on the vectors CG feeds it,
+which vanish there, the cycle stays symmetric.  A cycle allocates
+nothing: its work vectors are allocated once per solve.
 """
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import UPPER_PAIRS, BoundaryConditions, Material, Mesh, element_stiffness
+from .fem import BoundaryConditions, Material, Mesh, element_stiffness, upper_blocks
 from .krylov import csr_operator, jacobi_preconditioner
 from .linalg import SparseSymMatrix, pseudo_inverse
 
@@ -141,18 +142,19 @@ def _steps(mesh: Mesh, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class Level:
     """One coarsening: the prolongation ``p`` from this level's free DOFs
-    onto the finer level's (and ``pt``, its transpose), and what builds
-    the level's Galerkin operator from the fine densities."""
+    onto the finer level's (and ``pt``, its transpose), the Jacobi
+    ``weight`` of the sweeps on the finer level, and what builds the
+    level's Galerkin operator from the fine densities."""
 
-    def __init__(self, p, mesh: Mesh, free, types, kind, ancestor, ke):
+    def __init__(self, p, mesh: Mesh, free, types, kind, ancestor, ke, weight):
         self.p, self.pt = p, p.T.tocsr()
+        self.weight = weight
         self.layout = mesh.free_layout(np.flatnonzero(~free))
         # C^T K C of each distinct composite, symmetric to the bit, as the
-        # 2x2 blocks of the upper corner pairs the node-pair pattern takes
+        # blocks of the upper corner pairs the node-pair pattern takes
         blocks = types.transpose(0, 2, 1) @ ke @ types
         blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
-        blocks = blocks.reshape(-1, 4, 2, 4, 2).transpose(0, 1, 3, 2, 4)
-        self.blocks = blocks.reshape(len(types), 16, 4)[:, UPPER_PAIRS].reshape(len(types), -1)
+        self.blocks = upper_blocks(blocks).reshape(len(types), -1)
         # the fine elements in ancestor order: row c of the sparse
         # (coarse element x composite) matrix holds c's descendants
         self.fine = np.argsort(ancestor, kind="stable").astype(np.int32)
@@ -184,7 +186,8 @@ class Level:
 
 def hierarchy(mesh: Mesh, bc: BoundaryConditions, mat: Material) -> list[Level]:
     """Every coarsening of the mesh, finest first, between free DOFs, for
-    the material's element stiffness."""
+    the material's element stiffness ke, each with the Jacobi weight
+    :func:`smoothing_weight` of ke."""
     nx, ny = mesh.nx, mesh.ny
     free = np.ones(mesh.n_dofs, dtype=bool)
     free[bc.fixed_dofs] = False
@@ -194,11 +197,10 @@ def hierarchy(mesh: Mesh, bc: BoundaryConditions, mat: Material) -> list[Level]:
     # the composite C_f of every fine element f onto its ancestor on the
     # current level: its distinct values, and which one f takes
     types, kind = np.eye(8)[None], np.zeros(mesh.n_elements, dtype=np.int64)
-    ke = None  # looked up with the first level: a run without one needs none
+    ke = element_stiffness(mat, mesh.elem_width, mesh.elem_height)
+    weight = smoothing_weight(ke)
     levels = []
     while np.count_nonzero(free) > COARSEST_DOFS and max(nx, ny) > 1:
-        if ke is None:
-            ke = element_stiffness(mat, mesh.elem_width, mesh.elem_height)
         p, at = _prolongation(nx, ny)
         coarse_free = free.reshape(-1, 2)[at].ravel()
         p = p[np.flatnonzero(free)][:, np.flatnonzero(coarse_free)].tocsr()
@@ -210,7 +212,7 @@ def hierarchy(mesh: Mesh, bc: BoundaryConditions, mat: Material) -> list[Level]:
         nx, ny, free = (nx + 1) // 2, (ny + 1) // 2, coarse_free
         level_mesh = Mesh(nx, ny, mesh.width, mesh.height)
         ancestor = (fine_y >> depth + 1) * nx + (fine_x >> depth + 1)
-        levels.append(Level(p, level_mesh, free, types, kind, ancestor, ke))
+        levels.append(Level(p, level_mesh, free, types, kind, ancestor, ke, weight))
     return levels
 
 
@@ -239,17 +241,17 @@ def _cycle(ops: list[tuple], pinv: np.ndarray, level: int, r, z) -> None:
     z += t
 
 
-def v_cycle(a: SparseSymMatrix, scale: np.ndarray, levels: list[Level], weight: float):
+def v_cycle(a: SparseSymMatrix, scale: np.ndarray, levels: list[Level]):
     """``precondition(r, out)``: one V-cycle for A, assembled from fine
     densities rho^p = ``scale``, over the levels :func:`hierarchy` built,
-    smoothing with Jacobi weight ``weight`` (:func:`smoothing_weight`),
-    written into ``out``, which it returns."""
+    smoothing each with its ``Level.weight``, written into ``out``, which
+    it returns.  With no level it applies the pseudo-inverse of A."""
     ops = []
     csr = a.csr
     for level in levels:
         n, nc = level.p.shape
         ops.append((
-            csr_operator(csr), weight * jacobi_preconditioner(csr),
+            csr_operator(csr), level.weight * jacobi_preconditioner(csr),
             csr_operator(level.p), csr_operator(level.pt),
             np.empty(n), np.empty(nc), np.empty(nc),
         ))

@@ -38,7 +38,7 @@ from .fem import (
 )
 from .krylov import SolverConfig, solve
 from .linalg import is_integer
-from .multigrid import hierarchy, smoothing_weight, v_cycle
+from .multigrid import hierarchy, v_cycle
 
 if TYPE_CHECKING:  # pragma: no cover
     from .problem import ProblemSpec
@@ -269,9 +269,9 @@ def optimize(spec: "ProblemSpec") -> OptimizationHistory:
     iteration per mesh node, and an unset ``solver.preconditioning`` is
     ``"mg"`` for CG and ``"jacobi"`` for CR; the history records the
     resolved settings.  Under ``"mg"`` the multigrid hierarchy, with each
-    level's element-block kinds for the run's material, is built once per
-    run, and each solve gets a V-cycle of its own matrix, its coarse
-    operators summed from the iteration's rho^p.
+    level's element-block kinds and Jacobi weight for the run's material,
+    is built once per run, and each solve gets a V-cycle of its own
+    matrix, its coarse operators summed from the iteration's rho^p.
 
     Each solve warm-starts from the previous displacement field, so
     successive solves keep refining the same equilibrium as the design
@@ -294,11 +294,6 @@ def optimize(spec: "ProblemSpec") -> OptimizationHistory:
     # designs peaks about 2 MB higher
     mesh.free_layout(bc.fixed_dofs)
     levels = hierarchy(mesh, bc, mat) if solver.preconditioning == "mg" else None
-    # the V-cycle smooths only on the levels it coarsens
-    weight = None
-    if levels:
-        ke = element_stiffness(mat, mesh.elem_width, mesh.elem_height)
-        weight = smoothing_weight(ke)
 
     rho = DensityField.uniform(mesh.n_elements, opt.volume_fraction)
     target = opt.volume_fraction * mesh.n_elements
@@ -320,7 +315,7 @@ def optimize(spec: "ProblemSpec") -> OptimizationHistory:
             )
         precondition = None
         if levels is not None:
-            precondition = v_cycle(a_red, rho.values**mat.penal, levels, weight)
+            precondition = v_cycle(a_red, rho.values**mat.penal, levels)
         report = solve(
             a_red, b_red, x_full[dof_map], solver, precondition=precondition
         )

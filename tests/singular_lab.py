@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .krylov import SolveReport
-from .linalg import _rank_cut, as_small_square, check_symmetric
+from topokry.krylov import SolveReport
+from topokry.linalg import _rank_cut, as_small_square, check_symmetric
 
 # allowance on the squared residual ratio in ``cr_bound_check``
 CR_BOUND_SLACK = 1e-10

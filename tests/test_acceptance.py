@@ -13,10 +13,7 @@ from topokry import (
     DensityField,
     SolverConfig,
     assemble,
-    cr_bound_check,
-    decompose_history,
     optimize,
-    range_basis,
     sensitivity,
     solve,
 )
@@ -26,6 +23,7 @@ from topokry.fem import Material, Mesh
 from topokry.linalg import pseudo_inverse
 from topokry.optimizer import CONVERGED, CYCLING, MAX_ITERATIONS, MULTIPLIER_BRACKET
 from topokry.problem import load_problem
+from singular_lab import cr_bound_check, decompose_history, range_basis
 from util import (
     dense_solve,
     elements_adjacent_to_node,

@@ -17,9 +17,8 @@ from topokry import (
     scatter_solution,
     solve,
 )
-from topokry.fem import UPPER_PAIRS
-from topokry.linalg import TripletPattern
-from topokry.multigrid import SMOOTHING_WEIGHT, v_cycle
+from topokry.fem import UPPER_PAIRS, upper_blocks
+from topokry.multigrid import v_cycle
 from topokry.problem import loads_problem_text
 from util import (
     assembly_oracle,
@@ -199,6 +198,27 @@ class TestElementStiffness:
         assert eigs.min() >= -1e-12 * eigs.max()
 
 
+class TestUpperBlocks:
+    @staticmethod
+    def assert_blocks_of(blocks, k):
+        for m, (i, j) in enumerate(zip(*np.divmod(UPPER_PAIRS, 4))):
+            expected = k[..., 2 * i:2 * i + 2, 2 * j:2 * j + 2]
+            assert blocks[..., m, :, :].tobytes() == expected.tobytes(), m
+
+    def test_one_matrix_with_exact_zeros(self):
+        ke = element_stiffness(Material(2.1e5, 0.25, 3.0, 10.0), 10.0 / 3, 10.0)
+        assert np.any(ke == 0.0)
+        blocks = upper_blocks(ke)
+        assert blocks.shape == (10, 2, 2)
+        self.assert_blocks_of(blocks, ke)
+
+    def test_a_stack(self):
+        k = np.random.default_rng(0).standard_normal((5, 8, 8))
+        blocks = upper_blocks(k)
+        assert blocks.shape == (5, 10, 2, 2)
+        self.assert_blocks_of(blocks, k)
+
+
 class TestAssemble:
     mat = Material(1.0, 0.3, 3.0)
 
@@ -306,7 +326,7 @@ def support_cases(mesh):
 
 
 class TestPatternAssembly:
-    """assemble sums over the mesh's pre-sorted scatter pattern into the
+    """assemble sums over the mesh's sorted scatter pattern into the
     free-DOF CSR; its output must be the very matrix the reference builds
     by a full scatter sorted afresh, support elimination and exact-zero
     elimination."""
@@ -412,21 +432,6 @@ class TestPatternAssembly:
         same = np.diff(key) == 0
         assert np.all(np.diff(order)[same] > 0)
 
-    @pytest.mark.parametrize("nx,ny", meshes)
-    def test_laid_out_as_the_stable_sort_orders_it(self, nx, ny):
-        # the pattern is laid out from the grid, not sorted: it must be
-        # what sorting the elements' upper corner pairs gives, array for
-        # array
-        mesh = Mesh(nx, ny, 10.0, 20.0)
-        i, j = np.divmod(UPPER_PAIRS, 4)
-        nodes = mesh.element_nodes
-        expected = TripletPattern(mesh.n_nodes, nodes[:, i].ravel(), nodes[:, j].ravel())
-        got = mesh.scatter_pattern
-        for name in ("order", "entry", "rows", "cols"):
-            a, b = getattr(got, name), getattr(expected, name)
-            assert a.dtype == b.dtype, name
-            np.testing.assert_array_equal(a, b, err_msg=name)
-
     @staticmethod
     def retained_bytes(pattern):
         held = vars(pattern).values()
@@ -450,9 +455,9 @@ class TestPatternAssembly:
         assert size <= 300 * mesh.n_elements, f"{size / mesh.n_elements:.0f} B"
 
     def test_peak_memory_of_the_pattern_build(self):
-        # 60x120 elements: laying out the upper node pairs peaked at about
-        # 4 MB here, sorting all node pairs at about 6 MB and the DOF pairs
-        # at about 25 MB
+        # 60x120 elements: sorting the upper node pairs peaked at about
+        # 3.5 MB here, laying them out unsorted at about 4 MB, sorting all
+        # node pairs at about 6 MB and the DOF pairs at about 25 MB
         mesh = Mesh(60, 120, 10.0, 20.0)
         tracemalloc.start()
         try:
@@ -525,7 +530,7 @@ class TestApplyDirichlet:
             # with no coarsening the V-cycle is the pseudo-inverse itself
             precondition = None
             if preconditioning == "mg":
-                precondition = v_cycle(reduced, rho.values, [], SMOOTHING_WEIGHT)
+                precondition = v_cycle(reduced, rho.values, [])
             for record in (False, True):
                 cfg = SolverConfig(
                     method=method,

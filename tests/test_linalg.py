@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from topokry import SparseSymMatrix, range_basis
+from topokry import SparseSymMatrix
 from topokry.linalg import TripletPattern, as_small_square, pseudo_inverse
+from singular_lab import range_basis
 from util import (
     SingularMatrixError,
     assert_same_csr,

@@ -3,17 +3,19 @@ import pytest
 import scipy.sparse as sp
 
 from topokry import (
-    DecompositionError,
     DensityField,
     Material,
     Mesh,
     SolverConfig,
     SparseSymMatrix,
     assemble,
+    solve,
+)
+from singular_lab import (
+    DecompositionError,
     cr_bound_check,
     decompose_history,
     range_basis,
-    solve,
     standard_form,
 )
 from util import random_singular_psd, random_spd, sparse_from_dense
