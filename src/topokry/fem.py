@@ -14,7 +14,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import CsrLayout, SparseSymMatrix, TripletPattern, as_vector, is_integer
+from .linalg import (
+    CsrLayout, SparseSymMatrix, TripletPattern, as_vector, index_dtype, is_integer,
+)
 
 # 2x2 Gauss points and weights on [-1, 1]
 _GAUSS_2 = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
@@ -29,7 +31,7 @@ UPPER_PAIRS = np.array([0, 1, 2, 3, 5, 6, 7, 10, 14, 15])
 # pairs, and the first four mirror upper pairs 4..1 of b
 _NEIGHBOURS = np.array([
     (-1, -1), (0, -1), (1, -1), (-1, 0), (0, 0), (1, 0), (-1, 1), (0, 1), (1, 1),
-])
+], dtype=np.int8)
 
 
 @dataclass(frozen=True)
@@ -100,13 +102,16 @@ class Mesh:
         """Each node's nine ``_NEIGHBOURS`` b (0 where b is off the mesh),
         which of them exist, and the pattern's entry number of each upper
         pair (a, b)."""
-        iy, ix = np.divmod(np.arange(self.n_nodes), self.nx + 1)
-        bx = ix[:, None] + _NEIGHBOURS[:, 0]
-        by = iy[:, None] + _NEIGHBOURS[:, 1]
-        exists = (bx >= 0) & (bx <= self.nx) & (by >= 0) & (by <= self.ny)
-        b = np.where(exists, by * (self.nx + 1) + bx, 0)
-        upper = np.cumsum(exists[:, 4:]).reshape(-1, 5) - 1
-        return b, exists, upper
+        # b takes the dtype of the DOF numbers 2 b + q free_layout forms;
+        # bx and by are the (x, neighbour) and (y, neighbour) coordinates
+        index = index_dtype(self.n_dofs)
+        bx = np.arange(self.nx + 1, dtype=index)[:, None] + _NEIGHBOURS[:, 0]
+        by = np.arange(self.ny + 1, dtype=index)[:, None] + _NEIGHBOURS[:, 1]
+        exists = ((by >= 0) & (by <= self.ny))[:, None] & ((bx >= 0) & (bx <= self.nx))
+        b = np.where(exists, ((self.nx + 1) * by)[:, None] + bx, 0).reshape(-1, 9)
+        exists = exists.reshape(-1, 9)
+        upper = np.cumsum(exists[:, 4:], dtype=index_dtype(5 * self.n_nodes))
+        return b, exists, upper.reshape(-1, 5) - 1
 
     @cached_property
     def scatter_pattern(self) -> TripletPattern:
@@ -145,26 +150,36 @@ class Mesh:
             return layout
         free = np.ones(self.n_dofs, dtype=bool)
         free[fixed_dofs] = False
-        index = self.scatter_pattern.order.dtype
         b, exists, upper = self._neighbours()
+        # slot (a, p, k, q) is row 2 a + p and column 2 b + q of a's
+        # neighbour k, in CSR order; it exists where b does and both DOFs
+        # are free.  The arrays are laid out (node, p, 2 k + q), so that
+        # numpy's loops run 18 long rather than 2.
+        column = np.repeat(2 * b, 2, axis=1)
+        column[:, 1::2] += 1
+        kept = (np.repeat(exists, 2, axis=1) & free.take(column))[:, None, :]
+        kept = kept & free.reshape(-1, 2, 1)
+        renumber = np.cumsum(free) - 1
+        n_free = int(renumber[-1]) + 1
+        counts = np.count_nonzero(kept, axis=2).ravel()[free]
+        slot_ptr = np.zeros(n_free + 1, dtype=index_dtype(int(counts.sum())))
+        np.cumsum(counts, out=slot_ptr[1:])
+        column = renumber.astype(index_dtype(n_free)).take(column)
+        cols = np.broadcast_to(column[:, None, :], kept.shape)[kept]
+        del column
         # the entry each neighbour reads: its own upper pair, or the upper
-        # pair of b that mirrors it
+        # pair of b that mirrors it, whose block it reads transposed
         lower = np.arange(9) < 4
         owner = np.where(lower, b, np.arange(self.n_nodes)[:, None])
         entry = upper[owner, np.where(lower, 4 - np.arange(9), np.arange(9) - 4)]
-        # slot (a, p, neighbour, q): row 2 a + p, column 2 b + q, in CSR order
+        del b, exists, upper, owner
         p = np.arange(2)[:, None, None]
         q = np.arange(2)
-        component = np.where(lower[:, None], 2 * q + p, 2 * p + q).astype(index)
-        src = (4 * entry.astype(index))[:, None, :, None] + component
-        col = (2 * b.astype(index))[:, None, :, None] + q
-        kept = exists[:, None, :, None] & free.reshape(-1, 2)[:, :, None, None]
-        kept = kept & free.take(col)
-        renumber = (np.cumsum(free) - 1).astype(index)
-        slot_ptr = np.zeros(np.count_nonzero(free) + 1, dtype=index)
-        np.cumsum(kept.sum(axis=(2, 3)).ravel()[free], out=slot_ptr[1:])
-        cols = renumber.take(np.broadcast_to(col, kept.shape)[kept])
-        layout = CsrLayout(src[kept], cols, slot_ptr)
+        component = np.where(lower[:, None], 2 * q + p, 2 * p + q).astype(np.int8)
+        entry = 4 * entry.astype(index_dtype(4 * self.scatter_pattern.rows.size))
+        src = (np.repeat(entry, 2, axis=1)[:, None, :] + component.reshape(2, 18))[kept]
+        del kept
+        layout = CsrLayout(src, cols, slot_ptr)
         self._free_layouts[key] = layout
         return layout
 
@@ -320,19 +335,24 @@ def assemble(
     elements, reads each kept term's element e and corner pair m from its
     input index ``10 * e + m`` in the pattern's ``order``, gathers the
     :func:`upper_blocks` of ke and then scales them by rho_e^p, sums the
-    blocks of each node pair in sorted order and gathers the free DOFs'
-    entries into CSR, the lower pairs' transposed from their mirrors.  The
-    result is bit-identical to sorting the active elements' 64 DOF-pair
-    triplets afresh and then removing the fixed rows and columns and the
-    exact zeros: every DOF entry (2a + p, 2b + q) is the same product
+    blocks of each node pair in sorted order (one sparse product, in
+    ``reduceat``'s association: :meth:`TripletPattern.sum`) and gathers the
+    free DOFs' entries into CSR, the lower pairs' transposed from their
+    mirrors.  Every gather runs through an intp index the pattern or the
+    layout holds, so no call converts an index.  The result is
+    bit-identical to sorting the active elements' 64 DOF-pair triplets
+    afresh and then removing the fixed rows and columns and the exact
+    zeros: every DOF entry (2a + p, 2b + q) is the same product
     rho_e^p * ke[i, j] per element, its terms come in the same ascending
-    element order (a stable sort at either level), and ``reduceat`` along
-    the block axis adds each component exactly as the scalar sum does.
-    Dropping an exact zero changes no product A v: ``csr_matvec`` starts
-    each row sum at +0.0, and adding +0.0 or -0.0 to a sum that is not
-    -0.0 leaves it as it is.  Symmetry holds by construction and is not
-    checked: ke is bit-symmetric, so the mirrored block of (b, a) is the
-    sum over (b, a)'s own element terms in the same element order.
+    element order (a stable sort at either level), and the sum adds each
+    block component exactly as ``reduceat`` adds the scalar run.  A sum
+    that is zero may differ from ``reduceat``'s in its sign, and no zero
+    is stored.  Dropping an exact zero changes no product A v:
+    ``csr_matvec`` starts each row sum at +0.0, and adding +0.0 or -0.0 to
+    a sum that is not -0.0 leaves it as it is.  Symmetry holds by
+    construction and is not checked: ke is bit-symmetric, so the mirrored
+    block of (b, a) is the sum over (b, a)'s own element terms in the same
+    element order.
     """
     if rho.n_elements != mesh.n_elements:
         raise ValueError(
@@ -353,8 +373,8 @@ def assemble(
     del element, local
     sums = pattern.sum(values, kept)
     del values, kept
-    csr = mesh.free_layout(bc.fixed_dofs).csr(sums)
-    return SparseSymMatrix(csr, check=False)
+    layout = mesh.free_layout(bc.fixed_dofs)
+    return SparseSymMatrix(layout.csr(sums), check=False, diagonal=layout.diagonal(sums))
 
 
 def apply_dirichlet(

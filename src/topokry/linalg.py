@@ -13,17 +13,20 @@ contract.
 Sparse matrices are built from COO triplets by :class:`TripletPattern`,
 the one sum implementation: it sorts the triplet positions once and
 keeps the sort permutation, so a caller whose positions never change
-(the element scatter of a mesh) pays for the sort once and for a linear
+(the element scatter of a mesh) pays for the sort once and for one
 masked sum on every build.  A triplet's value is an r-by-c block: the
 element scatter sums 2x2 blocks of the upper node pairs, 10 terms per
 element where a sort of DOF pairs would keep 64, and
 :meth:`SparseSymMatrix.from_triplets` sums 1x1 blocks.  A
 :class:`CsrLayout` gathers the sums into CSR and stores no exact-zero
-sum.
+sum.  Index arrays take :func:`index_dtype`, except those a build
+gathers through, which are intp: ``ndarray.take`` converts any other
+index to intp first, a copy of the whole index on every call.
 """
 from __future__ import annotations
 
 import operator
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,6 +34,16 @@ import scipy.sparse as sp
 DENSE_SIZE_LIMIT = 2000
 # eigenvalues with |lambda| <= RANK_TOLERANCE * |lambda|_max count as zero
 RANK_TOLERANCE = 1e-10
+# np.add.reduceat adds a run's terms after its first one in order while
+# they are fewer than this; longer runs go through numpy's pairwise sum
+SEQUENTIAL_RUN = 8
+
+
+def index_dtype(largest: int) -> type:
+    """The dtype of an index array whose values reach ``largest``: int32,
+    which scipy prefers and which halves the bytes, when it holds it, and
+    int64 otherwise."""
+    return np.int32 if largest <= np.iinfo(np.int32).max else np.int64
 
 
 def as_vector(x, n: int | None = None, name: str = "vector") -> np.ndarray:
@@ -93,7 +106,7 @@ class SparseSymMatrix:
     degree of freedom from a system.
     """
 
-    def __init__(self, csr: sp.csr_matrix, check: bool = True):
+    def __init__(self, csr: sp.csr_matrix, check: bool = True, diagonal=None):
         csr = csr.tocsr()
         csr.sort_indices()
         n, m = csr.shape
@@ -105,6 +118,9 @@ class SparseSymMatrix:
             if (csr != csr.T).nnz != 0:
                 raise ValueError("matrix is not symmetric")
         self._csr = csr
+        if diagonal is not None:
+            diagonal.flags.writeable = False
+        self._diagonal = diagonal
 
     @property
     def dimension(self) -> int:
@@ -138,7 +154,10 @@ class SparseSymMatrix:
         return cls(csr)
 
     def diagonal(self) -> np.ndarray:
-        return self._csr.diagonal()
+        """The diagonal: read from the CSR arrays, or the read-only array
+        the builder passed, which a layout gathers at a fraction of the
+        cost (:meth:`CsrLayout.diagonal`)."""
+        return self._csr.diagonal() if self._diagonal is None else self._diagonal
 
     def to_dense(self) -> np.ndarray:
         return self._csr.toarray()
@@ -163,9 +182,15 @@ class SparseSymMatrix:
         return SparseSymMatrix(out, check=False)
 
     def zero_rows(self) -> np.ndarray:
-        """Indices of rows with no stored entries (fully decoupled DOFs)."""
-        counts = np.diff(self._csr.indptr)
-        return np.flatnonzero(counts == 0)
+        """Indices of rows with no stored entries (fully decoupled DOFs),
+        read once per matrix; the array is read-only."""
+        return self._zero_rows
+
+    @cached_property
+    def _zero_rows(self) -> np.ndarray:
+        rows = np.flatnonzero(np.diff(self._csr.indptr) == 0)
+        rows.flags.writeable = False
+        return rows
 
 
 class TripletPattern:
@@ -176,27 +201,30 @@ class TripletPattern:
     returns the duplicate sums of each distinct position, an entry, which
     the caller puts into a CSR matrix (a mesh through a
     :class:`CsrLayout`), so a caller whose positions stay fixed builds
-    each new matrix without sorting.  Indices are trusted: callers check
-    their ranges before building a pattern.
+    each new matrix without sorting.  ``order`` is intp, as ``lexsort``
+    returns it, so a caller that gathers through it, or through the term
+    indices it reads from it, converts no index; ``entry``, ``rows`` and
+    ``cols`` take :func:`index_dtype`.  Indices are trusted: callers
+    check their ranges before building a pattern.
     """
 
     def __init__(self, n: int, rows, cols):
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         self.n = n
-        # int32 indices, as scipy prefers, whenever they hold every index
-        index = np.int32 if max(n, rows.size) <= np.iinfo(np.int32).max else np.int64
         # Stable lexsort keeps the per-entry addend order identical for
         # (i, j) and (j, i), so symmetric inputs assemble symmetrically
         # down to the last bit.
-        self.order = np.lexsort((cols, rows)).astype(index)
+        self.order = np.lexsort((cols, rows))
         r, c = rows[self.order], cols[self.order]
         first = np.ones(r.size, dtype=bool)
         first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
         # each distinct (row, col) is one entry; entry[t] is sorted term t's
-        self.entry = np.cumsum(first, dtype=index) - 1
-        self.rows = r[first].astype(index)
-        self.cols = c[first].astype(index)
+        self.entry = np.cumsum(first, dtype=index_dtype(r.size)) - 1
+        self.rows = r[first].astype(index_dtype(n))
+        self.cols = c[first].astype(index_dtype(n))
+        # the most terms one entry sums
+        self.longest = int(np.diff(np.flatnonzero(np.append(first, True))).max(initial=0))
 
     def sum(self, values, kept=None) -> np.ndarray:
         """Each entry's sum of its kept terms' r-by-c block values, shape
@@ -205,10 +233,19 @@ class TripletPattern:
         ``kept`` lists the sorted terms to sum, in ascending order, and
         ``values`` (shape (K, r, c)) holds one block per kept term; ``None``
         keeps every term.  An entry none of whose terms is kept sums to
-        zero.  Each other block is the ``np.add.reduceat`` sum of its kept
-        blocks in sorted order, the same sum a stable sort of the kept
-        triplets alone would give, and ``reduceat`` along the term axis adds
-        each block component exactly as it adds a 1-D run.
+        zero.  Each other block has the bytes of the ``np.add.reduceat``
+        sum of its kept blocks in sorted order, the same sum a stable sort
+        of the kept triplets alone would give, and ``reduceat`` along the
+        term axis adds each block component exactly as it adds a 1-D run;
+        only a sum that is zero may differ, in its sign.
+
+        ``reduceat`` adds a run t0, t1, ..., tk as t0 + (((t1 + t2) + ...)
+        + tk) while k < ``SEQUENTIAL_RUN``, and a CSR product adds each
+        row left to right from +0.0, so while no entry has more than
+        ``SEQUENTIAL_RUN`` terms one sparse product of 0/1 rows, each
+        listing its entry's kept terms with the first moved last, gives
+        those bytes at a fraction of the cost (a mesh entry has at most 4
+        terms); a pattern with longer runs keeps ``reduceat``.
         """
         entry = self.entry if kept is None else self.entry.take(kept)
         values = np.asarray(values, dtype=float)
@@ -216,13 +253,29 @@ class TripletPattern:
             raise ValueError(
                 f"values of shape {values.shape} for {entry.size} kept terms"
             )
-        sums = np.zeros((self.rows.size,) + values.shape[1:])
-        if entry.size:
-            first = np.ones(entry.size, dtype=bool)
-            np.not_equal(entry[1:], entry[:-1], out=first[1:])
-            starts = np.flatnonzero(first)
-            sums[entry.take(starts)] = np.add.reduceat(values, starts, axis=0)
-        return sums
+        shape = (self.rows.size,) + values.shape[1:]
+        first = np.ones(entry.size, dtype=bool)
+        np.not_equal(entry[1:], entry[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        if self.longest > SEQUENTIAL_RUN:
+            sums = np.zeros(shape)
+            if entry.size:
+                sums[entry.take(starts)] = np.add.reduceat(values, starts, axis=0)
+            return sums
+        terms = entry.size
+        index = index_dtype(terms)
+        # row i lists entry i's kept terms t0, t1, ..., tk as t1, ..., tk, t0
+        columns = np.arange(1, terms + 1, dtype=index)
+        if terms:
+            columns[starts[1:] - 1] = starts[:-1]
+            columns[-1] = starts[-1]
+        indptr = np.zeros(shape[0] + 1, dtype=index)
+        np.cumsum(np.bincount(entry, minlength=shape[0]), out=indptr[1:])
+        # each array goes once it is read, so the product's peak holds no
+        # index it no longer needs
+        del first, starts, entry
+        summation = sp.csr_matrix((np.ones(terms), columns, indptr), shape=(shape[0], terms))
+        return (summation @ values.reshape(terms, shape[1] * shape[2])).reshape(shape)
 
 
 class CsrLayout:
@@ -232,11 +285,13 @@ class CsrLayout:
     block sums :meth:`csr` takes, in column ``cols[s]``; the slots of row
     i run from ``slot_ptr[i]`` to ``slot_ptr[i + 1]``.  A caller works the
     layout out once from its own pattern; :meth:`csr` then costs one
-    gather and one compaction per matrix.
+    gather and one compaction per matrix.  ``src`` is held as intp, so
+    the gather converts no index; ``cols`` and ``slot_ptr`` are the CSR
+    arrays, in :func:`index_dtype` of their largest value.
     """
 
     def __init__(self, src: np.ndarray, cols: np.ndarray, slot_ptr: np.ndarray):
-        self.src = src
+        self.src = src.astype(np.intp, copy=False)
         self.cols = cols
         self.slot_ptr = slot_ptr
         self.n = len(slot_ptr) - 1
@@ -252,28 +307,53 @@ class CsrLayout:
         csr.eliminate_zeros()
         return csr
 
+    def diagonal(self, sums) -> np.ndarray:
+        """The diagonal of :meth:`csr` of the same block sums, gathered from
+        them; 0 where the sum is zero and the matrix stores nothing."""
+        return np.asarray(sums, dtype=float).reshape(-1).take(self._diagonal_src)
+
+    @cached_property
+    def _diagonal_src(self) -> np.ndarray:
+        # every row of a free-DOF layout holds its own column
+        rows = np.repeat(np.arange(self.n, dtype=self.cols.dtype), np.diff(self.slot_ptr))
+        return self.src[self.cols == rows]
+
 
 def _rank_cut(a, name: str):
     """The symmetric eigendecomposition of a, cut at ``RANK_TOLERANCE``.
 
     ``a`` is a :class:`SparseSymMatrix` or a dense array, checked to be
     finite, square, symmetric and within the dense size limit.  Returns
-    the dense matrix, the eigenvalues w and eigenvectors v of its
-    symmetric part, and the mask of |w| > RANK_TOLERANCE * |w|_max: the
-    eigenpairs that span the range.
+    the dense matrix and :func:`_eigen_cut` of it.
     """
     a = check_symmetric(as_small_square(a, name), name)
+    return (a,) + _eigen_cut(a)
+
+
+def _eigen_cut(a: np.ndarray):
+    """The eigenvalues w and eigenvectors v of the symmetric part of a
+    dense a, and the mask of |w| > RANK_TOLERANCE * |w|_max: the eigenpairs
+    that span the range."""
     w, v = np.linalg.eigh(0.5 * (a + a.T))
     magnitude = np.abs(w)
-    return a, w, v, magnitude > RANK_TOLERANCE * magnitude.max(initial=0.0)
+    return w, v, magnitude > RANK_TOLERANCE * magnitude.max(initial=0.0)
 
 
 def pseudo_inverse(a) -> np.ndarray:
     """Moore-Penrose pseudo-inverse A+ of a symmetric A.
 
     Inverts the eigenvalues that survive the ``RANK_TOLERANCE`` cut and
-    drops the rest; n is limited to 2000.
+    drops the rest; n is limited to 2000.  ``a`` is checked as
+    :func:`_rank_cut` checks it, then handed to
+    :func:`pseudo_inverse_unchecked`.
     """
-    _, w, v, keep = _rank_cut(a, "a")
+    return pseudo_inverse_unchecked(check_symmetric(as_small_square(a, "a"), "a"))
+
+
+def pseudo_inverse_unchecked(a: np.ndarray) -> np.ndarray:
+    """:func:`pseudo_inverse` of a dense array that its caller vouches is
+    finite, symmetric and within the size limit, as the multigrid V-cycle
+    does for the coarse operator it builds; nothing is checked here."""
+    w, v, keep = _eigen_cut(a)
     v = v[:, keep]
     return (v / w[keep]) @ v.T

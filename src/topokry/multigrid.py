@@ -55,7 +55,7 @@ import scipy.sparse as sp
 
 from .fem import BoundaryConditions, Material, Mesh, element_stiffness, upper_blocks
 from .krylov import csr_operator, jacobi_preconditioner
-from .linalg import SparseSymMatrix, pseudo_inverse
+from .linalg import SparseSymMatrix, pseudo_inverse_unchecked
 
 # a level with at most this many free DOFs is solved by its pseudo-inverse
 COARSEST_DOFS = 100
@@ -144,7 +144,11 @@ class Level:
     """One coarsening: the prolongation ``p`` from this level's free DOFs
     onto the finer level's (and ``pt``, its transpose), the Jacobi
     ``weight`` of the sweeps on the finer level, and what builds the
-    level's Galerkin operator from the fine densities."""
+    level's Galerkin operator from the fine densities: the sparse
+    (coarse element x composite) ``weights``, whose data each
+    :meth:`galerkin` overwrites with the densities' rho^p, the composites'
+    element ``blocks``, the 0/1 ``summation`` of each coarse node pair's
+    terms and the coarse free-DOF ``layout``."""
 
     def __init__(self, p, mesh: Mesh, free, types, kind, ancestor, ke, weight):
         self.p, self.pt = p, p.T.tocsr()
@@ -156,15 +160,19 @@ class Level:
         blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
         self.blocks = upper_blocks(blocks).reshape(len(types), -1)
         # the fine elements in ancestor order: row c of the sparse
-        # (coarse element x composite) matrix holds c's descendants
-        self.fine = np.argsort(ancestor, kind="stable").astype(np.int32)
-        self.kind = kind.take(self.fine).astype(np.int32)
-        self.indptr = np.zeros(mesh.n_elements + 1, dtype=np.int32)
-        np.cumsum(np.bincount(ancestor, minlength=mesh.n_elements), out=self.indptr[1:])
-        # the 0/1 matrix that sums the node-pair terms of each entry: every
-        # term counts here, and one sparse product costs a fraction of
-        # TripletPattern.sum's reduceat, which the fine level keeps because
-        # its bytes must follow the full scatter's rounding
+        # (coarse element x composite) matrix holds c's descendants, and
+        # each solve writes their rho^p into its data
+        self.fine = np.argsort(ancestor, kind="stable")
+        indptr = np.zeros(mesh.n_elements + 1, dtype=np.int32)
+        np.cumsum(np.bincount(ancestor, minlength=mesh.n_elements), out=indptr[1:])
+        self.weights = sp.csr_matrix(
+            (np.zeros(self.fine.size), kind.take(self.fine).astype(np.int32), indptr),
+            shape=(mesh.n_elements, len(types)),
+        )
+        # the 0/1 matrix that sums the node-pair terms of each entry, over
+        # every term and in input order: the coarse operators need not
+        # follow reduceat's association, which the fine level's
+        # TripletPattern.sum keeps for the full scatter's bytes
         pattern = mesh.scatter_pattern
         entries, terms = pattern.rows.size, pattern.entry.size
         self.summation = sp.csr_matrix(
@@ -178,9 +186,8 @@ class Level:
 
     def galerkin(self, scale: np.ndarray) -> sp.csr_matrix:
         """The level's operator Q^T A Q for fine densities rho^p = scale."""
-        shape = (self.indptr.size - 1, len(self.blocks))
-        weights = sp.csr_matrix((scale.take(self.fine), self.kind, self.indptr), shape=shape)
-        blocks = (weights @ self.blocks).reshape(-1, 4)
+        scale.take(self.fine, out=self.weights.data)
+        blocks = (self.weights @ self.blocks).reshape(-1, 4)
         return self.layout.csr(self.summation @ blocks)
 
 
@@ -245,18 +252,25 @@ def v_cycle(a: SparseSymMatrix, scale: np.ndarray, levels: list[Level]):
     """``precondition(r, out)``: one V-cycle for A, assembled from fine
     densities rho^p = ``scale``, over the levels :func:`hierarchy` built,
     smoothing each with its ``Level.weight``, written into ``out``, which
-    it returns.  With no level it applies the pseudo-inverse of A."""
+    it returns.  With no level it applies the pseudo-inverse of A, which
+    :func:`hierarchy` leaves only to a matrix within ``COARSEST_DOFS`` or
+    to a one-element mesh.
+
+    The coarsest operator goes to :func:`linalg.pseudo_inverse_unchecked`:
+    the Galerkin sums are finite and bit-symmetric by construction, as A
+    is.  A's zero rows come from
+    :meth:`SparseSymMatrix.zero_rows`, worked out once per matrix."""
     ops = []
-    csr = a.csr
+    matrix, csr = a, a.csr  # A's diagonal came with it from the assembly
     for level in levels:
         n, nc = level.p.shape
         ops.append((
-            csr_operator(csr), level.weight * jacobi_preconditioner(csr),
+            csr_operator(csr), level.weight * jacobi_preconditioner(matrix),
             csr_operator(level.p), csr_operator(level.pt),
             np.empty(n), np.empty(nc), np.empty(nc),
         ))
-        csr = level.galerkin(scale)
-    pinv = pseudo_inverse(csr.toarray())
+        matrix = csr = level.galerkin(scale)
+    pinv = pseudo_inverse_unchecked(csr.toarray())
     zero = a.zero_rows()
 
     def precondition(r: np.ndarray, out: np.ndarray) -> np.ndarray:

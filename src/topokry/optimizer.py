@@ -144,8 +144,10 @@ def sensitivity(mesh: Mesh, mat: Material, rho: DensityField, x) -> np.ndarray:
     ke = element_stiffness(mat, mesh.elem_width, mesh.elem_height)
     values = rho.values
     solid = np.flatnonzero(values > 0.0)
-    # each solid element's 8 DOFs: (2k, 2k + 1) of each of its corner nodes k
-    ue = x.reshape(-1, 2)[mesh.element_nodes[solid]].reshape(-1, 8)
+    # each solid element's 8 DOFs: (2k, 2k + 1) of each of its corner nodes
+    # k; take gathers the rows many times faster than fancy indexing
+    nodes = mesh.element_nodes.take(solid, axis=0)
+    ue = x.reshape(-1, 2).take(nodes, axis=0).reshape(-1, 8)
     quad = np.einsum("ei,ij,ej->e", ue, ke, ue)
     # the element form is PSD; negative values are roundoff
     quad = np.maximum(quad, 0.0)
@@ -164,13 +166,16 @@ def threshold(rho: DensityField, cutoff: float) -> DensityField:
 
 def _clamped_candidate(
     values: np.ndarray, sens: np.ndarray, mu: float, exponent: float,
-    lower: np.ndarray, upper: np.ndarray,
+    lower: np.ndarray, upper: np.ndarray, out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Raw multiplicative update at multiplier magnitude mu, clamped to the
-    box [lower, upper]."""
-    base = -sens / mu
-    factor = base**exponent
-    return np.clip(factor * values, lower, upper)
+    box [lower, upper], written into ``out`` if given."""
+    out = np.divide(sens, -mu, out=out)
+    out **= exponent
+    out *= values
+    # np.clip's bytes, without its dispatch: no candidate is NaN
+    np.maximum(out, lower, out=out)
+    return np.minimum(out, upper, out=out)
 
 
 def _update(
@@ -191,9 +196,10 @@ def _update(
     lower = np.maximum(0.0, values - cfg.move_limit)
     upper = np.minimum(1.0, values + cfg.move_limit)
     out = np.zeros(rho.n_elements)
+    buffer = np.empty(solid.size)
 
     def candidate(mu: float) -> np.ndarray:
-        out[solid] = _clamped_candidate(values, sens, mu, exponent, lower, upper)
+        out[solid] = _clamped_candidate(values, sens, mu, exponent, lower, upper, buffer)
         return out
 
     lo, hi = MULTIPLIER_BRACKET
@@ -273,6 +279,12 @@ def optimize(spec: "ProblemSpec") -> OptimizationHistory:
     is built once per run, and each solve gets a V-cycle of its own
     matrix, its coarse operators summed from the iteration's rho^p.
 
+    A design equal to the previous one bit for bit, as every run that
+    settles ends, is solved with the previous matrix and V-cycle, which
+    are the ones it would build; the solve itself still runs.  Otherwise
+    both are dropped before the next assembly, so its peak memory is not
+    stacked on theirs.
+
     Each solve warm-starts from the previous displacement field, so
     successive solves keep refining the same equilibrium as the design
     settles.  Degrees of freedom that fall inside fully-void regions keep
@@ -304,24 +316,22 @@ def optimize(spec: "ProblemSpec") -> OptimizationHistory:
     history = OptimizationHistory(solver=solver)
     lagrangian_prev = None
     x_full = np.zeros(mesh.n_dofs)
+    a_red = precondition = None
     for outer in range(1, opt.max_outer_iterations + 1):
-        a_red = assemble(mesh, mat, rho, bc)
-        empty = a_red.zero_rows()
-        loaded = empty[b_red.take(empty) != 0.0]
-        if loaded.size:
-            raise LoadOutsideRangeError(
-                f"outer iteration {outer}: the load at node "
-                f"{dof_map[loaded[0]] // 2} has no adjacent material"
-            )
-        precondition = None
-        if levels is not None:
-            precondition = v_cycle(a_red, rho.values**mat.penal, levels)
+        if a_red is None:
+            a_red = assemble(mesh, mat, rho, bc)
+            empty = a_red.zero_rows()
+            loaded = empty[b_red.take(empty) != 0.0]
+            if loaded.size:
+                raise LoadOutsideRangeError(
+                    f"outer iteration {outer}: the load at node "
+                    f"{dof_map[loaded[0]] // 2} has no adjacent material"
+                )
+            if levels is not None:
+                precondition = v_cycle(a_red, rho.values**mat.penal, levels)
         report = solve(
-            a_red, b_red, x_full[dof_map], solver, precondition=precondition
+            a_red, b_red, x_full.take(dof_map), solver, precondition=precondition
         )
-        # no matrix (nor the V-cycle holding A's coarse operators) outlives
-        # its solve, so the next assembly's peak memory is not stacked on it
-        del a_red, precondition
         x_full = scatter_solution(report.solution, dof_map, mesh.n_dofs)
 
         c = compliance(x_full, b_full)
@@ -345,6 +355,8 @@ def optimize(spec: "ProblemSpec") -> OptimizationHistory:
             history.status = CONVERGED
             break
         lagrangian_prev = lagrangian
+        if not np.array_equal(rho_new.values, rho.values):
+            a_red = precondition = None  # freed before the next assembly
         rho = rho_new
     else:
         history.cycle_period = _cycle_period(history.densities)

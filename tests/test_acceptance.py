@@ -18,6 +18,7 @@ from topokry import (
     solve,
 )
 import topokry.cli as cli
+import topokry.optimizer
 from topokry.cli import run
 from topokry.fem import Material, Mesh
 from topokry.linalg import pseudo_inverse
@@ -44,6 +45,11 @@ ENERGY_WINDOW = (0.013, 0.024)
 # solves stopped at the iteration cap in each run on the shipped config
 CAPPED_SOLVES = {
     ("cg", "oc"): 0, ("cg", "conlin"): 0, ("cr", "oc"): 12, ("cr", "conlin"): 17,
+}
+# assemblies in each run on the shipped config: one per outer iteration
+# but the last, whose design repeats the one before it bit for bit
+ASSEMBLIES = {
+    ("cg", "oc"): 18, ("cg", "conlin"): 25, ("cr", "oc"): 14, ("cr", "conlin"): 22,
 }
 
 
@@ -105,13 +111,19 @@ def truss_outputs(tmp_path_factory):
     base = load_problem(CONFIG)
     outputs = {}
     histories = []
+    assemblies = []
 
     def recording_optimize(spec):
         histories.append(optimize(spec))
         return histories[-1]
 
+    def counting_assemble(*args):
+        assemblies.append(args)
+        return assemble(*args)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "optimize", recording_optimize)
+        patch.setattr(topokry.optimizer, "assemble", counting_assemble)
         for method, rule in COMBOS:
             spec = replace(
                 base,
@@ -119,10 +131,12 @@ def truss_outputs(tmp_path_factory):
                 optimizer=replace(base.optimizer, update_rule=rule),
             )
             out_dir = tmp_path_factory.mktemp(f"{method}_{rule}")
+            assemblies.clear()
             code = run(spec, out_dir)
             outputs[(method, rule)] = {
                 "dir": out_dir,
                 "exit": code,
+                "assemblies": len(assemblies),
                 "history": histories[-1],
                 "summary": read_summary(out_dir / "summary.txt"),
                 "pixels": read_pgm(out_dir / "density.pgm"),
@@ -179,6 +193,17 @@ def test_summary_counts_capped_solves(truss_outputs):
         capped = data["history"].solver_status.count("max_iterations")
         reported = int(data["summary"]["capped_solves"])
         assert reported == capped == CAPPED_SOLVES[combo], combo_name(*combo)
+
+
+def test_unchanged_design_is_not_assembled_again(truss_outputs):
+    # each run ends on a design equal to the one before it bit for bit; its
+    # last solve reuses that design's matrix and V-cycle, and the goldens
+    # hold all the same
+    for combo, data in truss_outputs.items():
+        history = data["history"]
+        assert np.array_equal(history.densities[-2], history.densities[-3])
+        assert data["assemblies"] == ASSEMBLIES[combo], combo_name(*combo)
+        assert data["assemblies"] == history.outer_iterations - 1
 
 
 def test_summary_counts_slack_updates(truss_outputs, tmp_path):

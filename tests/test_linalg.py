@@ -5,15 +5,17 @@ import pytest
 import scipy.sparse as sp
 
 from topokry import SparseSymMatrix
-from topokry.linalg import TripletPattern, as_small_square, pseudo_inverse
+from topokry.linalg import TripletPattern, as_small_square, index_dtype, pseudo_inverse
 from singular_lab import range_basis
 from util import (
     SingularMatrixError,
     assert_same_csr,
+    assert_same_sums,
     dense_solve,
     random_singular_psd,
     random_sparse_symmetric,
     random_spd,
+    reduceat_sum_oracle,
     triplet_sum_oracle,
 )
 
@@ -157,14 +159,45 @@ class TestTripletPattern:
                     assert_same_csr(got[p::2, q::2], without_zeros(expected))
 
     def test_indices_are_int32_when_they_fit(self):
+        # order stays intp: a gather through an int32 index converts it first
         pattern = TripletPattern(4, [3, 0, 3, 1], [0, 2, 0, 1])
-        for name in ("order", "entry", "rows", "cols"):
+        for name in ("entry", "rows", "cols"):
             assert getattr(pattern, name).dtype == np.int32, name
+        assert pattern.order.dtype == np.intp
+
+    @pytest.mark.parametrize("length", range(1, 13))
+    def test_runs_of_any_length_sum_as_reduceat_does(self, length):
+        # runs of up to SEQUENTIAL_RUN terms go through the rotated 0/1
+        # product, longer ones through reduceat, whose pairwise sum the
+        # product would not match; both give reduceat's bytes
+        rng = np.random.default_rng(length)
+        n = 3
+        rows = np.repeat(np.arange(n), length)
+        pattern = TripletPattern(n, rows, rows[::-1])
+        assert pattern.longest == length
+        for _ in range(50):
+            values = rng.standard_normal((rows.size, 2, 2)) * 10.0 ** rng.integers(-8, 8)
+            kept = np.flatnonzero(rng.random(rows.size) < 0.8)
+            assert_same_sums(
+                pattern.sum(values[kept], kept),
+                reduceat_sum_oracle(pattern, values[kept], kept),
+            )
+            assert_same_sums(pattern.sum(values), reduceat_sum_oracle(pattern, values))
 
     def test_value_count_must_match_kept_terms(self):
         pattern = TripletPattern(3, [0, 1, 1], [0, 1, 1])
         with pytest.raises(ValueError, match="kept terms"):
             pattern.sum(np.ones((2, 1, 1)), np.array([0]))
+
+
+class TestIndexDtype:
+    def test_int32_up_to_its_largest_value(self):
+        # a CSR array of a mesh past about 60M nodes holds values past
+        # int32 (36 slots per node): its dtype follows its largest value
+        assert index_dtype(0) is np.int32
+        assert index_dtype(np.iinfo(np.int32).max) is np.int32
+        assert index_dtype(np.iinfo(np.int32).max + 1) is np.int64
+        assert index_dtype(36 * 60_000_000) is np.int64
 
 
 class TestSpmv:

@@ -43,7 +43,7 @@ from topokry.optimizer import (
     _clamped_candidate,
     _cycle_period,
 )
-from topokry.problem import PointLoad, load_problem
+from topokry.problem import PointLoad, load_problem, loads_problem_text
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = os.path.join(ROOT, "configs")
@@ -382,6 +382,52 @@ class TestOptimize:
         assert all(cum[i + 1] >= cum[i] for i in range(len(cum) - 1))
         assert hist.status in (CONVERGED, MAX_ITERATIONS)
         assert all(d.min() >= 0.0 and d.max() <= 1.0 for d in hist.densities)
+
+
+class TestReuse:
+    """An outer iteration whose design equals the previous one bit for bit
+    solves with the previous matrix and V-cycle; every other one assembles
+    its own."""
+
+    @staticmethod
+    def counted_run(monkeypatch, spec):
+        calls = []
+
+        def counting_assemble(*args):
+            calls.append(args)
+            return assemble(*args)
+
+        monkeypatch.setattr(topokry.optimizer, "assemble", counting_assemble)
+        return optimize(spec), len(calls)
+
+    def test_fine_truss_assembles_all_but_the_repeated_design(self, monkeypatch):
+        # the 60x120 truss on the default multigrid CG: its last design
+        # repeats the one before, so 20 solves take 19 assemblies
+        text = (
+            "domain.width = 10\ndomain.height = 20\nmesh.nx = 60\nmesh.ny = 120\n"
+            "material.young_modulus = 2.1e5\nmaterial.poisson_ratio = 0.3\n"
+            "material.penal = 3\nmaterial.thickness = 10\nsupports.edges = left\n"
+            "loads.0.x = 10\nloads.0.y = 10\nloads.0.fy = -105\n"
+            "optimizer.volume_fraction = 0.375\noptimizer.move_limit = 1.0\n"
+        )
+        history, assemblies = self.counted_run(monkeypatch, loads_problem_text(text))
+        assert history.solver.preconditioning == "mg"
+        assert history.outer_iterations == 20
+        assert assemblies == 19
+        assert np.array_equal(history.densities[-2], history.densities[-3])
+        # the reused solve starts from its own solution and takes no step
+        assert history.inner_iterations[-1] == 0
+
+    def test_a_design_that_changes_every_iteration_is_assembled_every_time(
+        self, monkeypatch
+    ):
+        # smoke_2x2 closes a period-2 cycle: no design repeats its
+        # predecessor, so every outer iteration assembles
+        spec = load_problem(os.path.join(CONFIGS, "smoke_2x2.cfg"))
+        history, assemblies = self.counted_run(monkeypatch, spec)
+        designs = history.densities
+        assert not any(np.array_equal(a, b) for a, b in zip(designs, designs[1:]))
+        assert assemblies == history.outer_iterations == 30
 
 
 class TestCyclePeriod:

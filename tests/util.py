@@ -110,6 +110,29 @@ def triplet_sum_oracle(n: int, rows, cols, values) -> sp.csr_matrix:
     return sp.csr_matrix((summed, (r[starts], c[starts])), shape=(n, n))
 
 
+def reduceat_sum_oracle(pattern, values, kept=None) -> np.ndarray:
+    """What ``TripletPattern.sum`` returns, through ``np.add.reduceat``
+    alone: each entry's kept blocks summed in sorted order, an entry with
+    none of its terms kept zero."""
+    entry = pattern.entry if kept is None else pattern.entry[kept]
+    sums = np.zeros((pattern.rows.size,) + values.shape[1:])
+    if entry.size:
+        first = np.ones(entry.size, dtype=bool)
+        first[1:] = entry[1:] != entry[:-1]
+        starts = np.flatnonzero(first)
+        sums[entry[starts]] = np.add.reduceat(values, starts, axis=0)
+    return sums
+
+
+def assert_same_sums(got, expected) -> None:
+    """Same shape, the same bytes in every nonzero sum, and zero where the
+    other is zero, of either sign."""
+    assert got.shape == expected.shape
+    np.testing.assert_array_equal(got == 0.0, expected == 0.0)
+    nonzero = expected != 0.0
+    assert got[nonzero].tobytes() == expected[nonzero].tobytes()
+
+
 def unsupported(mesh) -> BoundaryConditions:
     """Boundary conditions that fix no DOF: ``assemble`` with them returns
     the full, singular stiffness matrix."""
