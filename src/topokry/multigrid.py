@@ -128,7 +128,7 @@ def _steps(mesh: Mesh, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     distinct 8x8 matrices, and which one each element takes."""
     px, py = _position(mesh.nx), _position(mesh.ny)
     position = (px[None, :] + 3 * py[:, None]).ravel()
-    mask = free.reshape(-1, 2)[mesh.element_nodes].reshape(-1, 8)
+    mask = free.reshape(-1, 2).take(mesh.element_nodes, axis=0).reshape(-1, 8)
     code = position + 9 * (mask @ (1 << np.arange(8)))
     codes, which = np.unique(code, return_inverse=True)
     position, bits = codes % 9, codes // 9
@@ -184,11 +184,15 @@ class Level:
             shape=(entries, terms),
         )
 
-    def galerkin(self, scale: np.ndarray) -> sp.csr_matrix:
-        """The level's operator Q^T A Q for fine densities rho^p = scale."""
+    def galerkin(self, scale: np.ndarray) -> SparseSymMatrix:
+        """The level's operator Q^T A Q for fine densities rho^p = scale,
+        with the diagonal its layout gathers."""
         scale.take(self.fine, out=self.weights.data)
         blocks = (self.weights @ self.blocks).reshape(-1, 4)
-        return self.layout.csr(self.summation @ blocks)
+        sums = self.summation @ blocks
+        return SparseSymMatrix(
+            self.layout.csr(sums), check=False, diagonal=self.layout.diagonal(sums)
+        )
 
 
 def hierarchy(mesh: Mesh, bc: BoundaryConditions, mat: Material) -> list[Level]:
@@ -261,16 +265,16 @@ def v_cycle(a: SparseSymMatrix, scale: np.ndarray, levels: list[Level]):
     is.  A's zero rows come from
     :meth:`SparseSymMatrix.zero_rows`, worked out once per matrix."""
     ops = []
-    matrix, csr = a, a.csr  # A's diagonal came with it from the assembly
+    matrix = a
     for level in levels:
         n, nc = level.p.shape
         ops.append((
-            csr_operator(csr), level.weight * jacobi_preconditioner(matrix),
+            csr_operator(matrix.csr), level.weight * jacobi_preconditioner(matrix),
             csr_operator(level.p), csr_operator(level.pt),
             np.empty(n), np.empty(nc), np.empty(nc),
         ))
-        matrix = csr = level.galerkin(scale)
-    pinv = pseudo_inverse_unchecked(csr.toarray())
+        matrix = level.galerkin(scale)
+    pinv = pseudo_inverse_unchecked(matrix.to_dense())
     zero = a.zero_rows()
 
     def precondition(r: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -140,7 +140,7 @@ def assert_galerkin_matches_the_product(mesh, mat, bc, rho):
     assert levels
     scale = rho.values ** mat.penal
     for depth, (level, oracle) in enumerate(zip(levels, galerkin_oracle(a, levels))):
-        got = level.galerkin(scale)
+        got = level.galerkin(scale).csr
         assert np.count_nonzero(got.data == 0.0) == 0
         expected = oracle.toarray()
         scale_max = np.abs(expected).max()
@@ -148,6 +148,7 @@ def assert_galerkin_matches_the_product(mesh, mat, bc, rho):
         assert error <= 1e-12 * scale_max, f"level {depth + 1}: {error / scale_max:.2e}"
         empty = np.flatnonzero(np.diff(got.indptr) == 0)
         np.testing.assert_array_equal(empty, np.flatnonzero(~expected.any(axis=1)))
+        assert level.galerkin(scale).diagonal().tobytes() == got.diagonal().tobytes()
 
 
 class TestGalerkin:
