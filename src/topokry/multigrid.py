@@ -262,8 +262,9 @@ def v_cycle(a: SparseSymMatrix, scale: np.ndarray, levels: list[Level]):
 
     The coarsest operator goes to :func:`linalg.pseudo_inverse_unchecked`:
     the Galerkin sums are finite and bit-symmetric by construction, as A
-    is.  A's zero rows come from
-    :meth:`SparseSymMatrix.zero_rows`, worked out once per matrix."""
+    is.  Each level's Jacobi diagonal comes with its matrix, gathered by
+    its layout, and A's zero rows from :meth:`SparseSymMatrix.zero_rows`,
+    worked out once per matrix."""
     ops = []
     matrix = a
     for level in levels:
