@@ -85,6 +85,7 @@ def _write_summary(
         f"outer_iters: {history.outer_iterations}",
         f"total_inner_iters: {history.total_inner_iterations}",
         f"capped_solves: {history.solver_status.count(MAX_ITERATIONS)}",
+        f"repeating_solves: {sum(history.solver_repeated)}",
         f"max_true_rel_residual: {max(history.true_relative_residual):.3e}",
         f"slack_updates: {slack}",
         f"final_compliance: {history.compliance[-1]:.12e}",

@@ -93,7 +93,8 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizationHistory:
-    """Per-outer-iteration record of an optimization run, how it ended
+    """Per-outer-iteration record of an optimization run (``solver_repeated``:
+    whether the solve's state fell into an exact cycle), how it ended
     (``status`` and, if ``CYCLING``, ``cycle_period``), and the solver
     settings it resolved (``solver``: cap and preconditioning set)."""
 
@@ -101,6 +102,7 @@ class OptimizationHistory:
     lagrange_multiplier: list[float] = field(default_factory=list)
     inner_iterations: list[int] = field(default_factory=list)
     solver_status: list[str] = field(default_factory=list)
+    solver_repeated: list[bool] = field(default_factory=list)
     true_relative_residual: list[float] = field(default_factory=list)
     volume: list[float] = field(default_factory=list)
     densities: list[np.ndarray] = field(default_factory=list)
@@ -343,6 +345,7 @@ def optimize(spec: "ProblemSpec") -> OptimizationHistory:
         history.lagrange_multiplier.append(lam)
         history.inner_iterations.append(report.iterations)
         history.solver_status.append(report.status)
+        history.solver_repeated.append(report.repeated_at is not None)
         history.true_relative_residual.append(report.true_relative_residual)
         history.volume.append(rho_new.volume())
         history.densities.append(rho_new.values.copy())

@@ -46,6 +46,11 @@ ENERGY_WINDOW = (0.013, 0.024)
 CAPPED_SOLVES = {
     ("cg", "oc"): 0, ("cg", "conlin"): 0, ("cr", "oc"): 12, ("cr", "conlin"): 17,
 }
+# capped solves whose state repeats bit for bit, with the iterations up to
+# the cap copied rather than run
+REPEATING_SOLVES = {
+    ("cg", "oc"): 0, ("cg", "conlin"): 0, ("cr", "oc"): 7, ("cr", "conlin"): 9,
+}
 # assemblies in each run on the shipped config: one per outer iteration
 # but the last, whose design repeats the one before it bit for bit
 ASSEMBLIES = {
@@ -193,6 +198,17 @@ def test_summary_counts_capped_solves(truss_outputs):
         capped = data["history"].solver_status.count("max_iterations")
         reported = int(data["summary"]["capped_solves"])
         assert reported == capped == CAPPED_SOLVES[combo], combo_name(*combo)
+
+
+def test_summary_counts_repeating_solves(truss_outputs):
+    for combo, data in truss_outputs.items():
+        history = data["history"]
+        repeating = sum(history.solver_repeated)
+        reported = int(data["summary"]["repeating_solves"])
+        assert reported == repeating == REPEATING_SOLVES[combo], combo_name(*combo)
+        # a solve caught repeating can only end at the cap
+        for repeated, status in zip(history.solver_repeated, history.solver_status):
+            assert status == "max_iterations" or not repeated
 
 
 def test_unchanged_design_is_not_assembled_again(truss_outputs):

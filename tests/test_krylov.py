@@ -596,3 +596,125 @@ class TestStoredZerosChangeNothing:
             assert got.residual_history == expected.residual_history
             assert (got.status, got.iterations) == (expected.status, expected.iterations)
             assert got.true_relative_residual == expected.true_relative_residual
+
+
+def left_jacobi_cr_system(nx, ny, update_rule, updates):
+    """The shipped truss on an nx x ny mesh after ``updates`` density
+    updates of its left-Jacobi CR run: the reduced matrix, the load and
+    the run's Krylov cap, the mesh's node count."""
+    import os
+
+    from topokry import apply_dirichlet, assemble, build_load, optimize
+    from topokry.problem import load_problem
+
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = load_problem(os.path.join(here, "configs", "two_bar_truss.cfg"))
+    spec = replace(
+        spec, nx=nx, ny=ny, solver=replace(spec.solver, method="cr"),
+        optimizer=replace(
+            spec.optimizer, update_rule=update_rule, max_outer_iterations=updates
+        ),
+    )
+    mesh = spec.build_mesh()
+    bc = spec.build_boundary_conditions(mesh)
+    rho = DensityField(optimize(spec).densities[-1])
+    b_red, _ = apply_dirichlet(build_load(mesh, bc), bc)
+    return assemble(mesh, spec.material, rho, bc), b_red, mesh.n_nodes
+
+
+@pytest.fixture
+def snapshots(monkeypatch):
+    """Records each read of a solve's state: a snapshot or a comparison."""
+    from topokry import krylov
+
+    calls = []
+    bits = krylov._bits
+
+    def counted(vectors):
+        calls.append(len(vectors))
+        return bits(vectors)
+
+    monkeypatch.setattr(krylov, "_bits", counted)
+    return calls
+
+
+class TestRepeatingState:
+    """A capped left-Jacobi CR solve whose state falls into an exact cycle
+    stops running it, and reports byte for byte what the full run does."""
+
+    @pytest.mark.parametrize("extra", [0, 1, 2, 3])
+    def test_skipped_solve_is_the_full_run(self, extra):
+        # the 20x40 PCR-OC design after its first update repeats from
+        # iteration 108; the cap's phase in the period of 4 varies
+        a_red, b_red, cap = left_jacobi_cr_system(20, 40, "oc", 1)
+        cap += extra
+        cfg = SolverConfig(method="cr", preconditioning="jacobi", max_iterations=cap)
+        rep = solve(a_red, b_red, None, cfg)
+        x, history = textbook_solve(a_red, b_red, "cr", "jacobi", cap)
+        assert (rep.status, rep.iterations) == ("max_iterations", cap)
+        assert rep.repeated_at is not None and cap - rep.repeated_at > 700
+        assert rep.solution.tobytes() == x.tobytes()
+        assert np.array(rep.residual_history).tobytes() == np.array(history).tobytes()
+
+    def test_recorded_iterates_are_the_full_runs(self):
+        a_red, b_red, cap = left_jacobi_cr_system(8, 16, "conlin", 5)
+        cfg = SolverConfig(
+            method="cr", preconditioning="jacobi", max_iterations=cap,
+            record_iterates=True,
+        )
+        rep = solve(a_red, b_red, None, cfg)
+        iterates = []
+        x, history = textbook_solve(
+            a_red, b_red, "cr", "jacobi", cap, iterates=iterates
+        )
+        assert rep.repeated_at is not None and rep.repeated_at < cap - 8
+        assert np.array(rep.residual_history).tobytes() == np.array(history).tobytes()
+        assert len(rep.iterates) == len(rep.residual_vectors) == len(iterates) == cap + 1
+        for got_x, got_r, (want_x, want_r) in zip(
+            rep.iterates, rep.residual_vectors, iterates
+        ):
+            assert got_x.tobytes() == want_x.tobytes()
+            assert got_r.tobytes() == want_r.tobytes()
+        # the copied iterates are arrays of their own, as the run ones are
+        assert len({id(v) for v in rep.iterates + rep.residual_vectors}) == 2 * (cap + 1)
+
+    def test_constant_residual_that_moves_on_is_run_in_full(self, snapshots):
+        # the 8x16 PCR-OC design after its first update keeps ||r|| constant
+        # for its last 131 iterations while the state still moves, down to
+        # x in its last bits: snapshots are taken and miss, each miss
+        # doubling the wait, and nothing is skipped
+        a_red, b_red, cap = left_jacobi_cr_system(8, 16, "oc", 1)
+        cfg = SolverConfig(
+            method="cr", preconditioning="jacobi", max_iterations=cap,
+            record_iterates=True,
+        )
+        rep = solve(a_red, b_red, None, cfg)
+        x, history = textbook_solve(a_red, b_red, "cr", "jacobi", cap)
+        assert rep.residual_history[-100:] == [rep.residual_history[-1]] * 100
+        assert rep.iterates[-1].tobytes() != rep.iterates[-100].tobytes()
+        assert rep.repeated_at is None
+        assert rep.solution.tobytes() == x.tobytes()
+        assert np.array(rep.residual_history).tobytes() == np.array(history).tobytes()
+        # a snapshot and its comparison each read the state once
+        assert 2 <= len(snapshots) <= 2 * int(np.log2(cap))
+
+    @pytest.mark.parametrize("method,pre", TestInPlaceSafety.SETTINGS)
+    def test_converging_solve_takes_no_snapshot(self, snapshots, method, pre):
+        rng = np.random.default_rng(5)
+        a = sparse_from_dense(random_spd(rng, 40))
+        cfg = SolverConfig(method=method, preconditioning=pre)
+        rep = solve(a, rng.standard_normal(40), None, cfg)
+        assert rep.status == "converged" and rep.iterations > 4
+        assert rep.repeated_at is None
+        assert snapshots == []
+
+    def test_converging_truss_solves_take_no_snapshot(self, snapshots, truss_designs):
+        from topokry import apply_dirichlet, assemble, build_load
+
+        mesh, mat, bc, designs = truss_designs
+        b_red, _ = apply_dirichlet(build_load(mesh, bc), bc)
+        cfg = SolverConfig(preconditioning="jacobi", max_iterations=mesh.n_nodes)
+        for values in designs:
+            rep = solve(assemble(mesh, mat, DensityField(values), bc), b_red, None, cfg)
+            assert rep.status == "converged"
+        assert snapshots == []

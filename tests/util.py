@@ -190,14 +190,16 @@ def element_dof_table(element_nodes) -> np.ndarray:
 
 
 def textbook_solve(a: SparseSymMatrix, b, method: str, preconditioning: str,
-                   max_iterations: int, rel_tolerance: float = 1e-8):
+                   max_iterations: int, rel_tolerance: float = 1e-8,
+                   iterates: list | None = None):
     """CG or CR from x0 = 0, transcribed in plain numpy expressions.
 
     The reference for :func:`topokry.solve`: new arrays each step
     (``x + alpha * p``, ``r - alpha * ap``, ``z + beta * p``), ``csr @ v``
     as the operator and ``np.linalg.norm`` for every residual norm.
     Jacobi CG is textbook PCG with z = d * r; Jacobi CR iterates on
-    ``d * (csr @ v)``.  Returns (solution, residual history).
+    ``d * (csr @ v)``.  Returns (solution, residual history), and appends
+    each iterate's (x_k, r_k) to ``iterates`` if given.
     """
     csr = a.csr
     b = np.asarray(b, dtype=float)
@@ -221,6 +223,8 @@ def textbook_solve(a: SparseSymMatrix, b, method: str, preconditioning: str,
         ap = ar
     b_norm = np.linalg.norm(b)
     history = [np.linalg.norm(r)]
+    if iterates is not None:
+        iterates.append((x, r))
     for _ in range(max_iterations):
         if history[-1] <= rel_tolerance * b_norm:
             break
@@ -235,6 +239,8 @@ def textbook_solve(a: SparseSymMatrix, b, method: str, preconditioning: str,
         x = x + alpha * p
         r = r - alpha * ap
         history.append(np.linalg.norm(r))
+        if iterates is not None:
+            iterates.append((x, r))
         if method == "cg":
             z = precondition(r)
             beta = -(z @ ap) / denom
