@@ -70,7 +70,7 @@ so results are bit-identical to them:
   by ``d``, which is the product ``d * (A v)``.
 
 A capped solve can fall into a cycle: under left-Jacobi CR on the
-shipped truss, 16 of the 29 capped solves reach a state that repeats
+shipped truss, 18 of the 29 capped solves reach a state that repeats
 exactly, with period 2 or 4 and alpha = 0.0 on the repeating steps.  The
 state is every vector the next step reads: x, r and p, plus A p for CR
 and s for preconditioned CG.  One step is a deterministic function of
@@ -81,12 +81,13 @@ every later state is one already seen, and every check already passed
 on it.  The loop then runs only the (cap - k) mod 4 steps that land on
 the cap's phase and copies the repeating residual norms (and recorded
 iterates) for the rest.  The report, with ``repeated_at`` = k, is byte
-for byte the one the full run gives; on the truss this skips 7 740 of
-the 27 605 CR iterations.  Finding the repeat costs one float compare
-per iteration: only a residual norm equal to the one 4 back takes a
-snapshot of the state, compared 4 iterations on, and each miss doubles
-the wait before the next snapshot, so a solve whose ||r|| stays
-constant while p moves takes a few snapshots, not hundreds.
+for byte the one the full run gives; on the truss this skips 8 508 of
+the 27 605 CR iterations.  A snapshot of the state is taken only when
+||r|| and alpha both equal their values 4 iterations back, as on every
+cycle whose period divides 4, and is compared 4 iterations on.  With
+one snapshot pending at a time, a solve reads its state at most twice
+per 4 iterations, and a state that first recurs at iteration j is
+caught by iteration j + 8 if that is within the cap.
 
 ``csr_matvec`` is a private scipy API; ``tests/test_krylov.py`` checks it
 bit for bit against ``csr @ v``, so a scipy release that changes it fails
@@ -289,8 +290,7 @@ def _iterate(
         state.append(s)
     snapshot = None  # the state's bytes, to compare at iteration compare_at
     compare_at = 0
-    wait = REPEAT_LAG  # until the next snapshot, doubled after each miss
-    next_snapshot = REPEAT_LAG
+    alphas = []
     repeated_at = None
 
     k = 0
@@ -306,6 +306,7 @@ def _iterate(
         if denom <= BREAKDOWN_TOLERANCE * p_sq:
             return report(STAGNATED, k)
         alpha = float(r.dot(w)) / denom
+        alphas.append(alpha)
         x += np.multiply(p, alpha, out=tmp)
         r -= np.multiply(ap, alpha, out=tmp)
         res = math.sqrt(r.dot(r))
@@ -327,8 +328,10 @@ def _iterate(
             rs.append(r.copy())
         k += 1
         if snapshot is None:
-            if k >= next_snapshot and res == history[k - REPEAT_LAG]:
-                snapshot, compare_at = _bits(state), k + REPEAT_LAG
+            j = k - REPEAT_LAG  # snapshot if ||r|| and alpha equal theirs at j
+            if 0 < j and k + REPEAT_LAG <= max_iter and res == history[j]:
+                if alpha == alphas[j - 1]:
+                    snapshot, compare_at = _bits(state), k + REPEAT_LAG
         elif k == compare_at:
             if _bits(state) == snapshot:
                 # every later state is one already seen: copy whole
@@ -340,10 +343,6 @@ def _iterate(
                     xs += [v.copy() for v in xs[-REPEAT_LAG:] * periods]
                     rs += [v.copy() for v in rs[-REPEAT_LAG:] * periods]
                 k += periods * REPEAT_LAG
-                next_snapshot = max_iter
-            else:
-                next_snapshot = k + wait
-                wait *= 2
             snapshot = None
 
     status = CONVERGED if history[-1] <= cfg.rel_tolerance * b_norm else MAX_ITERATIONS

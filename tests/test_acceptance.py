@@ -49,7 +49,7 @@ CAPPED_SOLVES = {
 # capped solves whose state repeats bit for bit, with the iterations up to
 # the cap copied rather than run
 REPEATING_SOLVES = {
-    ("cg", "oc"): 0, ("cg", "conlin"): 0, ("cr", "oc"): 7, ("cr", "conlin"): 9,
+    ("cg", "oc"): 0, ("cg", "conlin"): 0, ("cr", "oc"): 8, ("cr", "conlin"): 10,
 }
 # assemblies in each run on the shipped config: one per outer iteration
 # but the last, whose design repeats the one before it bit for bit

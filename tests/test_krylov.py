@@ -11,12 +11,13 @@ from topokry import (
     jacobi_preconditioner,
     solve,
 )
-from topokry.krylov import csr_operator
+from topokry.krylov import REPEAT_LAG, csr_operator
 from topokry.linalg import pseudo_inverse
 from util import (
     dense_solve,
     random_singular_psd,
     random_spd,
+    repeat_oracle,
     sparse_from_dense,
     textbook_solve,
 )
@@ -598,22 +599,29 @@ class TestStoredZerosChangeNothing:
             assert got.true_relative_residual == expected.true_relative_residual
 
 
-def left_jacobi_cr_system(nx, ny, update_rule, updates):
-    """The shipped truss on an nx x ny mesh after ``updates`` density
-    updates of its left-Jacobi CR run: the reduced matrix, the load and
-    the run's Krylov cap, the mesh's node count."""
+def shipped_cr_truss(update_rule, **optimizer):
+    """The shipped truss config, solved by left-Jacobi CR, under
+    ``update_rule`` and any other ``optimizer`` settings given."""
     import os
 
-    from topokry import apply_dirichlet, assemble, build_load, optimize
     from topokry.problem import load_problem
 
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = load_problem(os.path.join(here, "configs", "two_bar_truss.cfg"))
+    return replace(
+        spec, solver=replace(spec.solver, method="cr"),
+        optimizer=replace(spec.optimizer, update_rule=update_rule, **optimizer),
+    )
+
+
+def left_jacobi_cr_system(nx, ny, update_rule, updates):
+    """The shipped truss on an nx x ny mesh after ``updates`` density
+    updates of its left-Jacobi CR run: the reduced matrix, the load and
+    the run's Krylov cap, the mesh's node count."""
+    from topokry import apply_dirichlet, assemble, build_load, optimize
+
     spec = replace(
-        spec, nx=nx, ny=ny, solver=replace(spec.solver, method="cr"),
-        optimizer=replace(
-            spec.optimizer, update_rule=update_rule, max_outer_iterations=updates
-        ),
+        shipped_cr_truss(update_rule, max_outer_iterations=updates), nx=nx, ny=ny
     )
     mesh = spec.build_mesh()
     bc = spec.build_boundary_conditions(mesh)
@@ -638,23 +646,62 @@ def snapshots(monkeypatch):
     return calls
 
 
+@pytest.fixture(scope="module")
+def capped_cr_truss_solves():
+    """Every capped solve of the shipped truss's PCR-OC and PCR-CONLIN
+    runs, as (matrix, load, warm start, cap, report)."""
+    import topokry.optimizer
+    from topokry import optimize
+
+    solves = []
+
+    def recording_solve(a, b, x0, cfg, precondition=None):
+        rep = solve(a, b, x0, cfg, precondition=precondition)
+        if rep.status == "max_iterations":
+            solves.append((a, b, x0, cfg.max_iterations, rep))
+        return rep
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(topokry.optimizer, "solve", recording_solve)
+        for rule in ("oc", "conlin"):
+            optimize(shipped_cr_truss(rule))
+    return solves
+
+
+def assert_full_run(rep, a, b, cap, x0=None):
+    """``rep`` is, byte for byte, the textbook left-Jacobi CR run to the cap."""
+    x, history = textbook_solve(a, b, "cr", "jacobi", cap, x0=x0)
+    assert (rep.status, rep.iterations) == ("max_iterations", cap)
+    assert rep.solution.tobytes() == x.tobytes()
+    assert np.array(rep.residual_history).tobytes() == np.array(history).tobytes()
+
+
 class TestRepeatingState:
     """A capped left-Jacobi CR solve whose state falls into an exact cycle
     stops running it, and reports byte for byte what the full run does."""
 
     @pytest.mark.parametrize("extra", [0, 1, 2, 3])
     def test_skipped_solve_is_the_full_run(self, extra):
-        # the 20x40 PCR-OC design after its first update repeats from
-        # iteration 108; the cap's phase in the period of 4 varies
+        # the 20x40 PCR-OC design after its first update repeats with
+        # period 2 from iteration 78 and is caught at 85; the cap's phase
+        # in the period of 4 varies
         a_red, b_red, cap = left_jacobi_cr_system(20, 40, "oc", 1)
         cap += extra
         cfg = SolverConfig(method="cr", preconditioning="jacobi", max_iterations=cap)
         rep = solve(a_red, b_red, None, cfg)
-        x, history = textbook_solve(a_red, b_red, "cr", "jacobi", cap)
-        assert (rep.status, rep.iterations) == ("max_iterations", cap)
         assert rep.repeated_at is not None and cap - rep.repeated_at > 700
-        assert rep.solution.tobytes() == x.tobytes()
-        assert np.array(rep.residual_history).tobytes() == np.array(history).tobytes()
+        assert_full_run(rep, a_red, b_red, cap)
+
+    def test_cycle_under_constant_residual_is_caught(self):
+        # the 8x16 PCR-OC design after its first update keeps ||r||
+        # constant for its last 132 iterations, and its state repeats with
+        # period 2 from iteration 103
+        a_red, b_red, cap = left_jacobi_cr_system(8, 16, "oc", 1)
+        cfg = SolverConfig(method="cr", preconditioning="jacobi", max_iterations=cap)
+        rep = solve(a_red, b_red, None, cfg)
+        assert repeat_oracle(a_red, b_red, "cr", "jacobi", cap) == (103, 2)
+        assert (rep.repeated_at, cap) == (108, 153)
+        assert_full_run(rep, a_red, b_red, cap)
 
     def test_recorded_iterates_are_the_full_runs(self):
         a_red, b_red, cap = left_jacobi_cr_system(8, 16, "conlin", 5)
@@ -665,7 +712,8 @@ class TestRepeatingState:
         rep = solve(a_red, b_red, None, cfg)
         iterates = []
         x, history = textbook_solve(
-            a_red, b_red, "cr", "jacobi", cap, iterates=iterates
+            a_red, b_red, "cr", "jacobi", cap,
+            observe=lambda state: iterates.append(state[:2]),
         )
         assert rep.repeated_at is not None and rep.repeated_at < cap - 8
         assert np.array(rep.residual_history).tobytes() == np.array(history).tobytes()
@@ -679,24 +727,36 @@ class TestRepeatingState:
         assert len({id(v) for v in rep.iterates + rep.residual_vectors}) == 2 * (cap + 1)
 
     def test_constant_residual_that_moves_on_is_run_in_full(self, snapshots):
-        # the 8x16 PCR-OC design after its first update keeps ||r|| constant
-        # for its last 131 iterations while the state still moves, down to
-        # x in its last bits: snapshots are taken and miss, each miss
-        # doubling the wait, and nothing is skipped
-        a_red, b_red, cap = left_jacobi_cr_system(8, 16, "oc", 1)
-        cfg = SolverConfig(
-            method="cr", preconditioning="jacobi", max_iterations=cap,
-            record_iterates=True,
-        )
+        # the 8x16 PCR-OC design after its seventh update keeps ||r||
+        # constant for its last 93 iterations while no state repeats:
+        # snapshots are taken and miss, and nothing is skipped
+        a_red, b_red, cap = left_jacobi_cr_system(8, 16, "oc", 7)
+        cfg = SolverConfig(method="cr", preconditioning="jacobi", max_iterations=cap)
         rep = solve(a_red, b_red, None, cfg)
-        x, history = textbook_solve(a_red, b_red, "cr", "jacobi", cap)
-        assert rep.residual_history[-100:] == [rep.residual_history[-1]] * 100
-        assert rep.iterates[-1].tobytes() != rep.iterates[-100].tobytes()
+        assert rep.residual_history[-90:] == [rep.residual_history[-1]] * 90
+        assert repeat_oracle(a_red, b_red, "cr", "jacobi", cap) is None
         assert rep.repeated_at is None
-        assert rep.solution.tobytes() == x.tobytes()
-        assert np.array(rep.residual_history).tobytes() == np.array(history).tobytes()
-        # a snapshot and its comparison each read the state once
-        assert 2 <= len(snapshots) <= 2 * int(np.log2(cap))
+        assert_full_run(rep, a_red, b_red, cap)
+        # a snapshot and its comparison each read the state once, and a
+        # snapshot is compared REPEAT_LAG iterations after it is taken
+        assert 2 <= len(snapshots) <= 2 * cap / REPEAT_LAG
+
+    def test_every_exact_cycle_on_the_truss_is_caught(self, capped_cr_truss_solves):
+        # a solve whose state repeats runs to the cap (every check on the
+        # repeating states passed the first time), so the capped solves
+        # are all the candidates
+        caught = 0
+        for a, b, x0, cap, rep in capped_cr_truss_solves:
+            found = repeat_oracle(a, b, "cr", "jacobi", cap, x0=x0)
+            if found is None or REPEAT_LAG % found[1]:
+                assert rep.repeated_at is None
+                continue
+            first, _ = found
+            assert first <= rep.repeated_at <= first + 2 * REPEAT_LAG
+            caught += 1
+            if first > 700:  # the late cycles, first repeating at 790 and 796
+                assert_full_run(rep, a, b, cap, x0=x0)
+        assert (caught, len(capped_cr_truss_solves)) == (18, 29)
 
     @pytest.mark.parametrize("method,pre", TestInPlaceSafety.SETTINGS)
     def test_converging_solve_takes_no_snapshot(self, snapshots, method, pre):

@@ -1,6 +1,7 @@
 """Shared generators and small oracles for the test suite."""
 from __future__ import annotations
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -191,15 +192,16 @@ def element_dof_table(element_nodes) -> np.ndarray:
 
 def textbook_solve(a: SparseSymMatrix, b, method: str, preconditioning: str,
                    max_iterations: int, rel_tolerance: float = 1e-8,
-                   iterates: list | None = None):
-    """CG or CR from x0 = 0, transcribed in plain numpy expressions.
+                   x0=None, observe=None):
+    """CG or CR from x0 (default 0), transcribed in plain numpy expressions.
 
     The reference for :func:`topokry.solve`: new arrays each step
     (``x + alpha * p``, ``r - alpha * ap``, ``z + beta * p``), ``csr @ v``
     as the operator and ``np.linalg.norm`` for every residual norm.
     Jacobi CG is textbook PCG with z = d * r; Jacobi CR iterates on
-    ``d * (csr @ v)``.  Returns (solution, residual history), and appends
-    each iterate's (x_k, r_k) to ``iterates`` if given.
+    ``d * (csr @ v)``.  Returns (solution, residual history), and calls
+    ``observe(state)``, if given, with each iterate k's state: the tuple
+    (x_k, r_k, p_k), plus A p_k for CR.
     """
     csr = a.csr
     b = np.asarray(b, dtype=float)
@@ -215,7 +217,7 @@ def textbook_solve(a: SparseSymMatrix, b, method: str, preconditioning: str,
     def precondition(r):
         return r if m is None else m * r
 
-    x = np.zeros(b.size)
+    x = np.zeros(b.size) if x0 is None else np.array(x0, dtype=float)
     r = b - op(x)
     p = precondition(r)
     if method == "cr":
@@ -223,8 +225,8 @@ def textbook_solve(a: SparseSymMatrix, b, method: str, preconditioning: str,
         ap = ar
     b_norm = np.linalg.norm(b)
     history = [np.linalg.norm(r)]
-    if iterates is not None:
-        iterates.append((x, r))
+    if observe is not None:
+        observe((x, r, p) if method == "cg" else (x, r, p, ap))
     for _ in range(max_iterations):
         if history[-1] <= rel_tolerance * b_norm:
             break
@@ -239,8 +241,6 @@ def textbook_solve(a: SparseSymMatrix, b, method: str, preconditioning: str,
         x = x + alpha * p
         r = r - alpha * ap
         history.append(np.linalg.norm(r))
-        if iterates is not None:
-            iterates.append((x, r))
         if method == "cg":
             z = precondition(r)
             beta = -(z @ ap) / denom
@@ -250,7 +250,30 @@ def textbook_solve(a: SparseSymMatrix, b, method: str, preconditioning: str,
             beta = -(ar @ ap) / denom
             p = r + beta * p
             ap = ar + beta * ap
+        if observe is not None:
+            observe((x, r, p) if method == "cg" else (x, r, p, ap))
     return x, history
+
+
+def repeat_oracle(a: SparseSymMatrix, b, method: str, preconditioning: str,
+                  max_iterations: int, x0=None):
+    """Where the state of :func:`textbook_solve` first repeats, found by
+    hashing every iterate's state: (k, period) for the first iterate k
+    whose state equals, bit for bit, that of iterate k - period, or None
+    if no state repeats up to the cap."""
+    digests = []
+    textbook_solve(
+        a, b, method, preconditioning, max_iterations, x0=x0,
+        observe=lambda state: digests.append(
+            hashlib.sha256(b"".join(v.tobytes() for v in state)).digest()
+        ),
+    )
+    first = {}
+    for k, digest in enumerate(digests):
+        if digest in first:
+            return k, k - first[digest]
+        first[digest] = k
+    return None
 
 
 def dense_operator(apply, n: int) -> np.ndarray:
