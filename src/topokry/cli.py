@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from .fem import Mesh
-from .krylov import MAX_ITERATIONS, NumericalFailure, SolverConfig
+from .krylov import MAX_ITERATIONS, STAGNATED, NumericalFailure, SolverConfig
 from .optimizer import (
     MULTIPLIER_BRACKET,
     InfeasibleConstraintError,
@@ -85,6 +85,7 @@ def _write_summary(
         f"outer_iters: {history.outer_iterations}",
         f"total_inner_iters: {history.total_inner_iterations}",
         f"capped_solves: {history.solver_status.count(MAX_ITERATIONS)}",
+        f"stagnated_solves: {history.solver_status.count(STAGNATED)}",
         f"repeating_solves: {sum(history.solver_repeated)}",
         f"max_true_rel_residual: {max(history.true_relative_residual):.3e}",
         f"slack_updates: {slack}",

@@ -49,7 +49,8 @@ are 3.1 % and 6.0 % above those of Jacobi CG.  Its reported residual
 history belongs to the system actually iterated, M^-1 A x = M^-1 b.
 
 An iteration allocates no arrays.  The work vectors are allocated once per
-solve and updated in place, and the operator is a callable
+solve and updated in place, and the report hands the final x and r back
+as they are, without a copy.  The operator is a callable
 ``matvec(v, out)``: it writes A v into ``out`` and returns ``out``, where
 ``v`` and ``out`` are distinct contiguous float64 vectors of length n and
 ``out``'s prior contents are ignored.  :func:`csr_operator` builds it from
@@ -79,12 +80,12 @@ it: the same buffers, the same ``csr_matvec`` and ``ddot`` calls, and a
 equals, byte for byte, the one ``REPEAT_LAG`` = 4 iterations earlier,
 every later state is one already seen, and every check already passed
 on it.  The loop then runs only the (cap - k) mod 4 steps that land on
-the cap's phase and copies the repeating residual norms (and recorded
-iterates) for the rest.  The report, with ``repeated_at`` = k, is byte
-for byte the one the full run gives; on the truss this skips 8 508 of
-the 27 605 CR iterations.  A snapshot of the state is taken only when
-||r|| and alpha both equal their values 4 iterations back, as on every
-cycle whose period divides 4, and is compared 4 iterations on.  With
+the cap's phase and copies the repeating residual norms for the rest.
+The report, with ``repeated_at`` = k, is byte for byte the one the full
+run gives; on the truss this skips 8 508 of the 27 605 CR iterations.  A
+snapshot of the state is taken only when ||r|| and alpha both equal
+their values 4 iterations back, as on every cycle whose period divides
+4, and is compared 4 iterations on.  With
 one snapshot pending at a time, a solve reads its state at most twice
 per 4 iterations, and a state that first recurs at iteration j is
 caught by iteration j + 8 if that is within the cap.
@@ -103,7 +104,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
 
-from .linalg import DENSE_SIZE_LIMIT, SparseSymMatrix, as_vector, is_integer
+from .linalg import SparseSymMatrix, as_vector, is_integer
 
 CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
@@ -143,13 +144,12 @@ class SolverConfig:
     rel_tolerance: float = 1e-8
     max_iterations: int | None = None
     preconditioning: str | None = "none"
-    record_iterates: bool = False
 
     def __post_init__(self):
         if self.method not in ("cg", "cr"):
             raise ValueError(f"unknown method {self.method!r}")
-        if not self.rel_tolerance > 0:
-            raise ValueError("rel_tolerance must be positive")
+        if not 0 < self.rel_tolerance < math.inf:
+            raise ValueError("rel_tolerance must be positive and finite")
         if self.max_iterations is not None and not (
             is_integer(self.max_iterations) and self.max_iterations >= 1
         ):
@@ -165,10 +165,11 @@ class SolveReport:
     """Outcome of a Krylov solve.
 
     ``residual_history`` has ``iterations + 1`` entries (it includes the
-    initial residual norm).  When iterate recording is enabled, ``iterates``
-    and ``residual_vectors`` hold the same number of snapshots.  Iterates,
-    residual vectors and the history belong to the system as given, except
-    that under left-Jacobi CR the residuals are those of M^-1 A x = M^-1 b.
+    initial residual norm).  ``residual`` is the final recursive residual
+    r_k, whose norm is the last entry of the history and, over ||b||,
+    ``final_relative_residual``.  The residuals belong to the system as
+    given, except that under left-Jacobi CR they are those of
+    M^-1 A x = M^-1 b.
     ``true_relative_residual`` is ||b - A x|| / ||b|| on the system as
     given, whatever was iterated.  ``repeated_at`` is the iteration at
     which the solver state equalled, bit for bit, the one ``REPEAT_LAG``
@@ -177,13 +178,12 @@ class SolveReport:
     """
 
     solution: np.ndarray
+    residual: np.ndarray
     status: str
     iterations: int
     residual_history: list[float]
     final_relative_residual: float
     true_relative_residual: float = math.nan
-    iterates: list[np.ndarray] | None = None
-    residual_vectors: list[np.ndarray] | None = None
     repeated_at: int | None = None
 
 
@@ -244,9 +244,6 @@ def _iterate(
 ) -> SolveReport:
     """Run the CG/CR recurrences against a ``matvec(v, out)`` operator;
     CG applies ``precondition(r, out)``, if given, to each residual."""
-    if cfg.record_iterates and n > DENSE_SIZE_LIMIT:
-        raise ValueError(f"iterate recording limited to n <= {DENSE_SIZE_LIMIT}")
-
     max_iter = cfg.max_iterations if cfg.max_iterations is not None else n
     is_cr = cfg.method == "cr"
 
@@ -266,18 +263,15 @@ def _iterate(
     w, z = (ap, ar) if is_cr else (p, s)
     b_norm = float(np.linalg.norm(b))
     history = [math.sqrt(r.dot(r))]
-    xs = [x.copy()] if cfg.record_iterates else None
-    rs = [r.copy()] if cfg.record_iterates else None
 
     def report(status: str, k: int) -> SolveReport:
         return SolveReport(
             solution=x,
+            residual=r,
             status=status,
             iterations=k,
             residual_history=history,
             final_relative_residual=_relative(history[-1], b_norm),
-            iterates=xs,
-            residual_vectors=rs,
             repeated_at=repeated_at,
         )
 
@@ -323,9 +317,6 @@ def _iterate(
         if is_cr:
             ap *= beta
             ap += ar
-        if cfg.record_iterates:
-            xs.append(x.copy())
-            rs.append(r.copy())
         k += 1
         if snapshot is None:
             j = k - REPEAT_LAG  # snapshot if ||r|| and alpha equal theirs at j
@@ -339,9 +330,6 @@ def _iterate(
                 repeated_at = k
                 periods = (max_iter - k) // REPEAT_LAG
                 history += history[-REPEAT_LAG:] * periods
-                if cfg.record_iterates:
-                    xs += [v.copy() for v in xs[-REPEAT_LAG:] * periods]
-                    rs += [v.copy() for v in rs[-REPEAT_LAG:] * periods]
                 k += periods * REPEAT_LAG
             snapshot = None
 

@@ -1,14 +1,13 @@
 """Sparse symmetric matrices, value checks and the dense pseudo-inverse.
 
-Vectors are plain 1-D float64 numpy arrays and dense matrices are 2-D
-float64 numpy arrays; :func:`as_vector` / :func:`as_small_square` validate
+Vectors are plain 1-D float64 numpy arrays; :func:`as_vector` validates
 them at API boundaries.  :func:`pseudo_inverse` solves the coarsest
 multigrid level, and the tests' ``singular_lab.range_basis`` splits a
 matrix into its range and null space; both take one symmetric
 eigendecomposition, cut at ``RANK_TOLERANCE`` = 1e-10: an eigenvalue
-with |lambda| <= RANK_TOLERANCE * |lambda|_max counts as zero.  Like
-every dense tool they are limited to n <= DENSE_SIZE_LIMIT = 2000 by
-contract.
+with |lambda| <= RANK_TOLERANCE * |lambda|_max counts as zero.  The
+pseudo-inverse checks nothing: its one caller, the multigrid V-cycle,
+hands it the finite, symmetric coarsest operator that it built.
 
 Sparse matrices are built from COO triplets by :class:`TripletPattern`,
 the one sum implementation: it sorts the triplet positions once and
@@ -31,7 +30,6 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-DENSE_SIZE_LIMIT = 2000
 # eigenvalues with |lambda| <= RANK_TOLERANCE * |lambda|_max count as zero
 RANK_TOLERANCE = 1e-10
 # np.add.reduceat adds a run's terms after its first one in order while
@@ -66,34 +64,6 @@ def is_integer(value) -> bool:
     except TypeError:
         return False
     return True
-
-
-def as_small_square(a, name: str = "matrix") -> np.ndarray:
-    """Validate a finite square 2-D float64 array within the dense size
-    limit; a :class:`SparseSymMatrix` is made dense once its size passes."""
-    sparse = isinstance(a, SparseSymMatrix)
-    shape = (a.dimension,) * 2 if sparse else np.shape(a)
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ValueError(f"{name} must be a square 2-D array, got shape {shape}")
-    if shape[0] > DENSE_SIZE_LIMIT:
-        raise ValueError(
-            f"{name} is {shape[0]}x{shape[0]}; dense work is limited to "
-            f"n <= {DENSE_SIZE_LIMIT}"
-        )
-    m = a.to_dense() if sparse else np.asarray(a, dtype=float)
-    if m.size and not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return m
-
-
-def check_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Return a square array, raising unless it is symmetric to within
-    1e-12 of its largest entry."""
-    if m.size:
-        scale = np.abs(m).max()
-        if np.abs(m - m.T).max() > 1e-12 * max(scale, 1e-300):
-            raise ValueError(f"{name} must be symmetric")
-    return m
 
 
 class SparseSymMatrix:
@@ -319,17 +289,6 @@ class CsrLayout:
         return self.src[self.cols == rows]
 
 
-def _rank_cut(a, name: str):
-    """The symmetric eigendecomposition of a, cut at ``RANK_TOLERANCE``.
-
-    ``a`` is a :class:`SparseSymMatrix` or a dense array, checked to be
-    finite, square, symmetric and within the dense size limit.  Returns
-    the dense matrix and :func:`_eigen_cut` of it.
-    """
-    a = check_symmetric(as_small_square(a, name), name)
-    return (a,) + _eigen_cut(a)
-
-
 def _eigen_cut(a: np.ndarray):
     """The eigenvalues w and eigenvectors v of the symmetric part of a
     dense a, and the mask of |w| > RANK_TOLERANCE * |w|_max: the eigenpairs
@@ -339,21 +298,13 @@ def _eigen_cut(a: np.ndarray):
     return w, v, magnitude > RANK_TOLERANCE * magnitude.max(initial=0.0)
 
 
-def pseudo_inverse(a) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse A+ of a symmetric A.
+def pseudo_inverse(a: np.ndarray) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse A+ of a dense symmetric A.
 
     Inverts the eigenvalues that survive the ``RANK_TOLERANCE`` cut and
-    drops the rest; n is limited to 2000.  ``a`` is checked as
-    :func:`_rank_cut` checks it, then handed to
-    :func:`pseudo_inverse_unchecked`.
+    drops the rest.  Nothing is checked: the caller vouches that a is
+    finite, symmetric and small.
     """
-    return pseudo_inverse_unchecked(check_symmetric(as_small_square(a, "a"), "a"))
-
-
-def pseudo_inverse_unchecked(a: np.ndarray) -> np.ndarray:
-    """:func:`pseudo_inverse` of a dense array that its caller vouches is
-    finite, symmetric and within the size limit, as the multigrid V-cycle
-    does for the coarse operator it builds; nothing is checked here."""
     w, v, keep = _eigen_cut(a)
     v = v[:, keep]
     return (v / w[keep]) @ v.T

@@ -55,7 +55,7 @@ import scipy.sparse as sp
 
 from .fem import BoundaryConditions, Material, Mesh, element_stiffness, upper_blocks
 from .krylov import csr_operator, jacobi_preconditioner
-from .linalg import SparseSymMatrix, pseudo_inverse_unchecked
+from .linalg import SparseSymMatrix, pseudo_inverse
 
 # a level with at most this many free DOFs is solved by its pseudo-inverse
 COARSEST_DOFS = 100
@@ -260,7 +260,7 @@ def v_cycle(a: SparseSymMatrix, scale: np.ndarray, levels: list[Level]):
     :func:`hierarchy` leaves only to a matrix within ``COARSEST_DOFS`` or
     to a one-element mesh.
 
-    The coarsest operator goes to :func:`linalg.pseudo_inverse_unchecked`:
+    The coarsest operator goes unchecked to :func:`linalg.pseudo_inverse`:
     the Galerkin sums are finite and bit-symmetric by construction, as A
     is.  Each level's Jacobi diagonal comes with its matrix, gathered by
     its layout, and A's zero rows from :meth:`SparseSymMatrix.zero_rows`,
@@ -275,7 +275,7 @@ def v_cycle(a: SparseSymMatrix, scale: np.ndarray, levels: list[Level]):
             np.empty(n), np.empty(nc), np.empty(nc),
         ))
         matrix = level.galerkin(scale)
-    pinv = pseudo_inverse_unchecked(matrix.to_dense())
+    pinv = pseudo_inverse(matrix.to_dense())
     zero = a.zero_rows()
 
     def precondition(r: np.ndarray, out: np.ndarray) -> np.ndarray:

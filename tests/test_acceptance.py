@@ -21,10 +21,15 @@ import topokry.cli as cli
 import topokry.optimizer
 from topokry.cli import run
 from topokry.fem import Material, Mesh
-from topokry.linalg import pseudo_inverse
 from topokry.optimizer import CONVERGED, CYCLING, MAX_ITERATIONS, MULTIPLIER_BRACKET
 from topokry.problem import load_problem
-from singular_lab import cr_bound_check, decompose_history, range_basis
+from singular_lab import (
+    cr_bound_check,
+    decompose_history,
+    pseudo_inverse,
+    range_basis,
+    trajectory,
+)
 from util import (
     dense_solve,
     elements_adjacent_to_node,
@@ -51,6 +56,12 @@ CAPPED_SOLVES = {
 REPEATING_SOLVES = {
     ("cg", "oc"): 0, ("cg", "conlin"): 0, ("cr", "oc"): 8, ("cr", "conlin"): 10,
 }
+# a 4x4 mesh with a load and no supports
+UNSUPPORTED_4X4 = (
+    "mesh.nx = 4\nmesh.ny = 4\n"
+    "material.young_modulus = 1\nmaterial.poisson_ratio = 0.3\n"
+    "loads.0.x = 4\nloads.0.y = 2\nloads.0.fy = -1\n"
+)
 # assemblies in each run on the shipped config: one per outer iteration
 # but the last, whose design repeats the one before it bit for bit
 ASSEMBLIES = {
@@ -200,6 +211,22 @@ def test_summary_counts_capped_solves(truss_outputs):
         assert reported == capped == CAPPED_SOLVES[combo], combo_name(*combo)
 
 
+def test_summary_counts_stagnated_solves(truss_outputs, tmp_path):
+    for combo, data in truss_outputs.items():
+        stagnated = data["history"].solver_status.count("stagnated_least_squares")
+        reported = int(data["summary"]["stagnated_solves"])
+        assert reported == stagnated, combo_name(*combo)
+    # with no supports the load is outside the range of the stiffness, so
+    # every solve stagnates at a least-squares solution, and the run exits
+    # 0 at its cap of 100 outer iterations
+    config = tmp_path / "unsupported.cfg"
+    config.write_text(UNSUPPORTED_4X4)
+    assert run(load_problem(config), tmp_path / "out") == 0
+    summary = read_summary(tmp_path / "out" / "summary.txt")
+    assert summary["outer_iters"] == summary["stagnated_solves"] == "100"
+    assert float(summary["max_true_rel_residual"]) > 0.1
+
+
 def test_summary_counts_repeating_solves(truss_outputs):
     for combo, data in truss_outputs.items():
         history = data["history"]
@@ -317,11 +344,11 @@ def test_criterion_5_cr_least_squares_traces():
         b = dense @ rng.standard_normal(n) + q2 @ rng.standard_normal(nullity)
         cfg = SolverConfig(
             method="cr", rel_tolerance=1e-8, max_iterations=3 * n,
-            preconditioning="none", record_iterates=True,
+            preconditioning="none",
         )
-        rep = solve(sparse_from_dense(dense), b, None, cfg)
+        traj = trajectory(sparse_from_dense(dense), b, cfg)
         dec = range_basis(dense)
-        traces = decompose_history(rep, dec)
+        traces = decompose_history(traj.residuals, dec)
         b_null = np.linalg.norm(dec.q_null.T @ b)
         drift = np.abs(traces.residual_null - b_null).max()
         worst_drift = max(worst_drift, drift)
@@ -341,14 +368,10 @@ def test_criterion_6_cg_energy_error_monotone():
         dense = random_spd(rng, n)
         b = rng.standard_normal(n)
         x_star = dense_solve(dense, b)
-        cfg = SolverConfig(
-            method="cg", max_iterations=2 * n,
-            preconditioning="none", record_iterates=True,
-        )
-        rep = solve(sparse_from_dense(dense), b, None, cfg)
+        cfg = SolverConfig(method="cg", max_iterations=2 * n, preconditioning="none")
         errs = [
             float(np.sqrt((xk - x_star) @ (dense @ (xk - x_star))))
-            for xk in rep.iterates
+            for xk in trajectory(sparse_from_dense(dense), b, cfg).iterates
         ]
         slack = 1e-12 * max(errs[0], 1.0)
         ok = ok and all(errs[i + 1] <= errs[i] + slack for i in range(len(errs) - 1))

@@ -593,22 +593,12 @@ class TestApplyDirichlet:
             precondition = None
             if preconditioning == "mg":
                 precondition = v_cycle(reduced, rho.values, [])
-            for record in (False, True):
-                cfg = SolverConfig(
-                    method=method,
-                    preconditioning=preconditioning,
-                    record_iterates=record,
-                )
-                rep = solve(reduced, b_red, None, cfg, precondition=precondition)
-                assert rep.status == "converged"
-                assert rep.iterations == 0
-                assert rep.residual_history == [0.0]
-                assert rep.solution.size == 0
-                if record:
-                    assert [v.size for v in rep.iterates] == [0]
-                    assert [v.size for v in rep.residual_vectors] == [0]
-                else:
-                    assert rep.iterates is None and rep.residual_vectors is None
+            cfg = SolverConfig(method=method, preconditioning=preconditioning)
+            rep = solve(reduced, b_red, None, cfg, precondition=precondition)
+            assert rep.status == "converged"
+            assert rep.iterations == 0
+            assert rep.residual_history == [0.0]
+            assert rep.solution.size == rep.residual.size == 0
 
     def test_scattered_solution_satisfies_full_equilibrium(self):
         mesh = Mesh(3, 3, 3.0, 3.0)

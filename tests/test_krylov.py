@@ -12,7 +12,7 @@ from topokry import (
     solve,
 )
 from topokry.krylov import REPEAT_LAG, csr_operator
-from topokry.linalg import pseudo_inverse
+from singular_lab import pseudo_inverse, trajectory
 from util import (
     dense_solve,
     random_singular_psd,
@@ -259,11 +259,10 @@ class TestErrorMonotonicity:
             dense = random_spd(rng, n)
             b = rng.standard_normal(n)
             x_star = dense_solve(dense, b)
-            cfg = plain("cg", max_iterations=2 * n, record_iterates=True)
-            rep = solve(sparse_from_dense(dense), b, None, cfg)
+            cfg = plain("cg", max_iterations=2 * n)
             errs = [
                 np.sqrt((xk - x_star) @ (dense @ (xk - x_star)))
-                for xk in rep.iterates
+                for xk in trajectory(sparse_from_dense(dense), b, cfg).iterates
             ]
             slack = 1e-12 * max(errs[0], 1.0)
             assert all(errs[i + 1] <= errs[i] + slack for i in range(len(errs) - 1))
@@ -293,17 +292,11 @@ class TestSingularBehavior:
                 n = int(rng.integers(5, 30))
                 dense, q1, q2 = random_singular_psd(rng, n, int(rng.integers(1, n // 3 + 1)))
                 b = dense @ rng.standard_normal(n)
-                cfg = plain(method, max_iterations=2 * n, record_iterates=True)
-                rep = solve(sparse_from_dense(dense), b, None, cfg)
-                for xk in rep.iterates:
+                cfg = plain(method, max_iterations=2 * n)
+                for xk in trajectory(sparse_from_dense(dense), b, cfg).iterates:
                     norm = np.linalg.norm(xk)
                     if norm > 0:
                         assert np.linalg.norm(q2.T @ xk) <= 1e-10 * norm
-
-    def test_record_size_limit(self):
-        a = SparseSymMatrix(sp.identity(2001, format="csr"))
-        with pytest.raises(ValueError, match="2000"):
-            solve(a, np.ones(2001), None, plain("cg", record_iterates=True))
 
 
 class TestCsrOperator:
@@ -396,25 +389,43 @@ class TestInPlaceSafety:
     @pytest.mark.parametrize("method,pre", SETTINGS)
     def test_history_is_exact_norm_of_recorded_residuals(self, method, pre):
         a_red, b_red = void_column_system()
-        cfg = SolverConfig(method=method, preconditioning=pre, record_iterates=True)
-        rep = solve(a_red, b_red, None, cfg)
+        cfg = SolverConfig(method=method, preconditioning=pre)
+        traj = trajectory(a_red, b_red, cfg)
+        rep = traj.report
         assert rep.iterations > 0
-        assert len(rep.residual_vectors) == len(rep.residual_history)
-        for h, r in zip(rep.residual_history, rep.residual_vectors):
+        assert len(traj.residuals) == len(rep.residual_history)
+        for h, r in zip(rep.residual_history, traj.residuals):
             assert h == np.linalg.norm(r)
+
+
+def assert_textbook_trajectory(a, b, cfg):
+    """The solve, and each iterate and residual ``trajectory`` reads of it,
+    are byte for byte those of the textbook run; returns the trajectory."""
+    states = []
+    x, history = textbook_solve(
+        a, b, cfg.method, cfg.preconditioning, cfg.max_iterations,
+        observe=lambda state: states.append(state[:2]),
+    )
+    traj = trajectory(a, b, cfg)
+    rep = traj.report
+    assert rep.iterations == len(history) - 1
+    assert rep.solution.tobytes() == x.tobytes()
+    assert np.array(rep.residual_history).tobytes() == np.array(history).tobytes()
+    assert len(traj.iterates) == len(traj.residuals) == len(states) == len(history)
+    for got_x, got_r, (want_x, want_r) in zip(traj.iterates, traj.residuals, states):
+        assert got_x.tobytes() == want_x.tobytes()
+        assert got_r.tobytes() == want_r.tobytes()
+    return traj
 
 
 class TestTextbookRecurrences:
     @pytest.mark.parametrize("method,pre", TestInPlaceSafety.SETTINGS)
     def test_bit_identical_to_plain_expressions(self, method, pre):
-        # the in-place loop must round exactly as the textbook expressions
+        # the in-place loop must round exactly as the textbook expressions,
+        # at every iterate
         a_red, b_red = void_column_system()
         cfg = SolverConfig(method=method, preconditioning=pre, max_iterations=40)
-        rep = solve(a_red, b_red, None, cfg)
-        x, history = textbook_solve(a_red, b_red, method, pre, 40)
-        assert rep.iterations == len(history) - 1 > 0
-        assert rep.solution.tobytes() == x.tobytes()
-        assert np.array(rep.residual_history).tobytes() == np.array(history).tobytes()
+        assert assert_textbook_trajectory(a_red, b_red, cfg).report.iterations > 0
 
 
 class TestPreconditionHook:
@@ -515,6 +526,12 @@ class TestConfigValidation:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             SolverConfig(rel_tolerance=0.0)
+
+    @pytest.mark.parametrize("tolerance", [np.inf, np.nan])
+    def test_non_finite_tolerance(self, tolerance):
+        # an infinite tolerance would report convergence after 0 iterations
+        with pytest.raises(ValueError, match="rel_tolerance must be positive and finite"):
+            SolverConfig(rel_tolerance=tolerance)
 
     @pytest.mark.parametrize("cap", [3.5, 3.0, "3"])
     def test_non_integer_cap(self, cap):
@@ -703,28 +720,15 @@ class TestRepeatingState:
         assert (rep.repeated_at, cap) == (108, 153)
         assert_full_run(rep, a_red, b_red, cap)
 
-    def test_recorded_iterates_are_the_full_runs(self):
+    def test_trajectory_is_the_full_run(self):
+        # the 8x16 PCR-CONLIN design after its fifth update: the solve and
+        # the capped solves past its repeat skip iterations, and every
+        # iterate and residual is still the textbook run's
         a_red, b_red, cap = left_jacobi_cr_system(8, 16, "conlin", 5)
-        cfg = SolverConfig(
-            method="cr", preconditioning="jacobi", max_iterations=cap,
-            record_iterates=True,
-        )
-        rep = solve(a_red, b_red, None, cfg)
-        iterates = []
-        x, history = textbook_solve(
-            a_red, b_red, "cr", "jacobi", cap,
-            observe=lambda state: iterates.append(state[:2]),
-        )
+        cfg = SolverConfig(method="cr", preconditioning="jacobi", max_iterations=cap)
+        rep = assert_textbook_trajectory(a_red, b_red, cfg).report
         assert rep.repeated_at is not None and rep.repeated_at < cap - 8
-        assert np.array(rep.residual_history).tobytes() == np.array(history).tobytes()
-        assert len(rep.iterates) == len(rep.residual_vectors) == len(iterates) == cap + 1
-        for got_x, got_r, (want_x, want_r) in zip(
-            rep.iterates, rep.residual_vectors, iterates
-        ):
-            assert got_x.tobytes() == want_x.tobytes()
-            assert got_r.tobytes() == want_r.tobytes()
-        # the copied iterates are arrays of their own, as the run ones are
-        assert len({id(v) for v in rep.iterates + rep.residual_vectors}) == 2 * (cap + 1)
+        assert rep.iterations == cap
 
     def test_constant_residual_that_moves_on_is_run_in_full(self, snapshots):
         # the 8x16 PCR-OC design after its seventh update keeps ||r||

@@ -5,8 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from topokry import SparseSymMatrix
-from topokry.linalg import TripletPattern, as_small_square, index_dtype, pseudo_inverse
-from singular_lab import range_basis
+from topokry.linalg import TripletPattern, index_dtype
+from singular_lab import as_small_square, pseudo_inverse, range_basis
 from util import (
     SingularMatrixError,
     assert_same_csr,

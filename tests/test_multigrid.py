@@ -18,7 +18,6 @@ from topokry import (
     solve,
 )
 from topokry.cli import run
-from topokry.linalg import pseudo_inverse
 from topokry.multigrid import (
     COARSEST_DOFS,
     SMOOTHING_WEIGHT,
@@ -28,7 +27,7 @@ from topokry.multigrid import (
     v_cycle,
 )
 from topokry.problem import load_problem, loads_problem_text
-from singular_lab import range_basis
+from singular_lab import pseudo_inverse, range_basis
 from util import dense_operator, galerkin_oracle
 
 HERE = os.path.dirname(os.path.abspath(__file__))

@@ -236,7 +236,6 @@ class TestSchema:
         assert set(DUMPED) == set(_SCHEMA)
 
     def test_section_rows_match_dataclass_fields(self):
-        # record_iterates is a library-only switch with no config key
         classes = {
             "material": Material,
             "solver": SolverConfig,
@@ -244,7 +243,7 @@ class TestSchema:
         }
         assert set(classes) == set(_SECTIONS)
         for section, cls in classes.items():
-            names = {f.name for f in fields(cls)} - {"record_iterates"}
+            names = {f.name for f in fields(cls)}
             rows = {
                 key.partition(".")[2]
                 for key in _SCHEMA

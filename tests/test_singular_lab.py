@@ -17,6 +17,7 @@ from singular_lab import (
     decompose_history,
     range_basis,
     standard_form,
+    trajectory,
 )
 from util import random_singular_psd, random_spd, sparse_from_dense
 
@@ -138,11 +139,9 @@ class TestDecomposeHistory:
         rng = np.random.default_rng(11)
         dense, q1, _ = random_singular_psd(rng, 15, 4)
         b = dense @ rng.standard_normal(15)
-        cfg = SolverConfig(
-            method="cr", preconditioning="none", max_iterations=60, record_iterates=True
-        )
-        rep = solve(sparse_from_dense(dense), b, None, cfg)
-        traces = decompose_history(rep, range_basis(dense))
+        cfg = SolverConfig(method="cr", preconditioning="none", max_iterations=60)
+        traj = trajectory(sparse_from_dense(dense), b, cfg)
+        traces = decompose_history(traj.residuals, range_basis(dense))
         assert traces.residual_null.max() <= 1e-10 * max(np.linalg.norm(b), 1e-30)
 
     def test_cr_null_residual_constant_for_inconsistent_rhs(self):
@@ -152,20 +151,17 @@ class TestDecomposeHistory:
             nullity = int(rng.integers(1, n // 3 + 1))
             dense, _, q2 = random_singular_psd(rng, n, nullity)
             b = dense @ rng.standard_normal(n) + q2 @ rng.standard_normal(nullity)
-            cfg = SolverConfig(
-                method="cr", preconditioning="none",
-                max_iterations=3 * n, record_iterates=True,
-            )
-            rep = solve(sparse_from_dense(dense), b, None, cfg)
+            cfg = SolverConfig(method="cr", preconditioning="none", max_iterations=3 * n)
+            traj = trajectory(sparse_from_dense(dense), b, cfg)
             dec = range_basis(dense)
-            traces = decompose_history(rep, dec)
+            traces = decompose_history(traj.residuals, dec)
             b_null_vec = dec.q_null.T @ b
             np.testing.assert_allclose(
                 traces.residual_null, np.linalg.norm(b_null_vec), atol=1e-10
             )
             # the null component is the same vector at every iteration, not
             # merely the same norm
-            for rk in rep.residual_vectors:
+            for rk in traj.residuals:
                 assert np.linalg.norm(dec.q_null.T @ rk - b_null_vec) <= 1e-10
             # range residual can only go down
             rp = traces.residual_range
@@ -180,24 +176,13 @@ class TestDecomposeHistory:
         n, nullity = 12, 3
         dense, _, q2 = random_singular_psd(rng, n, nullity)
         b = dense @ rng.standard_normal(n) + q2 @ rng.standard_normal(nullity)
-        cfg = SolverConfig(
-            method="cg", preconditioning="none",
-            max_iterations=3 * n, record_iterates=True,
-        )
-        rep = solve(sparse_from_dense(dense), b, None, cfg)
-        traces = decompose_history(rep, range_basis(dense))
+        cfg = SolverConfig(method="cg", preconditioning="none", max_iterations=3 * n)
+        traj = trajectory(sparse_from_dense(dense), b, cfg)
+        traces = decompose_history(traj.residuals, range_basis(dense))
         rp = traces.residual_range
         assert any(
             rp[k + 1] > rp[k] * (1 + 1e-10) + 1e-14 for k in range(len(rp) - 1)
         )
-
-    def test_requires_recording(self):
-        rep = solve(
-            SparseSymMatrix(sp.identity(3, format="csr")), np.ones(3), None,
-            SolverConfig(preconditioning="none"),
-        )
-        with pytest.raises(ValueError, match="recording"):
-            decompose_history(rep, range_basis(np.eye(3)))
 
 
 class TestCrBoundCheck:

@@ -9,12 +9,13 @@ import scipy.sparse as sp
 
 from topokry import BoundaryConditions, SparseSymMatrix, element_stiffness
 from topokry.krylov import BREAKDOWN_TOLERANCE, jacobi_preconditioner
-from topokry.linalg import as_small_square, as_vector
+from topokry.linalg import as_vector
 from topokry.optimizer import (
     BISECTION_TOLERANCE,
     MULTIPLIER_BRACKET,
     InfeasibleConstraintError,
 )
+from singular_lab import as_small_square
 
 # LU pivots with |u_kk| <= PIVOT_TOLERANCE * max|a_ij| make a matrix singular
 PIVOT_TOLERANCE = 1e-14
