@@ -6,6 +6,17 @@ Node numbering runs row-major from the bottom-left corner:
 order (ux, uy), so DOFs of node k are (2k, 2k + 1).  Element e = ey*nx + ex
 connects its corner nodes counterclockwise from the lower left:
 (LL, LR, UR, UL).
+
+Every stiffness operator, the fine one of :func:`assemble` and the coarse
+Galerkin ones of ``multigrid``, is summed by one rule: a mesh's
+:class:`TripletPattern` sorts its 2x2 node-pair blocks once, its 0/1
+:meth:`TripletPattern.summation` adds each node pair's blocks in
+``np.add.reduceat``'s association, and a :class:`CsrLayout` gathers the
+sums of the free DOFs into the :class:`SparseSymMatrix` and stores no
+exact-zero sum, so void rows stay empty.  Index arrays take
+:func:`index_dtype`, except those a build gathers through, which are
+intp: ``ndarray.take`` converts any other index to intp first, a copy of
+the whole index on every call.
 """
 from __future__ import annotations
 
@@ -13,10 +24,9 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
-from .linalg import (
-    CsrLayout, SparseSymMatrix, TripletPattern, as_vector, index_dtype, is_integer,
-)
+from .linalg import SparseSymMatrix, as_vector, is_integer
 
 # 2x2 Gauss points and weights on [-1, 1]
 _GAUSS_2 = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
@@ -48,14 +58,14 @@ class Material:
     thickness: float = 1.0
 
     def __post_init__(self):
-        if not self.young_modulus > 0:
-            raise ValueError("young_modulus must be positive")
+        if not 0 < self.young_modulus < np.inf:
+            raise ValueError("young_modulus must be positive and finite")
         if not 0.0 <= self.poisson_ratio < 0.5:
             raise ValueError("poisson_ratio must lie in [0, 0.5)")
-        if not self.penal >= 1.0:
-            raise ValueError("penal must be >= 1")
-        if not self.thickness > 0:
-            raise ValueError("thickness must be positive")
+        if not 1.0 <= self.penal < np.inf:
+            raise ValueError("penal must be >= 1 and finite")
+        if not 0 < self.thickness < np.inf:
+            raise ValueError("thickness must be positive and finite")
 
     def constitutive(self) -> np.ndarray:
         """Plane-strain constitutive matrix C (3x3, Voigt order xx, yy, xy)."""
@@ -70,14 +80,136 @@ class Material:
         )
 
 
+def index_dtype(largest: int) -> type:
+    """The dtype of an index array whose values reach ``largest``: int32,
+    which scipy prefers and which halves the bytes, when it holds it, and
+    int64 otherwise."""
+    return np.int32 if largest <= np.iinfo(np.int32).max else np.int64
+
+
+class TripletPattern:
+    """The positions of COO triplets, sorted once by (row, col).
+
+    ``order`` is the stable sort permutation: sorted term t is input term
+    ``order[t]``, and ``entry[t]`` numbers its distinct position, an
+    entry, of ``entries`` in all.  :meth:`summation` sums each entry's
+    terms and :meth:`sum` applies it, so a caller whose positions stay
+    fixed (the node-pair scatter of a mesh) builds each new matrix
+    without sorting.  ``order`` is intp, as ``lexsort`` returns it, so a
+    caller that gathers through it, or through the term indices it reads
+    from it, converts no index; ``entry`` takes :func:`index_dtype`.
+    Indices are trusted: the mesh forms them.
+    """
+
+    def __init__(self, rows, cols):
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        # a stable sort keeps each entry's terms in input order, for the
+        # mesh ascending element, as a sort of the DOF pairs would
+        self.order = np.lexsort((cols, rows))
+        r, c = rows[self.order], cols[self.order]
+        first = np.ones(r.size, dtype=bool)
+        first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+        self.entry = np.cumsum(first, dtype=index_dtype(r.size)) - 1
+        self.entries = int(np.count_nonzero(first))
+
+    def summation(self, kept=None) -> sp.csr_matrix:
+        """The (entries x kept terms) 0/1 matrix whose product with the
+        kept terms' values, in sorted order, is each entry's sum.
+
+        ``kept`` lists the sorted terms to sum, ascending; ``None`` keeps
+        every term.  An entry none of whose terms is kept has an empty row.
+        Row i lists entry i's kept terms t0, t1, ..., tk as t1, ..., tk,
+        t0.  A CSR product adds a row left to right from +0.0, so it sums
+        ((t1 + t2) + ...) + tk and then t0, which is ``np.add.reduceat``'s
+        association while a run has at most 8 terms; past that numpy
+        switches to a pairwise sum.  A mesh entry has at most 4.
+        """
+        entry = self.entry if kept is None else self.entry.take(kept)
+        terms = entry.size
+        index = index_dtype(terms)
+        first = np.ones(terms, dtype=bool)
+        np.not_equal(entry[1:], entry[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        columns = np.arange(1, terms + 1, dtype=index)
+        if terms:
+            columns[starts[1:] - 1] = starts[:-1]
+            columns[-1] = starts[-1]
+        indptr = np.zeros(self.entries + 1, dtype=index)
+        np.cumsum(np.bincount(entry, minlength=self.entries), out=indptr[1:])
+        # each array goes once it is read, so the build holds no index it
+        # no longer needs
+        del first, starts, entry
+        return sp.csr_matrix((np.ones(terms), columns, indptr), shape=(self.entries, terms))
+
+    def sum(self, values, kept=None) -> np.ndarray:
+        """Each entry's sum of its kept terms' r-by-c block values, shape
+        (entries, r, c), through :meth:`summation`.
+
+        ``values`` (shape (K, r, c)) holds one block per kept term, in
+        sorted order.  The product adds each block component as it adds
+        a scalar run, so each sum has the bytes of the ``reduceat`` sum
+        of its kept blocks, the sum a stable sort of the kept triplets
+        alone would give; only a sum that is zero may differ, in its sign.
+        """
+        summation = self.summation(kept)
+        values = np.asarray(values, dtype=float)
+        terms = summation.shape[1]
+        if values.ndim != 3 or len(values) != terms:
+            raise ValueError(f"values of shape {values.shape} for {terms} kept terms")
+        block = values.shape[1:]
+        sums = summation @ values.reshape(terms, block[0] * block[1])
+        return sums.reshape((self.entries,) + block)
+
+
+class CsrLayout:
+    """Where block sums go in a CSR matrix, fixed for a run.
+
+    Slot s, in CSR order, holds the sum at flat index ``src[s]`` of the
+    block sums :meth:`matrix` takes, in column ``cols[s]``; the slots of
+    row i run from ``slot_ptr[i]`` to ``slot_ptr[i + 1]``.  A mesh works
+    the layout out once per set of supports (:meth:`Mesh.free_layout`);
+    :meth:`matrix` then costs one gather and one compaction per matrix.
+    ``src`` is held as intp, so the gather converts no index; ``cols``
+    and ``slot_ptr`` are the CSR arrays, in :func:`index_dtype` of their
+    largest value.
+    """
+
+    def __init__(self, src: np.ndarray, cols: np.ndarray, slot_ptr: np.ndarray):
+        self.src = src.astype(np.intp, copy=False)
+        self.cols = cols
+        self.slot_ptr = slot_ptr
+        self.n = len(slot_ptr) - 1
+
+    def matrix(self, sums) -> SparseSymMatrix:
+        """The symmetric matrix of the block sums, with its diagonal
+        gathered from them.  An exact-zero sum is not stored, so a row
+        whose every sum is zero stays empty, and its diagonal reads 0.
+        Symmetry holds by the layout's construction and is not checked."""
+        sums = np.asarray(sums, dtype=float).reshape(-1)
+        csr = sp.csr_matrix(
+            (sums.take(self.src), self.cols.copy(), self.slot_ptr.copy()),
+            shape=(self.n, self.n),
+        )
+        csr.has_sorted_indices = True
+        csr.eliminate_zeros()
+        return SparseSymMatrix(csr, check=False, diagonal=sums.take(self._diagonal_src))
+
+    @cached_property
+    def _diagonal_src(self) -> np.ndarray:
+        # every row of a free-DOF layout holds its own column
+        rows = np.repeat(np.arange(self.n, dtype=self.cols.dtype), np.diff(self.slot_ptr))
+        return self.src[self.cols == rows]
+
+
 class Mesh:
     """Uniform nx-by-ny quadrilateral mesh on a width-by-height rectangle."""
 
     def __init__(self, nx: int, ny: int, width: float, height: float):
         if not (is_integer(nx) and is_integer(ny) and nx >= 1 and ny >= 1):
             raise ValueError("mesh needs a whole number >= 1 of elements per axis")
-        if not (width > 0 and height > 0):
-            raise ValueError("domain dimensions must be positive")
+        if not (0 < width < np.inf and 0 < height < np.inf):
+            raise ValueError("domain dimensions must be positive and finite")
         self.nx = int(nx)
         self.ny = int(ny)
         self.width = float(width)
@@ -132,7 +264,7 @@ class Mesh:
         """
         i, j = np.divmod(UPPER_PAIRS, 4)
         nodes = self.element_nodes
-        return TripletPattern(self.n_nodes, nodes[:, i].ravel(), nodes[:, j].ravel())
+        return TripletPattern(nodes[:, i].ravel(), nodes[:, j].ravel())
 
     def free_layout(self, fixed_dofs: np.ndarray) -> CsrLayout:
         """The CSR layout of the symmetric matrix whose upper node pairs
@@ -176,7 +308,7 @@ class Mesh:
         p = np.arange(2)[:, None, None]
         q = np.arange(2)
         component = np.where(lower[:, None], 2 * q + p, 2 * p + q).astype(np.int8)
-        entry = 4 * entry.astype(index_dtype(4 * self.scatter_pattern.rows.size))
+        entry = 4 * entry.astype(index_dtype(4 * self.scatter_pattern.entries))
         src = (np.repeat(entry, 2, axis=1)[:, None, :] + component.reshape(2, 18))[kept]
         del kept
         layout = CsrLayout(src, cols, slot_ptr)
@@ -373,8 +505,7 @@ def assemble(
     del element, local
     sums = pattern.sum(values, kept)
     del values, kept
-    layout = mesh.free_layout(bc.fixed_dofs)
-    return SparseSymMatrix(layout.csr(sums), check=False, diagonal=layout.diagonal(sums))
+    return mesh.free_layout(bc.fixed_dofs).matrix(sums)
 
 
 def apply_dirichlet(

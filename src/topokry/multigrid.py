@@ -24,12 +24,14 @@ node the coarse level does not keep would leak into the coarse operator.
 C_f depends only on f's position in c and on those masks, so a level has
 few distinct C_f; it keeps one C^T K C per distinct C_f.  Each solve
 then takes one sparse product of the densities with those to sum every
-coarse element's block, one sparse 0/1 product to sum the blocks of each
-node pair of the coarse mesh's scatter pattern, and the coarse free-DOF
-layout, which drops exact-zero sums as :func:`fem.assemble` does: a
-coarse DOF with no material around it keeps an empty row.  The sums run
-in another order than the sparse products P^T (A P), so the operators
-agree with those to rounding, not to the bit.
+coarse element's block, and sums the blocks by the rule of
+:func:`fem.assemble`: the coarse mesh's
+:meth:`fem.TripletPattern.summation` adds each node pair's blocks in
+``np.add.reduceat``'s association, and :meth:`fem.CsrLayout.matrix` of
+the coarse free DOFs drops exact-zero sums, so a coarse DOF with no
+material around it keeps an empty row.  The sums run in another order
+than the sparse products P^T (A P), so the operators agree with those
+to rounding, not to the bit.
 
 :func:`v_cycle` builds, per solve, the Galerkin operators and the
 coarsest one's pseudo-inverse, and returns ``precondition(r, out)``.  It
@@ -147,8 +149,8 @@ class Level:
     level's Galerkin operator from the fine densities: the sparse
     (coarse element x composite) ``weights``, whose data each
     :meth:`galerkin` overwrites with the densities' rho^p, the composites'
-    element ``blocks``, the 0/1 ``summation`` of each coarse node pair's
-    terms and the coarse free-DOF ``layout``."""
+    element ``blocks``, the coarse pattern's 0/1 ``summation`` of each
+    node pair's terms and the coarse free-DOF ``layout``."""
 
     def __init__(self, p, mesh: Mesh, free, types, kind, ancestor, ke, weight):
         self.p, self.pt = p, p.T.tocsr()
@@ -169,19 +171,13 @@ class Level:
             (np.zeros(self.fine.size), kind.take(self.fine).astype(np.int32), indptr),
             shape=(mesh.n_elements, len(types)),
         )
-        # the 0/1 matrix that sums the node-pair terms of each entry, over
-        # every term and in input order: the coarse operators need not
-        # follow reduceat's association, which the fine level's
-        # TripletPattern.sum keeps for the full scatter's bytes
+        # the coarse pattern's summation over every term, its columns
+        # renumbered from sorted terms to the input terms 10 c + m that
+        # weights @ blocks lists; each row keeps its order of addition
         pattern = mesh.scatter_pattern
-        entries, terms = pattern.rows.size, pattern.entry.size
-        self.summation = sp.csr_matrix(
-            (
-                np.ones(terms),
-                pattern.order,
-                np.searchsorted(pattern.entry, np.arange(entries + 1)),
-            ),
-            shape=(entries, terms),
+        self.summation = pattern.summation()
+        self.summation.indices = pattern.order.take(self.summation.indices).astype(
+            self.summation.indices.dtype
         )
 
     def galerkin(self, scale: np.ndarray) -> SparseSymMatrix:
@@ -189,10 +185,7 @@ class Level:
         with the diagonal its layout gathers."""
         scale.take(self.fine, out=self.weights.data)
         blocks = (self.weights @ self.blocks).reshape(-1, 4)
-        sums = self.summation @ blocks
-        return SparseSymMatrix(
-            self.layout.csr(sums), check=False, diagonal=self.layout.diagonal(sums)
-        )
+        return self.layout.matrix(self.summation @ blocks)
 
 
 def hierarchy(mesh: Mesh, bc: BoundaryConditions, mat: Material) -> list[Level]:

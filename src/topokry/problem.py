@@ -82,8 +82,8 @@ class ProblemSpec:
             raise ConfigError("mesh.nx and mesh.ny must be integers")
         if self.nx < 1 or self.ny < 1:
             raise ConfigError("mesh.nx and mesh.ny must be >= 1")
-        if not (self.domain_width > 0 and self.domain_height > 0):
-            raise ConfigError("domain dimensions must be positive")
+        if not (0 < self.domain_width < np.inf and 0 < self.domain_height < np.inf):
+            raise ConfigError("domain dimensions must be positive and finite")
         for edge in self.support_edges:
             if edge not in EDGES:
                 raise ConfigError(f"unknown support edge {edge!r}")

@@ -128,6 +128,9 @@ class TestMesh:
             Mesh(2.5, 1, 1.0, 1.0)
         with pytest.raises(ValueError):
             Mesh(1, 1, -1.0, 1.0)
+        for width, height in ((np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                Mesh(1, 1, width, height)
 
 
 class TestDensityField:
@@ -364,7 +367,7 @@ class TestPatternAssembly:
         # first kept term of its own pair is not its first term
         mesh = Mesh(nx, ny, 10.0, 20.0)
         pattern = mesh.scatter_pattern
-        assert pattern.longest == 4
+        assert np.bincount(pattern.entry).max() == 4
         cases = density_cases(mesh, seed=4)
         corner = np.ones(mesh.n_elements)
         corner[mesh.nx + 1] = 0.0  # below and left of interior node (2, 2)
@@ -451,19 +454,21 @@ class TestPatternAssembly:
         np.testing.assert_array_equal(np.sort(order), np.arange(10 * mesh.n_elements))
         element, local = np.divmod(order, 10)
         i, j = np.divmod(UPPER_PAIRS[local], 4)
-        rows = pattern.rows[pattern.entry]
-        cols = pattern.cols[pattern.entry]
-        np.testing.assert_array_equal(rows, mesh.element_nodes[element, i])
-        np.testing.assert_array_equal(cols, mesh.element_nodes[element, j])
+        rows = mesh.element_nodes[element, i]
+        cols = mesh.element_nodes[element, j]
         assert np.all(rows <= cols)
         # every element's 16 node pairs are its 10 upper ones and the
         # mirrors of the 6 off the diagonal
         assert len(set(zip(*np.divmod(UPPER_PAIRS, 4)))) == 10
-        # (row, col) pairs non-decreasing, and each pair's terms in
-        # ascending input order: the sort is stable
+        # (row, col) pairs non-decreasing, a new entry exactly where the
+        # pair changes, and each pair's terms in ascending input order:
+        # the sort is stable
         key = rows.astype(np.int64) * mesh.n_nodes + cols
         assert np.all(np.diff(key) >= 0)
         same = np.diff(key) == 0
+        assert pattern.entry[0] == 0
+        np.testing.assert_array_equal(np.diff(pattern.entry), ~same)
+        assert pattern.entries == pattern.entry[-1] + 1
         assert np.all(np.diff(order)[same] > 0)
 
     @staticmethod
@@ -472,7 +477,7 @@ class TestPatternAssembly:
         return sum(a.nbytes for a in held if isinstance(a, np.ndarray))
 
     def test_retained_pattern_size_per_element(self):
-        # the pattern keeps only what TripletPattern.sum and assemble read,
+        # the pattern keeps only what its summation and assemble read,
         # about 120 B per element over upper node pairs; the DOF-pair
         # pattern held about 1.0 KB and, with the int64 sort permutation,
         # 1.5 KB

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from topokry import SparseSymMatrix
-from topokry.linalg import TripletPattern, index_dtype
+from topokry.fem import TripletPattern, index_dtype
 from singular_lab import as_small_square, pseudo_inverse, range_basis
 from util import (
     SingularMatrixError,
@@ -42,6 +42,29 @@ class TestSparseSymMatrix:
     def test_triplet_index_out_of_range(self):
         with pytest.raises(ValueError, match="range"):
             SparseSymMatrix.from_triplets(2, [0, 2], [0, 2], [1.0, 1.0])
+
+    def test_triplet_indices_must_be_integers(self):
+        # a float index would be truncated: 0.5 would land at 0
+        for rows, cols in (([0.5], [0.5]), ([0.0], [0]), ([0], [1.0]), ([True], [True])):
+            with pytest.raises(ValueError, match="integers"):
+                SparseSymMatrix.from_triplets(2, rows, cols, [1.0])
+        # no triplet at all is an empty matrix, whatever type numpy gives []
+        empty = SparseSymMatrix.from_triplets(2, [], [], [])
+        assert empty.csr.shape == (2, 2) and empty.csr.nnz == 0
+
+    def test_triplets_sum_as_sorting_afresh(self):
+        # up to ~60 duplicates per position, so the sums run past the
+        # 8-term blocks numpy's reductions unroll
+        rng = np.random.default_rng(17)
+        for n, terms in ((1, 30), (5, 400), (30, 2000)):
+            rows, cols, values = mirrored(
+                rng.integers(0, n, terms), rng.integers(0, n, terms), rng.standard_normal(terms)
+            )
+            for share in (0.0, 0.3, 0.9, 1.0):
+                keep = np.repeat(rng.random(terms) < share, 2)
+                got = SparseSymMatrix.from_triplets(n, rows[keep], cols[keep], values[keep])
+                expected = triplet_sum_oracle(n, rows[keep], cols[keep], values[keep])
+                assert_same_csr(got.csr, without_zeros(expected))
 
     def test_scaled_preserves_symmetry_exactly(self):
         rng = np.random.default_rng(7)
@@ -93,13 +116,35 @@ class TestAsSmallSquare:
         np.testing.assert_array_equal(as_small_square(a), np.diag([1.0, 2.0]))
 
 
-def block_csr(pattern, sums):
-    """The CSR matrix of a pattern's r-by-r entry sums, through scipy's
-    block format, without its exact zeros."""
+def mirrored(rows, cols, values):
+    """Each triplet followed by its mirror: a symmetric input whose (i, j)
+    and (j, i) sum the same values in the same order."""
+    return (
+        np.column_stack([rows, cols]).ravel(),
+        np.column_stack([cols, rows]).ravel(),
+        np.repeat(values, 2),
+    )
+
+
+def bounded_runs(rng, n, positions):
+    """Shuffled triplet positions on an n-by-n grid: ``positions`` distinct
+    ones, each taken 1 to 8 times, the runs the pattern's sum keeps in
+    reduceat's association."""
+    cells = rng.choice(n * n, size=positions, replace=False)
+    rows, cols = np.divmod(np.repeat(cells, rng.integers(1, 9, positions)), n)
+    shuffle = rng.permutation(rows.size)
+    return rows[shuffle], cols[shuffle]
+
+
+def block_csr(pattern, n, rows, cols, sums):
+    """The CSR matrix of the r-by-r entry sums of the pattern of the given
+    positions, through scipy's block format, without its exact zeros."""
+    first = pattern.order[np.flatnonzero(np.diff(pattern.entry, prepend=-1))]
     r = sums.shape[1]
-    indptr = np.searchsorted(pattern.rows, np.arange(pattern.n + 1))
-    shape = (r * pattern.n, r * pattern.n)
-    csr = sp.bsr_matrix((sums, pattern.cols, indptr.astype(np.int32)), shape=shape).tocsr()
+    indptr = np.searchsorted(rows[first], np.arange(n + 1)).astype(np.int32)
+    csr = sp.bsr_matrix(
+        (sums, cols[first].astype(np.int32), indptr), shape=(r * n, r * n)
+    ).tocsr()
     csr.eliminate_zeros()
     return csr
 
@@ -111,45 +156,45 @@ def without_zeros(csr):
 
 
 class TestTripletPattern:
+    """``fem.TripletPattern``, which sums every stiffness operator."""
+
+    cases = ((1, 1), (5, 20), (30, 300))
+
     def test_masked_sum_matches_sorting_the_kept_triplets(self):
-        # up to ~30 duplicates per position, so the sums run past the
-        # 8-term blocks numpy's reductions unroll
         rng = np.random.default_rng(17)
-        for n, terms in ((1, 30), (5, 400), (30, 2000)):
-            rows = rng.integers(0, n, terms)
-            cols = rng.integers(0, n, terms)
-            values = rng.standard_normal(terms)
+        for n, positions in self.cases:
+            rows, cols = bounded_runs(rng, n, positions)
+            values = rng.standard_normal(rows.size)
             blocks = values[:, None, None]
-            pattern = TripletPattern(n, rows, cols)
+            pattern = TripletPattern(rows, cols)
             order = pattern.order
             for share in (0.0, 0.3, 0.9, 1.0):
-                keep = rng.random(terms) < share
+                keep = rng.random(rows.size) < share
                 kept = np.flatnonzero(keep[order])
-                got = block_csr(pattern, pattern.sum(blocks[order][kept], kept))
+                got = block_csr(pattern, n, rows, cols, pattern.sum(blocks[order][kept], kept))
                 expected = triplet_sum_oracle(
                     n, rows[keep], cols[keep], values[keep]
                 )
                 assert_same_csr(got, without_zeros(expected))
             assert_same_csr(
-                block_csr(pattern, pattern.sum(blocks[order])),
+                block_csr(pattern, n, rows, cols, pattern.sum(blocks[order])),
                 without_zeros(triplet_sum_oracle(n, rows, cols, values)),
             )
 
     def test_block_sum_matches_the_scalar_sum_of_each_component(self):
-        # 2x2 block values, up to ~30 duplicates per position: the CSR
-        # entries (2a + p, 2b + q) hold the bytes of the sorted-afresh sum
-        # of the (p, q) components of the kept triplets, masked or not
+        # 2x2 block values: the CSR entries (2a + p, 2b + q) hold the bytes
+        # of the sorted-afresh sum of the (p, q) components of the kept
+        # triplets, masked or not
         rng = np.random.default_rng(23)
-        for n, terms in ((1, 30), (5, 400), (30, 2000)):
-            rows = rng.integers(0, n, terms)
-            cols = rng.integers(0, n, terms)
-            values = rng.standard_normal((terms, 2, 2))
-            pattern = TripletPattern(n, rows, cols)
+        for n, positions in self.cases:
+            rows, cols = bounded_runs(rng, n, positions)
+            values = rng.standard_normal((rows.size, 2, 2))
+            pattern = TripletPattern(rows, cols)
             order = pattern.order
             for share in (0.0, 0.3, 1.0):
-                keep = rng.random(terms) < share
+                keep = rng.random(rows.size) < share
                 kept = np.flatnonzero(keep[order])
-                got = block_csr(pattern, pattern.sum(values[order][kept], kept))
+                got = block_csr(pattern, n, rows, cols, pattern.sum(values[order][kept], kept))
                 assert got.format == "csr"
                 assert got.shape == (2 * n, 2 * n)
                 for p, q in np.ndindex(2, 2):
@@ -160,32 +205,46 @@ class TestTripletPattern:
 
     def test_indices_are_int32_when_they_fit(self):
         # order stays intp: a gather through an int32 index converts it first
-        pattern = TripletPattern(4, [3, 0, 3, 1], [0, 2, 0, 1])
-        for name in ("entry", "rows", "cols"):
-            assert getattr(pattern, name).dtype == np.int32, name
+        pattern = TripletPattern([3, 0, 3, 1], [0, 2, 0, 1])
+        assert pattern.entry.dtype == np.int32
         assert pattern.order.dtype == np.intp
+        assert pattern.entries == 3
+        summation = pattern.summation()
+        assert summation.indices.dtype == summation.indptr.dtype == np.int32
 
     @pytest.mark.parametrize("length", range(1, 13))
     def test_runs_of_any_length_sum_as_reduceat_does(self, length):
-        # runs of up to SEQUENTIAL_RUN terms go through the rotated 0/1
-        # product, longer ones through reduceat, whose pairwise sum the
-        # product would not match; both give reduceat's bytes
+        # from_triplets sums runs of any length through scipy's reduceat;
+        # the pattern's rotated 0/1 product keeps reduceat's association
+        # up to 8 terms, past which reduceat sums pairwise (a mesh entry
+        # has at most 4)
         rng = np.random.default_rng(length)
         n = 3
         rows = np.repeat(np.arange(n), length)
-        pattern = TripletPattern(n, rows, rows[::-1])
-        assert pattern.longest == length
+        cols = rows[::-1]
+        pattern = TripletPattern(rows, cols)
         for _ in range(50):
-            values = rng.standard_normal((rows.size, 2, 2)) * 10.0 ** rng.integers(-8, 8)
+            magnitude = 10.0 ** rng.integers(-8, 8)
+            # (0, 2) and (2, 0) take the same run, so the input is symmetric
+            a, b = rng.standard_normal((2, length)) * magnitude
+            keep_a, keep_b = rng.random((2, length)) < 0.8
+            values = np.concatenate([a, b, a])
+            keep = np.concatenate([keep_a, keep_b, keep_a])
+            got = SparseSymMatrix.from_triplets(n, rows[keep], cols[keep], values[keep])
+            expected = triplet_sum_oracle(n, rows[keep], cols[keep], values[keep])
+            assert_same_csr(got.csr, without_zeros(expected))
+            if length > 8:
+                continue
+            blocks = rng.standard_normal((rows.size, 2, 2)) * magnitude
             kept = np.flatnonzero(rng.random(rows.size) < 0.8)
             assert_same_sums(
-                pattern.sum(values[kept], kept),
-                reduceat_sum_oracle(pattern, values[kept], kept),
+                pattern.sum(blocks[kept], kept),
+                reduceat_sum_oracle(pattern, blocks[kept], kept),
             )
-            assert_same_sums(pattern.sum(values), reduceat_sum_oracle(pattern, values))
+            assert_same_sums(pattern.sum(blocks), reduceat_sum_oracle(pattern, blocks))
 
     def test_value_count_must_match_kept_terms(self):
-        pattern = TripletPattern(3, [0, 1, 1], [0, 1, 1])
+        pattern = TripletPattern([0, 1, 1], [0, 1, 1])
         with pytest.raises(ValueError, match="kept terms"):
             pattern.sum(np.ones((2, 1, 1)), np.array([0]))
 

@@ -382,3 +382,29 @@ class TestBoundaryConditionConstruction:
         bc = spec.build_boundary_conditions(mesh)
         # the all-zero load contributes no entries at all
         assert len(bc.point_loads) == 1
+
+
+class TestNonFiniteInputs:
+    """The Python API refuses the non-finite values a config file cannot
+    carry; on the shipped truss each used to end in a wrong diagnosis."""
+
+    @staticmethod
+    def truss():
+        return load_problem(os.path.join(CONFIGS, "two_bar_truss.cfg"))
+
+    @pytest.mark.parametrize("field", ["young_modulus", "penal", "thickness"])
+    def test_material(self, field):
+        # young_modulus = inf ended in a non-finite denominator, and
+        # penal = inf in a load with "no adjacent material"
+        material = self.truss().material
+        for value in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+                replace(material, **{field: value})
+
+    @pytest.mark.parametrize("field", ["domain_width", "domain_height"])
+    def test_domain(self, field):
+        # domain_width = inf ended in "loads[0] acts on a supported node"
+        spec = self.truss()
+        for value in (np.inf, np.nan):
+            with pytest.raises(ConfigError, match="positive and finite"):
+                replace(spec, **{field: value})

@@ -7,9 +7,11 @@ import warnings
 import numpy as np
 import scipy.sparse as sp
 
-from topokry import BoundaryConditions, SparseSymMatrix, element_stiffness
+from topokry import BoundaryConditions, Mesh, SparseSymMatrix, element_stiffness
+from topokry.fem import UPPER_PAIRS
 from topokry.krylov import BREAKDOWN_TOLERANCE, jacobi_preconditioner
 from topokry.linalg import as_vector
+from topokry.multigrid import _prolongation
 from topokry.optimizer import (
     BISECTION_TOLERANCE,
     MULTIPLIER_BRACKET,
@@ -113,11 +115,11 @@ def triplet_sum_oracle(n: int, rows, cols, values) -> sp.csr_matrix:
 
 
 def reduceat_sum_oracle(pattern, values, kept=None) -> np.ndarray:
-    """What ``TripletPattern.sum`` returns, through ``np.add.reduceat``
+    """What ``fem.TripletPattern.sum`` returns, through ``np.add.reduceat``
     alone: each entry's kept blocks summed in sorted order, an entry with
     none of its terms kept zero."""
     entry = pattern.entry if kept is None else pattern.entry[kept]
-    sums = np.zeros((pattern.rows.size,) + values.shape[1:])
+    sums = np.zeros((pattern.entries,) + values.shape[1:])
     if entry.size:
         first = np.ones(entry.size, dtype=bool)
         first[1:] = entry[1:] != entry[:-1]
@@ -159,8 +161,13 @@ def assembly_oracle(mesh, mat, rho, bc) -> sp.csr_matrix:
     """The free-DOF stiffness the reference way: the full scatter
     (:func:`full_scatter_oracle`), the fixed rows and columns cut out by
     ``SparseSymMatrix.submatrix``, then the exact zeros eliminated."""
-    full = SparseSymMatrix(full_scatter_oracle(mesh, mat, rho)[1], check=False)
-    reduced = full.submatrix(bc.free_dofs()).csr.copy()
+    return free_block(full_scatter_oracle(mesh, mat, rho)[1], bc.free_dofs())
+
+
+def free_block(full, free) -> sp.csr_matrix:
+    """The rows and columns ``free`` of the CSR matrix ``full``, cut out
+    by ``SparseSymMatrix.submatrix``, without exact zeros."""
+    reduced = SparseSymMatrix(full, check=False).submatrix(free).csr.copy()
     reduced.eliminate_zeros()
     return reduced
 
@@ -173,6 +180,39 @@ def galerkin_oracle(a, levels) -> list:
     for level in levels:
         csr = level.pt @ (csr @ level.p)
         operators.append(csr)
+    return operators
+
+
+def galerkin_sum_oracle(mesh, bc, levels, scale) -> list:
+    """Every level's Galerkin operator for fine densities rho^p = scale,
+    summed the reference way from the coarse element blocks that
+    ``Level.galerkin`` forms: each coarse element's 8x8 block rebuilt from
+    its upper 2x2 blocks, the 64 DOF-pair triplets of every coarse element
+    sorted afresh and summed by ``np.add.reduceat``
+    (:func:`triplet_sum_oracle`), then cut to the level's free DOFs, which
+    are those of the fine nodes it keeps (:func:`free_block`)."""
+    free = np.ones(mesh.n_dofs, dtype=bool)
+    free[bc.fixed_dofs] = False
+    nx, ny = mesh.nx, mesh.ny
+    i, j = np.divmod(UPPER_PAIRS, 4)
+    operators = []
+    for level in levels:
+        free = free.reshape(-1, 2)[_prolongation(nx, ny)[1]].ravel()
+        nx, ny = (nx + 1) // 2, (ny + 1) // 2
+        coarse = Mesh(nx, ny, mesh.width, mesh.height)
+        weights = level.weights.copy()
+        weights.data = scale[level.fine]
+        upper = (weights @ level.blocks).reshape(-1, 10, 2, 2)
+        # k[e, i, j] is element e's block of corners i and j
+        k = np.zeros((len(upper), 4, 4, 2, 2))
+        k[:, j, i] = upper.swapaxes(-1, -2)
+        k[:, i, j] = upper
+        dofs = element_dof_table(coarse.element_nodes)
+        full = triplet_sum_oracle(
+            coarse.n_dofs, np.repeat(dofs, 8, axis=1).ravel(),
+            np.tile(dofs, (1, 8)).ravel(), k.swapaxes(2, 3).ravel(),
+        )
+        operators.append(free_block(full, np.flatnonzero(free)))
     return operators
 
 
