@@ -8,12 +8,12 @@ connects its corner nodes counterclockwise from the lower left:
 (LL, LR, UR, UL).
 
 Every stiffness operator, the fine one of :func:`assemble` and the coarse
-Galerkin ones of ``multigrid``, is summed by one rule: a mesh's
-:class:`TripletPattern` sorts its 2x2 node-pair blocks once, its 0/1
-:meth:`TripletPattern.summation` adds each node pair's blocks in
-``np.add.reduceat``'s association, and a :class:`CsrLayout` gathers the
-sums of the free DOFs into the :class:`SparseSymMatrix` and stores no
-exact-zero sum, so void rows stay empty.  Index arrays take
+Galerkin ones of ``multigrid``, is summed by one rule: each node's five
+upper node pairs take the 2x2 element blocks of its ten
+:attr:`Mesh.stencil` terms, :func:`node_pair_sums` adds each pair's kept
+terms in ``np.add.reduceat``'s association, and a :class:`CsrLayout`
+gathers the sums of the free DOFs into the :class:`SparseSymMatrix` and
+stores no exact-zero sum, so void rows stay empty.  Index arrays take
 :func:`index_dtype`, except those a build gathers through, which are
 intp: ``ndarray.take`` converts any other index to intp first, a copy of
 the whole index on every call.
@@ -36,6 +36,17 @@ _CORNERS = ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
 # run LL < LR < UL < UR, so these are the node pairs of the stiffness
 # matrix's upper block triangle, and UPPER_PAIRS[m] is block 4 i + j
 UPPER_PAIRS = np.array([0, 1, 2, 3, 5, 6, 7, 10, 14, 15])
+# node a = (ix, iy) takes as its term t block m = STENCIL[t, 0] of
+# upper_blocks of the element at offset (dx, dy) = STENCIL[t, 1:] from it:
+# the terms of its upper pairs with b = a + (0, 0) | (1, 0) | (-1, 1) |
+# (0, 1) | (1, 1), each pair's by ascending element
+STENCIL = np.array([
+    (7, -1, -1), (9, 0, -1), (4, -1, 0), (0, 0, 0),
+    (8, 0, -1), (1, 0, 0),
+    (6, -1, 0),
+    (5, -1, 0), (3, 0, 0),
+    (2, 0, 0),
+])
 # node a = (ix, iy) pairs with the nodes b = (ix + dx, iy + dy) at these
 # offsets (dx, dy), listed by ascending b: the last five are its upper
 # pairs, and the first four mirror upper pairs 4..1 of b
@@ -85,81 +96,6 @@ def index_dtype(largest: int) -> type:
     which scipy prefers and which halves the bytes, when it holds it, and
     int64 otherwise."""
     return np.int32 if largest <= np.iinfo(np.int32).max else np.int64
-
-
-class TripletPattern:
-    """The positions of COO triplets, sorted once by (row, col).
-
-    ``order`` is the stable sort permutation: sorted term t is input term
-    ``order[t]``, and ``entry[t]`` numbers its distinct position, an
-    entry, of ``entries`` in all.  :meth:`summation` sums each entry's
-    terms and :meth:`sum` applies it, so a caller whose positions stay
-    fixed (the node-pair scatter of a mesh) builds each new matrix
-    without sorting.  ``order`` is intp, as ``lexsort`` returns it, so a
-    caller that gathers through it, or through the term indices it reads
-    from it, converts no index; ``entry`` takes :func:`index_dtype`.
-    Indices are trusted: the mesh forms them.
-    """
-
-    def __init__(self, rows, cols):
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        # a stable sort keeps each entry's terms in input order, for the
-        # mesh ascending element, as a sort of the DOF pairs would
-        self.order = np.lexsort((cols, rows))
-        r, c = rows[self.order], cols[self.order]
-        first = np.ones(r.size, dtype=bool)
-        first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-        self.entry = np.cumsum(first, dtype=index_dtype(r.size)) - 1
-        self.entries = int(np.count_nonzero(first))
-
-    def summation(self, kept=None) -> sp.csr_matrix:
-        """The (entries x kept terms) 0/1 matrix whose product with the
-        kept terms' values, in sorted order, is each entry's sum.
-
-        ``kept`` lists the sorted terms to sum, ascending; ``None`` keeps
-        every term.  An entry none of whose terms is kept has an empty row.
-        Row i lists entry i's kept terms t0, t1, ..., tk as t1, ..., tk,
-        t0.  A CSR product adds a row left to right from +0.0, so it sums
-        ((t1 + t2) + ...) + tk and then t0, which is ``np.add.reduceat``'s
-        association while a run has at most 8 terms; past that numpy
-        switches to a pairwise sum.  A mesh entry has at most 4.
-        """
-        entry = self.entry if kept is None else self.entry.take(kept)
-        terms = entry.size
-        index = index_dtype(terms)
-        first = np.ones(terms, dtype=bool)
-        np.not_equal(entry[1:], entry[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        columns = np.arange(1, terms + 1, dtype=index)
-        if terms:
-            columns[starts[1:] - 1] = starts[:-1]
-            columns[-1] = starts[-1]
-        indptr = np.zeros(self.entries + 1, dtype=index)
-        np.cumsum(np.bincount(entry, minlength=self.entries), out=indptr[1:])
-        # each array goes once it is read, so the build holds no index it
-        # no longer needs
-        del first, starts, entry
-        return sp.csr_matrix((np.ones(terms), columns, indptr), shape=(self.entries, terms))
-
-    def sum(self, values, kept=None) -> np.ndarray:
-        """Each entry's sum of its kept terms' r-by-c block values, shape
-        (entries, r, c), through :meth:`summation`.
-
-        ``values`` (shape (K, r, c)) holds one block per kept term, in
-        sorted order.  The product adds each block component as it adds
-        a scalar run, so each sum has the bytes of the ``reduceat`` sum
-        of its kept blocks, the sum a stable sort of the kept triplets
-        alone would give; only a sum that is zero may differ, in its sign.
-        """
-        summation = self.summation(kept)
-        values = np.asarray(values, dtype=float)
-        terms = summation.shape[1]
-        if values.ndim != 3 or len(values) != terms:
-            raise ValueError(f"values of shape {values.shape} for {terms} kept terms")
-        block = values.shape[1:]
-        sums = summation @ values.reshape(terms, block[0] * block[1])
-        return sums.reshape((self.entries,) + block)
 
 
 class CsrLayout:
@@ -230,45 +166,38 @@ class Mesh:
         self.element_nodes = np.column_stack([ll, lr, ur, ul])
         self._free_layouts: dict[bytes, CsrLayout] = {}
 
-    def _neighbours(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each node's nine ``_NEIGHBOURS`` b (0 where b is off the mesh),
-        which of them exist, and the pattern's entry number of each upper
-        pair (a, b)."""
-        # b takes the dtype of the DOF numbers 2 b + q free_layout forms;
-        # bx and by are the (x, neighbour) and (y, neighbour) coordinates
-        index = index_dtype(self.n_dofs)
-        bx = np.arange(self.nx + 1, dtype=index)[:, None] + _NEIGHBOURS[:, 0]
-        by = np.arange(self.ny + 1, dtype=index)[:, None] + _NEIGHBOURS[:, 1]
-        exists = ((by >= 0) & (by <= self.ny))[:, None] & ((bx >= 0) & (bx <= self.nx))
-        b = np.where(exists, ((self.nx + 1) * by)[:, None] + bx, 0).reshape(-1, 9)
-        exists = exists.reshape(-1, 9)
-        upper = np.cumsum(exists[:, 4:], dtype=index_dtype(5 * self.n_nodes))
-        return b, exists, upper.reshape(-1, 5) - 1
+    def _at_offsets(self, offsets, nx: int, ny: int, dtype=np.intp):
+        """For each node (ix, iy) and offset (dx, dy), the row-major index
+        of (ix + dx, iy + dy) on an nx-by-ny grid, in ``dtype``, and
+        whether it lies on the grid; both of shape (n_nodes, offsets)."""
+        x = np.arange(self.nx + 1, dtype=dtype)[:, None] + offsets[:, 0]
+        y = np.arange(self.ny + 1, dtype=dtype)[:, None] + offsets[:, 1]
+        on = ((y >= 0) & (y < ny))[:, None] & ((x >= 0) & (x < nx))
+        index = (nx * y)[:, None] + x
+        return index.reshape(-1, len(offsets)), on.reshape(-1, len(offsets))
 
     @cached_property
-    def scatter_pattern(self) -> TripletPattern:
-        """Sorted scatter pattern of the upper node pairs, built by the
-        first :func:`assemble`.
+    def stencil(self) -> np.ndarray:
+        """The element of each node's ten ``STENCIL`` terms, shape
+        (10, n_nodes), or ``n_elements`` where that element is off the
+        mesh; intp, as the gathers through it want it.
 
-        Input term ``10 * e + m`` puts the 2x2 block m of
-        :func:`upper_blocks` of element e, corner pair 4 i + j =
-        ``UPPER_PAIRS[m]``, at the node pair (element_nodes[e, i],
-        element_nodes[e, j]), whose first node is never the larger; DOFs
-        2k and 2k + 1 of node k are its block's row (or column) 0 and 1.
-        The stable sort orders the terms by node pair, and within a pair by
-        ascending element, as a stable sort of the 64 DOF-pair terms per
-        element orders each DOF pair's, with 10 terms in place of 64: the
-        lower pairs' blocks are the transposes of their mirrors'
-        (:meth:`free_layout`).  It is built on first use and not in
-        ``__init__``, so building a mesh stays cheap.
+        Node a's term t is block ``STENCIL[t, 0]`` of :func:`upper_blocks`
+        of its element, at a node pair (a, b) with b >= a; DOFs 2k and
+        2k + 1 of node k are its block's row (or column) 0 and 1.  A pair's
+        terms come by ascending element, as a stable sort of the 64
+        DOF-pair terms per element orders each DOF pair's, with 10 terms
+        in place of 64: the lower pairs' blocks are the transposes of
+        their mirrors' (:meth:`free_layout`).  It is built by the first
+        :func:`assemble` and not in ``__init__``, so building a mesh stays
+        cheap.
         """
-        i, j = np.divmod(UPPER_PAIRS, 4)
-        nodes = self.element_nodes
-        return TripletPattern(nodes[:, i].ravel(), nodes[:, j].ravel())
+        element, on = self._at_offsets(STENCIL[:, 1:], self.nx, self.ny)
+        return np.ascontiguousarray(np.where(on, element, self.n_elements).T)
 
     def free_layout(self, fixed_dofs: np.ndarray) -> CsrLayout:
-        """The CSR layout of the symmetric matrix whose upper node pairs
-        :attr:`scatter_pattern` sums, on the DOFs not in ``fixed_dofs``
+        """The CSR layout of the symmetric matrix of the upper node-pair
+        sums of :func:`node_pair_sums`, on the DOFs not in ``fixed_dofs``
         (sorted, unique); built on first use for each fixed set.
 
         A lower node pair (a, b), b < a, reads the sums of its mirror
@@ -282,7 +211,12 @@ class Mesh:
             return layout
         free = np.ones(self.n_dofs, dtype=bool)
         free[fixed_dofs] = False
-        b, exists, upper = self._neighbours()
+        # each node's nine neighbours b, 0 where b is off the mesh, in the
+        # dtype of the DOF numbers 2 b + q formed from them
+        b, exists = self._at_offsets(
+            _NEIGHBOURS, self.nx + 1, self.ny + 1, index_dtype(self.n_dofs)
+        )
+        b = np.where(exists, b, 0)
         # slot (a, p, k, q) is row 2 a + p and column 2 b + q of a's
         # neighbour k, in CSR order; it exists where b does and both DOFs
         # are free.  The arrays are laid out (node, p, 2 k + q), so that
@@ -299,17 +233,19 @@ class Mesh:
         column = renumber.astype(index_dtype(n_free)).take(column)
         cols = np.broadcast_to(column[:, None, :], kept.shape)[kept]
         del column
-        # the entry each neighbour reads: its own upper pair, or the upper
-        # pair of b that mirrors it, whose block it reads transposed
+        # the sum each neighbour k reads, of the sums laid out (pair,
+        # component, node): its own upper pair k - 4, or the upper pair
+        # 4 - k of b that mirrors it, whose block it reads transposed
         lower = np.arange(9) < 4
         owner = np.where(lower, b, np.arange(self.n_nodes)[:, None])
-        entry = upper[owner, np.where(lower, 4 - np.arange(9), np.arange(9) - 4)]
-        del b, exists, upper, owner
+        index = index_dtype(20 * self.n_nodes)
+        pair = (4 * self.n_nodes * np.abs(np.arange(9) - 4) + owner).astype(index)
+        del b, exists, owner
         p = np.arange(2)[:, None, None]
         q = np.arange(2)
-        component = np.where(lower[:, None], 2 * q + p, 2 * p + q).astype(np.int8)
-        entry = 4 * entry.astype(index_dtype(4 * self.scatter_pattern.entries))
-        src = (np.repeat(entry, 2, axis=1)[:, None, :] + component.reshape(2, 18))[kept]
+        component = np.where(lower[:, None], 2 * q + p, 2 * p + q) * self.n_nodes
+        component = component.astype(index).reshape(2, 18)
+        src = (np.repeat(pair, 2, axis=1)[:, None, :] + component)[kept]
         del kept
         layout = CsrLayout(src, cols, slot_ptr)
         self._free_layouts[key] = layout
@@ -376,18 +312,29 @@ class BoundaryConditions:
     point_loads: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self):
-        fixed = np.unique(np.asarray(self.fixed_dofs, dtype=np.int64))
+        if not (is_integer(self.n_dofs) and self.n_dofs >= 0):
+            raise ValueError("n_dofs must be a whole number >= 0")
+        fixed = np.asarray(self.fixed_dofs)
+        if fixed.size and not np.issubdtype(fixed.dtype, np.integer):
+            raise ValueError("fixed DOF indices must be integers")
+        fixed = np.unique(fixed.astype(np.int64))
         if fixed.size and (fixed.min() < 0 or fixed.max() >= self.n_dofs):
             raise ValueError("fixed DOF index out of range")
         self.fixed_dofs = fixed
-        loads = tuple((int(d), float(v)) for d, v in self.point_loads)
-        for d, _ in loads:
+        loads = []
+        for d, v in self.point_loads:
+            v = float(v)
+            if not is_integer(d):
+                raise ValueError(f"load DOF {d!r} must be an integer")
             if not 0 <= d < self.n_dofs:
                 raise ValueError(f"load DOF {d} out of range")
+            if not np.isfinite(v):
+                raise ValueError(f"load {v} at DOF {d} must be finite")
+            loads.append((int(d), v))
         loaded = set(d for d, _ in loads)
         if loaded & set(fixed.tolist()):
             raise ValueError("a DOF cannot be both fixed and loaded")
-        self.point_loads = loads
+        self.point_loads = tuple(loads)
 
     def free_dofs(self) -> np.ndarray:
         """Sorted int64 indices of the DOFs that are not fixed."""
@@ -442,10 +389,36 @@ def upper_blocks(k: np.ndarray) -> np.ndarray:
     """The 2x2 blocks ``k[2i:2i+2, 2j:2j+2]`` of the upper corner pairs
     4 i + j = ``UPPER_PAIRS[m]``, m = 0..9, of an 8x8 matrix, shape
     (10, 2, 2), or of each of a stack of them, shape (K, 10, 2, 2): the
-    blocks the node pairs of :attr:`Mesh.scatter_pattern` take."""
+    blocks the terms of :attr:`Mesh.stencil` take."""
     lead = k.shape[:-2]
     blocks = k.reshape(lead + (4, 2, 4, 2)).swapaxes(-3, -2)
     return blocks.reshape(lead + (16, 2, 2))[..., UPPER_PAIRS, :, :]
+
+
+def node_pair_sums(term: np.ndarray, kept: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each node's five upper node-pair sums of its ten :attr:`Mesh.stencil`
+    terms, written into ``out``, shape (5, k, nodes), which it returns.
+
+    ``term`` (shape (10, k, nodes)) holds the terms' values and ``kept``
+    (shape (10, nodes)) which of them the sums keep; a term not kept must
+    be zero, of either sign.  The nodes run last, so numpy's loops run
+    over them and not over the k components.  A pair adds its kept terms
+    in ``np.add.reduceat``'s association, t0 + ((t1 + t2) + t3) for t0 the
+    first.  Adding a zero leaves a nonzero sum as it is, so the sum over
+    all of a pair's terms is that, except in the (a, a) pair whose first
+    kept term is its second: there it takes t1 + (t2 + t3).  Only a sum
+    that is zero may differ from ``reduceat``'s, in its sign.
+    """
+    np.add(term[1], term[2], out=out[0])
+    out[0] += term[3]
+    out[0] += term[0]
+    late = np.flatnonzero(~kept[0] & kept[1])
+    out[0][:, late] = term[1][:, late] + (term[2][:, late] + term[3][:, late])
+    np.add(term[4], term[5], out=out[1])
+    out[2] = term[6]
+    np.add(term[7], term[8], out=out[3])
+    out[4] = term[9]
+    return out
 
 
 def assemble(
@@ -460,31 +433,21 @@ def assemble(
     nodes surrounded by void elements produce genuinely empty rows: the
     matrix is returned singular, not regularized.
 
-    The scatter terms of the upper node pairs are sorted once per mesh
-    (:attr:`Mesh.scatter_pattern`, built on the first call), and the CSR
-    layout of the free DOFs is worked out once per set of fixed DOFs
-    (:meth:`Mesh.free_layout`).  Each call masks out the terms of void
-    elements, reads each kept term's element e and corner pair m from its
-    input index ``10 * e + m`` in the pattern's ``order``, gathers the
-    :func:`upper_blocks` of ke and then scales them by rho_e^p, sums the
-    blocks of each node pair in sorted order (one sparse product, in
-    ``reduceat``'s association: :meth:`TripletPattern.sum`) and gathers the
-    free DOFs' entries into CSR, the lower pairs' transposed from their
-    mirrors.  Every gather runs through an intp index the pattern or the
-    layout holds, so no call converts an index.  The result is
-    bit-identical to sorting the active elements' 64 DOF-pair triplets
-    afresh and then removing the fixed rows and columns and the exact
-    zeros: every DOF entry (2a + p, 2b + q) is the same product
-    rho_e^p * ke[i, j] per element, its terms come in the same ascending
-    element order (a stable sort at either level), and the sum adds each
-    block component exactly as ``reduceat`` adds the scalar run.  A sum
-    that is zero may differ from ``reduceat``'s in its sign, and no zero
-    is stored.  Dropping an exact zero changes no product A v:
-    ``csr_matvec`` starts each row sum at +0.0, and adding +0.0 or -0.0 to
-    a sum that is not -0.0 leaves it as it is.  Symmetry holds by
-    construction and is not checked: ke is bit-symmetric, so the mirrored
-    block of (b, a) is the sum over (b, a)'s own element terms in the same
-    element order.
+    The mesh's :attr:`Mesh.stencil` is built on the first call, and the
+    CSR layout of the free DOFs once per set of fixed DOFs
+    (:meth:`Mesh.free_layout`).  Each call scales the stencil's
+    :func:`upper_blocks` of ke by rho_e^p, sums each node pair's solid
+    terms (:func:`node_pair_sums`; a void term is a zero, and a node with
+    no solid element keeps zero sums) and gathers the free DOFs' entries
+    into CSR; no gather converts an index.  The result is bit-identical
+    to sorting the active elements' 64 DOF-pair triplets afresh and then
+    removing the fixed rows and columns and the exact zeros: every DOF
+    entry (2a + p, 2b + q) is the same product rho_e^p * ke[i, j] per
+    element, summed in the same ascending element order and in
+    ``reduceat``'s association.  Dropping an exact zero changes no
+    product A v: ``csr_matvec`` starts each row sum at +0.0, and adding
+    +0.0 or -0.0 to a sum that is not -0.0 leaves it as it is.  Symmetry
+    holds by construction and is not checked (:meth:`Mesh.free_layout`).
     """
     if rho.n_elements != mesh.n_elements:
         raise ValueError(
@@ -492,19 +455,14 @@ def assemble(
         )
     if bc.n_dofs != mesh.n_dofs:
         raise ValueError("boundary conditions sized for a different mesh")
-    blocks = upper_blocks(element_stiffness(mat, mesh.elem_width, mesh.elem_height))
-    scale = rho.values ** mat.penal
-    pattern = mesh.scatter_pattern
-    kept = np.flatnonzero(np.repeat(scale > 0.0, 10).take(pattern.order))
-    element, local = np.divmod(pattern.order.take(kept), 10)
-    # gathered, then scaled: scaling every element's blocks first gives the
-    # same bits but a higher peak of memory
-    values = blocks.take(local, axis=0)
-    values *= scale.take(element)[:, None, None]
+    ke = element_stiffness(mat, mesh.elem_width, mesh.elem_height)
+    blocks = upper_blocks(ke).reshape(10, 4, 1)[STENCIL[:, 0]]
+    # each term's rho_e^p; a term off the mesh reads the appended zero
+    scale = np.append(rho.values ** mat.penal, 0.0).take(mesh.stencil)
+    term = scale[:, None, :] * blocks
+    sums = node_pair_sums(term, scale > 0.0, np.empty((5, 4, mesh.n_nodes)))
     # each array goes once it is read, so the peak is one stage's arrays
-    del element, local
-    sums = pattern.sum(values, kept)
-    del values, kept
+    del scale, term
     return mesh.free_layout(bc.fixed_dofs).matrix(sums)
 
 

@@ -25,13 +25,13 @@ C_f depends only on f's position in c and on those masks, so a level has
 few distinct C_f; it keeps one C^T K C per distinct C_f.  Each solve
 then takes one sparse product of the densities with those to sum every
 coarse element's block, and sums the blocks by the rule of
-:func:`fem.assemble`: the coarse mesh's
-:meth:`fem.TripletPattern.summation` adds each node pair's blocks in
-``np.add.reduceat``'s association, and :meth:`fem.CsrLayout.matrix` of
-the coarse free DOFs drops exact-zero sums, so a coarse DOF with no
-material around it keeps an empty row.  The sums run in another order
-than the sparse products P^T (A P), so the operators agree with those
-to rounding, not to the bit.
+:func:`fem.assemble`: :func:`fem.node_pair_sums` adds the blocks of each
+node pair of the coarse mesh's stencil in ``np.add.reduceat``'s
+association, and :meth:`fem.CsrLayout.matrix` of the coarse free DOFs
+drops exact-zero sums, so a coarse DOF with no material around it keeps
+an empty row.  The sums run in another order than the sparse products
+P^T (A P), so the operators agree with those to rounding, not to the
+bit.
 
 :func:`v_cycle` builds, per solve, the Galerkin operators and the
 coarsest one's pseudo-inverse, and returns ``precondition(r, out)``.  It
@@ -55,7 +55,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import BoundaryConditions, Material, Mesh, element_stiffness, upper_blocks
+from .fem import (
+    STENCIL, BoundaryConditions, Material, Mesh, element_stiffness, node_pair_sums,
+    upper_blocks,
+)
 from .krylov import csr_operator, jacobi_preconditioner
 from .linalg import SparseSymMatrix, pseudo_inverse
 
@@ -149,49 +152,52 @@ class Level:
     level's Galerkin operator from the fine densities: the sparse
     (coarse element x composite) ``weights``, whose data each
     :meth:`galerkin` overwrites with the densities' rho^p, the composites'
-    element ``blocks``, the coarse pattern's 0/1 ``summation`` of each
-    node pair's terms and the coarse free-DOF ``layout``."""
+    element ``blocks``, the entry of ``weights @ blocks`` that each
+    component of the coarse nodes' stencil ``terms`` reads, which terms
+    are ``on_mesh``, and the coarse free-DOF ``layout``."""
 
     def __init__(self, p, mesh: Mesh, free, types, kind, ancestor, ke, weight):
         self.p, self.pt = p, p.T.tocsr()
         self.weight = weight
         self.layout = mesh.free_layout(np.flatnonzero(~free))
         # C^T K C of each distinct composite, symmetric to the bit, as the
-        # blocks of the upper corner pairs the node-pair pattern takes
+        # blocks of the upper corner pairs the stencil's terms take
         blocks = types.transpose(0, 2, 1) @ ke @ types
         blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
         self.blocks = upper_blocks(blocks).reshape(len(types), -1)
         # the fine elements in ancestor order: row c of the sparse
         # (coarse element x composite) matrix holds c's descendants, and
-        # each solve writes their rho^p into its data
+        # each solve writes their rho^p into its data; its last row is
+        # empty, the zero block of a term off the mesh
         self.fine = np.argsort(ancestor, kind="stable")
-        indptr = np.zeros(mesh.n_elements + 1, dtype=np.int32)
-        np.cumsum(np.bincount(ancestor, minlength=mesh.n_elements), out=indptr[1:])
+        indptr = np.zeros(mesh.n_elements + 2, dtype=np.int32)
+        np.cumsum(np.bincount(ancestor, minlength=mesh.n_elements + 1), out=indptr[1:])
         self.weights = sp.csr_matrix(
             (np.zeros(self.fine.size), kind.take(self.fine).astype(np.int32), indptr),
-            shape=(mesh.n_elements, len(types)),
+            shape=(mesh.n_elements + 1, len(types)),
         )
-        # the coarse pattern's summation over every term, its columns
-        # renumbered from sorted terms to the input terms 10 c + m that
-        # weights @ blocks lists; each row keeps its order of addition
-        pattern = mesh.scatter_pattern
-        self.summation = pattern.summation()
-        self.summation.indices = pattern.order.take(self.summation.indices).astype(
-            self.summation.indices.dtype
-        )
+        # component c of a node's term t is that of block m = STENCIL[t, 0]
+        # of its element e, entry 40 e + 4 m + c of weights @ blocks
+        block = 4 * STENCIL[:, :1, None] + np.arange(4)[:, None]
+        self.terms = 40 * mesh.stencil[:, None, :] + block
+        self.on_mesh = mesh.stencil < mesh.n_elements
 
     def galerkin(self, scale: np.ndarray) -> SparseSymMatrix:
         """The level's operator Q^T A Q for fine densities rho^p = scale,
         with the diagonal its layout gathers."""
         scale.take(self.fine, out=self.weights.data)
-        blocks = (self.weights @ self.blocks).reshape(-1, 4)
-        return self.layout.matrix(self.summation @ blocks)
+        term = (self.weights @ self.blocks).take(self.terms)
+        sums = node_pair_sums(term, self.on_mesh, np.empty((5,) + term.shape[1:]))
+        del term
+        return self.layout.matrix(sums)
 
 
 def hierarchy(mesh: Mesh, bc: BoundaryConditions, mat: Material) -> list[Level]:
     """Every coarsening of the mesh, finest first, between free DOFs, for
     the material's element stiffness ke, each with the Jacobi weight
     :func:`smoothing_weight` of ke."""
+    if bc.n_dofs != mesh.n_dofs:
+        raise ValueError("boundary conditions sized for a different mesh")
     nx, ny = mesh.nx, mesh.ny
     free = np.ones(mesh.n_dofs, dtype=bool)
     free[bc.fixed_dofs] = False

@@ -17,18 +17,22 @@ from topokry import (
     scatter_solution,
     solve,
 )
-from topokry.fem import UPPER_PAIRS, upper_blocks
+from topokry.fem import STENCIL, UPPER_PAIRS, upper_blocks
 from topokry.multigrid import hierarchy, v_cycle
 from topokry.problem import loads_problem_text
 from util import (
+    STENCIL_PAIR,
     assembly_oracle,
     assert_same_csr,
     assert_same_sums,
     element_dof_table,
     elements_adjacent_to_node,
     full_scatter_oracle,
+    node_major_sums,
     reduceat_sum_oracle,
+    stencil_pairs,
     unsupported,
+    upper_pair_oracle,
 )
 
 
@@ -162,6 +166,27 @@ class TestBoundaryConditions:
             BoundaryConditions(n_dofs=4, fixed_dofs=[4])
         with pytest.raises(ValueError, match="range"):
             BoundaryConditions(n_dofs=4, point_loads=((7, 1.0),))
+
+    def test_fractional_fixed_dofs(self):
+        # they were truncated: 0.5 and 3.9 fixed DOFs 0 and 3
+        with pytest.raises(ValueError, match="integers"):
+            BoundaryConditions(n_dofs=8, fixed_dofs=[0.5, 3.9])
+        # no fixed DOF at all stays legal, whatever type numpy gives []
+        assert BoundaryConditions(n_dofs=8, fixed_dofs=[]).fixed_dofs.size == 0
+
+    def test_fractional_load_dof(self):
+        # it was truncated: a load at DOF 5.7 landed on DOF 5
+        with pytest.raises(ValueError, match="integer"):
+            BoundaryConditions(n_dofs=8, point_loads=((5.7, 1.0),))
+
+    def test_fractional_dof_count(self):
+        with pytest.raises(ValueError, match="whole number"):
+            BoundaryConditions(n_dofs=10.5)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_load(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            BoundaryConditions(n_dofs=8, point_loads=((5, value),))
 
 
 class TestElementStiffness:
@@ -330,8 +355,40 @@ def support_cases(mesh):
     }
 
 
+def assert_stencil_lists_the_sorted_terms(mesh):
+    """The mesh's stencil lists, node by node, the terms that a sort of
+    every element's ten upper corner pairs puts in order: node a's term t
+    on the mesh is sorted term 10 e + m, e = stencil[a, t] and
+    m = STENCIL[t, 0], and its pair number steps where the sorted node
+    pair does."""
+    order, entry = upper_pair_oracle(mesh)
+    # the sort lists each element's ten terms once, each pair's by
+    # ascending element, never below the diagonal
+    np.testing.assert_array_equal(np.sort(order), np.arange(10 * mesh.n_elements))
+    element, local = np.divmod(order, 10)
+    i, j = np.divmod(UPPER_PAIRS[local], 4)
+    rows, cols = mesh.element_nodes[element, i], mesh.element_nodes[element, j]
+    assert np.all(rows <= cols)
+    # every element's 16 node pairs are its 10 upper ones and the mirrors
+    # of the 6 off the diagonal
+    assert len(set(zip(*np.divmod(UPPER_PAIRS, 4)))) == 10
+    same = np.diff(entry) == 0
+    assert np.all(np.diff(order)[same] > 0)
+    assert mesh.stencil.shape == (10, mesh.n_nodes) and mesh.stencil.dtype == np.intp
+    stencil = mesh.stencil.T
+    on = stencil < mesh.n_elements
+    assert np.all(stencil[~on] == mesh.n_elements)
+    np.testing.assert_array_equal((10 * stencil + STENCIL[:, 0])[on], order)
+    pair = (5 * np.arange(mesh.n_nodes)[:, None] + STENCIL_PAIR)[on]
+    np.testing.assert_array_equal(np.cumsum(np.diff(pair, prepend=-1) != 0) - 1, entry)
+    # and each pair's upper node is the one its offset names
+    b, _ = stencil_pairs(mesh)
+    np.testing.assert_array_equal(b[:, STENCIL_PAIR][on], cols)
+    np.testing.assert_array_equal(np.nonzero(on)[0], rows)
+
+
 class TestPatternAssembly:
-    """assemble sums over the mesh's sorted scatter pattern into the
+    """assemble sums each node pair's terms of the mesh's stencil into the
     free-DOF CSR; its output must be the very matrix the reference builds
     by a full scatter sorted afresh, support elimination and exact-zero
     elimination."""
@@ -361,26 +418,46 @@ class TestPatternAssembly:
 
     @pytest.mark.parametrize("nx,ny", [(4, 4), (7, 3), (20, 40)])
     def test_pattern_sums_are_reduceats_on_mesh_patterns(self, nx, ny):
-        # the mesh's sums go through the rotated 0/1 product; they must
-        # hold reduceat's bytes, also where an interior node's lowest
-        # element is void and its other three are solid, so that the
-        # first kept term of its own pair is not its first term
+        # node_pair_sums must hold the bytes of reduceat over each node
+        # pair's kept terms in sorted order: for the element blocks of
+        # each design and for random 4-vectors under random masks, also
+        # where an interior node's lowest element is void and its other
+        # three are solid, so that the first kept term of its own pair is
+        # its second, and on the bottom row and the left column, whose
+        # first terms lie off the mesh
         mesh = Mesh(nx, ny, 10.0, 20.0)
-        pattern = mesh.scatter_pattern
-        assert np.bincount(pattern.entry).max() == 4
+        order, entry = upper_pair_oracle(mesh)
+        assert np.bincount(entry).max() == 4
+        element, local = np.divmod(order, 10)
+        on = mesh.stencil.T < mesh.n_elements
+        _, exists = stencil_pairs(mesh)
         cases = density_cases(mesh, seed=4)
         corner = np.ones(mesh.n_elements)
         corner[mesh.nx + 1] = 0.0  # below and left of interior node (2, 2)
         cases["corner"] = corner
-        element, local = np.divmod(pattern.order, 10)
+        rng = np.random.default_rng(4)
+        terms = []
         for mat in self.materials:
             blocks = upper_blocks(element_stiffness(mat, mesh.elem_width, mesh.elem_height))
-            for name, values in cases.items():
+            for values in cases.values():
                 scale = values ** mat.penal
-                kept = np.flatnonzero(scale[element] > 0.0)
-                terms = blocks[local[kept]] * scale[element[kept], None, None]
-                got = pattern.sum(terms, kept)
-                assert_same_sums(got, reduceat_sum_oracle(pattern, terms, kept))
+                kept = scale[element] > 0.0
+                terms.append((blocks[local].reshape(-1, 4) * scale[element, None], kept))
+        for share in (0.3, 0.7, 0.9):
+            kept = rng.random(order.size) < share
+            values = rng.standard_normal((order.size, 4)) * 10.0 ** rng.integers(-8, 8, (order.size, 1))
+            values[~kept] = np.copysign(0.0, values[~kept])
+            terms.append((values, kept))
+        late = 0
+        for values, kept in terms:
+            term = np.zeros((mesh.n_nodes, 10, 4))
+            term[on] = values
+            kept_term = np.zeros((mesh.n_nodes, 10), dtype=bool)
+            kept_term[on] = kept
+            got = node_major_sums(term, kept_term)
+            assert_same_sums(got[exists], reduceat_sum_oracle(entry, values, kept))
+            late += np.count_nonzero(~kept_term[:, 0] & kept_term[:, 1:4].all(axis=1))
+        assert late > 0
 
     @pytest.mark.parametrize("nx,ny", meshes)
     def test_diagonal_gathered_at_assembly_is_the_matrix_diagonal(self, nx, ny):
@@ -434,73 +511,55 @@ class TestPatternAssembly:
         )
         mesh = spec.build_mesh()
         bc = spec.build_boundary_conditions(mesh)
-        assert "scatter_pattern" not in vars(mesh)
+        assert "stencil" not in vars(mesh)
         rho = DensityField.uniform(mesh.n_elements, 0.5)
         assemble(mesh, spec.material, rho, bc)
-        pattern = vars(mesh)["scatter_pattern"]
+        stencil = vars(mesh)["stencil"]
         layout = mesh.free_layout(bc.fixed_dofs)
         assemble(mesh, spec.material, rho, bc)
-        assert mesh.scatter_pattern is pattern
+        assert mesh.stencil is stencil
         assert mesh.free_layout(bc.fixed_dofs) is layout
 
     @pytest.mark.parametrize("nx,ny", meshes)
     def test_order_maps_sorted_terms_to_element_blocks(self, nx, ny):
-        # sorted term t is input term order[t] = 10 * e + m, the block of
-        # element e at node pair (element_nodes[e, i], [e, j]) with
-        # 4 * i + j = UPPER_PAIRS[m], never below the diagonal
-        mesh = Mesh(nx, ny, 10.0, 20.0)
-        pattern = mesh.scatter_pattern
-        order = pattern.order
-        np.testing.assert_array_equal(np.sort(order), np.arange(10 * mesh.n_elements))
-        element, local = np.divmod(order, 10)
-        i, j = np.divmod(UPPER_PAIRS[local], 4)
-        rows = mesh.element_nodes[element, i]
-        cols = mesh.element_nodes[element, j]
-        assert np.all(rows <= cols)
-        # every element's 16 node pairs are its 10 upper ones and the
-        # mirrors of the 6 off the diagonal
-        assert len(set(zip(*np.divmod(UPPER_PAIRS, 4)))) == 10
-        # (row, col) pairs non-decreasing, a new entry exactly where the
-        # pair changes, and each pair's terms in ascending input order:
-        # the sort is stable
-        key = rows.astype(np.int64) * mesh.n_nodes + cols
-        assert np.all(np.diff(key) >= 0)
-        same = np.diff(key) == 0
-        assert pattern.entry[0] == 0
-        np.testing.assert_array_equal(np.diff(pattern.entry), ~same)
-        assert pattern.entries == pattern.entry[-1] + 1
-        assert np.all(np.diff(order)[same] > 0)
+        assert_stencil_lists_the_sorted_terms(Mesh(nx, ny, 10.0, 20.0))
+
+    def test_stencil_of_every_coarse_mesh_of_60x120(self):
+        # the meshes the multigrid levels of a 60x120 run sum on
+        nx, ny = 60, 120
+        while max(nx, ny) > 1:
+            nx, ny = (nx + 1) // 2, (ny + 1) // 2
+            assert_stencil_lists_the_sorted_terms(Mesh(nx, ny, 10.0, 20.0))
 
     @staticmethod
-    def retained_bytes(pattern):
-        held = vars(pattern).values()
-        return sum(a.nbytes for a in held if isinstance(a, np.ndarray))
+    def retained_bytes(stencil):
+        return (stencil if stencil.base is None else stencil.base).nbytes
 
     def test_retained_pattern_size_per_element(self):
-        # the pattern keeps only what its summation and assemble read,
-        # about 120 B per element over upper node pairs; the DOF-pair
-        # pattern held about 1.0 KB and, with the int64 sort permutation,
-        # 1.5 KB
+        # the stencil keeps 10 intp terms per node, about 86 B per element
+        # here; the sorted node-pair pattern held about 120 B, the DOF-pair
+        # pattern about 1.0 KB and, with the int64 sort permutation, 1.5 KB
         mesh = Mesh(20, 40, 10.0, 20.0)
-        size = self.retained_bytes(mesh.scatter_pattern)
+        size = self.retained_bytes(mesh.stencil)
         assert size <= 1100 * mesh.n_elements, f"{size / mesh.n_elements:.0f} B"
 
     def test_retained_node_pair_pattern_size_at_60x120(self):
-        # 10 upper node-pair terms per element with int32 indices: about
-        # 120 B per element; the 64 DOF-pair terms per element held about
-        # 1010 B
+        # 10 intp terms per node: about 82 B per element; the sorted
+        # node-pair pattern held about 120 B and the 64 DOF-pair terms per
+        # element about 1010 B
         mesh = Mesh(60, 120, 10.0, 20.0)
-        size = self.retained_bytes(mesh.scatter_pattern)
-        assert size <= 300 * mesh.n_elements, f"{size / mesh.n_elements:.0f} B"
+        size = self.retained_bytes(mesh.stencil)
+        assert size <= 100 * mesh.n_elements, f"{size / mesh.n_elements:.0f} B"
 
     def test_peak_memory_of_the_pattern_build(self):
-        # 60x120 elements: sorting the upper node pairs peaked at about
-        # 3.5 MB here, laying them out unsorted at about 4 MB, sorting all
-        # node pairs at about 6 MB and the DOF pairs at about 25 MB
+        # 60x120 elements: the stencil peaked at about 1.8 MB here, sorting
+        # the upper node pairs at about 3.5 MB, laying them out unsorted at
+        # about 4 MB, sorting all node pairs at about 6 MB and the DOF pairs
+        # at about 25 MB
         mesh = Mesh(60, 120, 10.0, 20.0)
         tracemalloc.start()
         try:
-            mesh.scatter_pattern
+            mesh.stencil
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -5,17 +5,18 @@ import pytest
 import scipy.sparse as sp
 
 from topokry import SparseSymMatrix
-from topokry.fem import TripletPattern, index_dtype
+from topokry.fem import Mesh, index_dtype
 from singular_lab import as_small_square, pseudo_inverse, range_basis
 from util import (
+    STENCIL_PAIR,
     SingularMatrixError,
     assert_same_csr,
-    assert_same_sums,
     dense_solve,
+    node_major_sums,
     random_singular_psd,
     random_sparse_symmetric,
     random_spd,
-    reduceat_sum_oracle,
+    stencil_pairs,
     triplet_sum_oracle,
 )
 
@@ -126,103 +127,90 @@ def mirrored(rows, cols, values):
     )
 
 
-def bounded_runs(rng, n, positions):
-    """Shuffled triplet positions on an n-by-n grid: ``positions`` distinct
-    ones, each taken 1 to 8 times, the runs the pattern's sum keeps in
-    reduceat's association."""
-    cells = rng.choice(n * n, size=positions, replace=False)
-    rows, cols = np.divmod(np.repeat(cells, rng.integers(1, 9, positions)), n)
-    shuffle = rng.permutation(rows.size)
-    return rows[shuffle], cols[shuffle]
-
-
-def block_csr(pattern, n, rows, cols, sums):
-    """The CSR matrix of the r-by-r entry sums of the pattern of the given
-    positions, through scipy's block format, without its exact zeros."""
-    first = pattern.order[np.flatnonzero(np.diff(pattern.entry, prepend=-1))]
-    r = sums.shape[1]
-    indptr = np.searchsorted(rows[first], np.arange(n + 1)).astype(np.int32)
-    csr = sp.bsr_matrix(
-        (sums, cols[first].astype(np.int32), indptr), shape=(r * n, r * n)
-    ).tocsr()
-    csr.eliminate_zeros()
-    return csr
-
-
 def without_zeros(csr):
     csr = csr.copy()
     csr.eliminate_zeros()
     return csr
 
 
-class TestTripletPattern:
-    """``fem.TripletPattern``, which sums every stiffness operator."""
+def stencil_csr(mesh, sums):
+    """The node-by-node CSR matrix of the upper node-pair sums (shape
+    (n_nodes, 5)) of the mesh's pairs, without its exact zeros."""
+    b, exists = stencil_pairs(mesh)
+    a = np.broadcast_to(np.arange(mesh.n_nodes)[:, None], b.shape)
+    n = mesh.n_nodes
+    return without_zeros(sp.csr_matrix((sums[exists], (a[exists], b[exists])), shape=(n, n)))
 
-    cases = ((1, 1), (5, 20), (30, 300))
+
+def random_stencil_terms(rng, mesh, share, shape=()):
+    """Random values of every node's ten stencil terms, of magnitudes
+    1e-8 to 1e8, with a random share kept among those on the mesh; a term
+    not kept is a zero of random sign.  Returns the values, the kept mask
+    and each term's node pair (a, b) as triplet rows and columns."""
+    n = mesh.n_nodes
+    values = rng.standard_normal((n, 10) + shape)
+    values *= 10.0 ** rng.integers(-8, 8, (n, 10) + (1,) * len(shape))
+    kept = (mesh.stencil.T < mesh.n_elements) & (rng.random((n, 10)) < share)
+    values[~kept] = np.copysign(0.0, rng.standard_normal((np.count_nonzero(~kept),) + shape))
+    b, _ = stencil_pairs(mesh)
+    rows = np.broadcast_to(np.arange(n)[:, None], (n, 10))
+    return values, kept, rows[kept], b[:, STENCIL_PAIR][kept]
+
+
+class TestTripletPattern:
+    """Triplet sums, of triplets from outside (``from_triplets``) and of a
+    mesh's node pairs (``fem.node_pair_sums``), against the triplets
+    sorted afresh."""
+
+    meshes = ((1, 1), (3, 2), (12, 9))
 
     def test_masked_sum_matches_sorting_the_kept_triplets(self):
+        # a node's kept terms, handed to the sort in ascending element
+        # order; the random masks void the lowest element of interior
+        # nodes whose other three stay, and the bottom row's and the left
+        # column's first terms lie off the mesh
         rng = np.random.default_rng(17)
-        for n, positions in self.cases:
-            rows, cols = bounded_runs(rng, n, positions)
-            values = rng.standard_normal(rows.size)
-            blocks = values[:, None, None]
-            pattern = TripletPattern(rows, cols)
-            order = pattern.order
+        late = 0
+        for nx, ny in self.meshes:
+            mesh = Mesh(nx, ny, 1.0, 1.0)
             for share in (0.0, 0.3, 0.9, 1.0):
-                keep = rng.random(rows.size) < share
-                kept = np.flatnonzero(keep[order])
-                got = block_csr(pattern, n, rows, cols, pattern.sum(blocks[order][kept], kept))
-                expected = triplet_sum_oracle(
-                    n, rows[keep], cols[keep], values[keep]
-                )
-                assert_same_csr(got, without_zeros(expected))
-            assert_same_csr(
-                block_csr(pattern, n, rows, cols, pattern.sum(blocks[order])),
-                without_zeros(triplet_sum_oracle(n, rows, cols, values)),
-            )
+                values, kept, rows, cols = random_stencil_terms(rng, mesh, share)
+                sums = node_major_sums(values[:, :, None], kept)
+                expected = triplet_sum_oracle(mesh.n_nodes, rows, cols, values[kept])
+                assert_same_csr(stencil_csr(mesh, sums[:, :, 0]), without_zeros(expected))
+                late += np.count_nonzero(~kept[:, 0] & kept[:, 1:4].all(axis=1))
+        assert late > 0
 
     def test_block_sum_matches_the_scalar_sum_of_each_component(self):
-        # 2x2 block values: the CSR entries (2a + p, 2b + q) hold the bytes
-        # of the sorted-afresh sum of the (p, q) components of the kept
-        # triplets, masked or not
+        # 2x2 block values: each component (p, q) of a node pair's sum
+        # holds the bytes of the sorted-afresh sum of the (p, q)
+        # components of its kept terms
         rng = np.random.default_rng(23)
-        for n, positions in self.cases:
-            rows, cols = bounded_runs(rng, n, positions)
-            values = rng.standard_normal((rows.size, 2, 2))
-            pattern = TripletPattern(rows, cols)
-            order = pattern.order
+        for nx, ny in self.meshes:
+            mesh = Mesh(nx, ny, 1.0, 1.0)
             for share in (0.0, 0.3, 1.0):
-                keep = rng.random(rows.size) < share
-                kept = np.flatnonzero(keep[order])
-                got = block_csr(pattern, n, rows, cols, pattern.sum(values[order][kept], kept))
-                assert got.format == "csr"
-                assert got.shape == (2 * n, 2 * n)
+                values, kept, rows, cols = random_stencil_terms(rng, mesh, share, (2, 2))
+                sums = node_major_sums(values.reshape(-1, 10, 4), kept).reshape(-1, 5, 2, 2)
                 for p, q in np.ndindex(2, 2):
-                    expected = triplet_sum_oracle(
-                        n, rows[keep], cols[keep], values[keep, p, q]
-                    )
-                    assert_same_csr(got[p::2, q::2], without_zeros(expected))
+                    expected = triplet_sum_oracle(mesh.n_nodes, rows, cols, values[kept][:, p, q])
+                    assert_same_csr(stencil_csr(mesh, sums[:, :, p, q]), without_zeros(expected))
 
     def test_indices_are_int32_when_they_fit(self):
-        # order stays intp: a gather through an int32 index converts it first
-        pattern = TripletPattern([3, 0, 3, 1], [0, 2, 0, 1])
-        assert pattern.entry.dtype == np.int32
-        assert pattern.order.dtype == np.intp
-        assert pattern.entries == 3
-        summation = pattern.summation()
-        assert summation.indices.dtype == summation.indptr.dtype == np.int32
+        # the stencil and a layout's sources stay intp: a gather through
+        # an int32 index converts it first
+        mesh = Mesh(3, 2, 1.0, 1.0)
+        assert mesh.stencil.dtype == np.intp
+        layout = mesh.free_layout(np.array([0, 5]))
+        assert layout.src.dtype == np.intp
+        assert layout.cols.dtype == layout.slot_ptr.dtype == np.int32
 
     @pytest.mark.parametrize("length", range(1, 13))
     def test_runs_of_any_length_sum_as_reduceat_does(self, length):
-        # from_triplets sums runs of any length through scipy's reduceat;
-        # the pattern's rotated 0/1 product keeps reduceat's association
-        # up to 8 terms, past which reduceat sums pairwise (a mesh entry
-        # has at most 4)
+        # from_triplets sums runs of any length through scipy's reduceat
         rng = np.random.default_rng(length)
         n = 3
         rows = np.repeat(np.arange(n), length)
         cols = rows[::-1]
-        pattern = TripletPattern(rows, cols)
         for _ in range(50):
             magnitude = 10.0 ** rng.integers(-8, 8)
             # (0, 2) and (2, 0) take the same run, so the input is symmetric
@@ -233,20 +221,6 @@ class TestTripletPattern:
             got = SparseSymMatrix.from_triplets(n, rows[keep], cols[keep], values[keep])
             expected = triplet_sum_oracle(n, rows[keep], cols[keep], values[keep])
             assert_same_csr(got.csr, without_zeros(expected))
-            if length > 8:
-                continue
-            blocks = rng.standard_normal((rows.size, 2, 2)) * magnitude
-            kept = np.flatnonzero(rng.random(rows.size) < 0.8)
-            assert_same_sums(
-                pattern.sum(blocks[kept], kept),
-                reduceat_sum_oracle(pattern, blocks[kept], kept),
-            )
-            assert_same_sums(pattern.sum(blocks), reduceat_sum_oracle(pattern, blocks))
-
-    def test_value_count_must_match_kept_terms(self):
-        pattern = TripletPattern([0, 1, 1], [0, 1, 1])
-        with pytest.raises(ValueError, match="kept terms"):
-            pattern.sum(np.ones((2, 1, 1)), np.array([0]))
 
 
 class TestIndexDtype:

@@ -173,6 +173,14 @@ def galerkin_system(name):
     return mesh, ISLAND_MATERIAL, bc, rho
 
 
+def test_hierarchy_rejects_boundary_conditions_of_another_mesh():
+    # a 10x20 mesh's left-edge DOFs on a 20x40 mesh gave 3 levels
+    small, mesh = Mesh(10, 20, 10.0, 20.0), Mesh(20, 40, 10.0, 20.0)
+    bc = BoundaryConditions(n_dofs=small.n_dofs, fixed_dofs=small.edge_dofs("left"))
+    with pytest.raises(ValueError, match="sized for a different mesh"):
+        hierarchy(mesh, bc, ISLAND_MATERIAL)
+
+
 class TestGalerkin:
     @pytest.mark.parametrize("name", ["partial", "points", "islands"])
     def test_every_level_sums_its_element_blocks_in_reduceat_order(self, name):

@@ -8,7 +8,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from topokry import BoundaryConditions, Mesh, SparseSymMatrix, element_stiffness
-from topokry.fem import UPPER_PAIRS
+from topokry.fem import UPPER_PAIRS, node_pair_sums
 from topokry.krylov import BREAKDOWN_TOLERANCE, jacobi_preconditioner
 from topokry.linalg import as_vector
 from topokry.multigrid import _prolongation
@@ -114,12 +114,53 @@ def triplet_sum_oracle(n: int, rows, cols, values) -> sp.csr_matrix:
     return sp.csr_matrix((summed, (r[starts], c[starts])), shape=(n, n))
 
 
-def reduceat_sum_oracle(pattern, values, kept=None) -> np.ndarray:
-    """What ``fem.TripletPattern.sum`` returns, through ``np.add.reduceat``
-    alone: each entry's kept blocks summed in sorted order, an entry with
-    none of its terms kept zero."""
-    entry = pattern.entry if kept is None else pattern.entry[kept]
-    sums = np.zeros((pattern.entries,) + values.shape[1:])
+# the node pair of each of the ten ``fem.STENCIL`` terms of a node a, and
+# the offset (dx, dy) of each pair's upper node b from a
+STENCIL_PAIR = np.repeat(np.arange(5), [4, 2, 1, 2, 1])
+PAIR_OFFSETS = np.array([(0, 0), (1, 0), (-1, 1), (0, 1), (1, 1)])
+
+
+def upper_pair_oracle(mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Every element's ten upper corner-pair terms sorted afresh.  Term
+    ``10 * e + m`` puts block m of ``fem.upper_blocks`` of element e at the
+    node pair (element_nodes[e, i], element_nodes[e, j]), 4 i + j =
+    ``UPPER_PAIRS[m]``.  Returns ``order``, the stable lexsort of the terms
+    by node pair, which keeps each pair's terms by ascending element, and
+    ``entry``, the number of each sorted term's node pair."""
+    i, j = np.divmod(UPPER_PAIRS, 4)
+    rows = mesh.element_nodes[:, i].ravel().astype(np.int64)
+    cols = mesh.element_nodes[:, j].ravel().astype(np.int64)
+    order = np.lexsort((cols, rows))
+    r, c = rows[order], cols[order]
+    first = np.ones(r.size, dtype=bool)
+    first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+    return order, np.cumsum(first) - 1
+
+
+def stencil_pairs(mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's five upper node pairs, shape (n_nodes, 5): the upper
+    node b, and whether the pair takes a term on the mesh."""
+    on = (mesh.stencil < mesh.n_elements).T
+    exists = np.logical_or.reduceat(on, [0, 4, 6, 7, 9], axis=1)
+    offset = PAIR_OFFSETS[:, 0] + (mesh.nx + 1) * PAIR_OFFSETS[:, 1]
+    return np.arange(mesh.n_nodes)[:, None] + offset, exists
+
+
+def node_major_sums(term, kept) -> np.ndarray:
+    """``fem.node_pair_sums`` of terms laid out by node, shape
+    (nodes, 10, k), with ``kept`` of shape (nodes, 10): the sums, shape
+    (nodes, 5, k)."""
+    out = np.empty((5, term.shape[2], len(term)))
+    return node_pair_sums(term.transpose(1, 2, 0), kept.T, out).transpose(2, 0, 1)
+
+
+def reduceat_sum_oracle(entry, values, kept) -> np.ndarray:
+    """Each entry's kept values summed by ``np.add.reduceat`` alone, in
+    sorted order, an entry none of whose terms is kept zero: ``entry``
+    numbers each sorted term's entry, ascending, and ``kept`` is a mask of
+    the sorted terms."""
+    sums = np.zeros((entry[-1] + 1,) + values.shape[1:])
+    entry, values = entry[kept], values[kept]
     if entry.size:
         first = np.ones(entry.size, dtype=bool)
         first[1:] = entry[1:] != entry[:-1]
@@ -202,7 +243,8 @@ def galerkin_sum_oracle(mesh, bc, levels, scale) -> list:
         coarse = Mesh(nx, ny, mesh.width, mesh.height)
         weights = level.weights.copy()
         weights.data = scale[level.fine]
-        upper = (weights @ level.blocks).reshape(-1, 10, 2, 2)
+        # the last row of weights is the stencil's empty off-mesh row
+        upper = (weights @ level.blocks)[:-1].reshape(-1, 10, 2, 2)
         # k[e, i, j] is element e's block of corners i and j
         k = np.zeros((len(upper), 4, 4, 2, 2))
         k[:, j, i] = upper.swapaxes(-1, -2)
