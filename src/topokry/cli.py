@@ -3,7 +3,8 @@ density.pgm, history.csv, and summary.txt into an output directory.
 
 Exit codes: 0 success, 1 usage/config error, 2 numerical failure, 3 I/O
 failure, 4 a load outside the range of the stiffness (a loaded node with
-no adjacent material).  Exit code 0 covers a run that converged and one
+no adjacent material, or a load with a net force or moment on a mesh with
+no supports).  Exit code 0 covers a run that converged and one
 that stopped at optimizer.max_outer_iterations; the ``status`` line of
 summary.txt tells them apart: ``converged``, ``max_iterations``, or
 ``cycling`` when the last designs repeat with the period on the

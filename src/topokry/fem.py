@@ -5,7 +5,8 @@ Node numbering runs row-major from the bottom-left corner:
 ``node(ix, iy) = iy * (nx + 1) + ix``.  Each node carries two DOFs in the
 order (ux, uy), so DOFs of node k are (2k, 2k + 1).  Element e = ey*nx + ex
 connects its corner nodes counterclockwise from the lower left:
-(LL, LR, UR, UL).
+(LL, LR, UR, UL), at the grid offsets :data:`CORNERS` from LL, which the
+shape functions and ``multigrid`` read too.
 
 Every stiffness operator, the fine one of :func:`assemble` and the coarse
 Galerkin ones of ``multigrid``, is summed by one rule: each node's five
@@ -30,8 +31,9 @@ from .linalg import SparseSymMatrix, as_vector, is_integer
 
 # 2x2 Gauss points and weights on [-1, 1]
 _GAUSS_2 = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
-# corner coordinates in the reference square, counterclockwise from (-1,-1)
-_CORNERS = ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
+# grid offsets (dx, dy) of an element's corners LL, LR, UR, UL from its
+# lower-left node; 2 * CORNERS - 1 are their reference coordinates
+CORNERS = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
 # the corner pairs (i, j) of an element with node i <= node j: its nodes
 # run LL < LR < UL < UR, so these are the node pairs of the stiffness
 # matrix's upper block triangle, and UPPER_PAIRS[m] is block 4 i + j
@@ -156,14 +158,9 @@ class Mesh:
         self.elem_width = self.width / self.nx
         self.elem_height = self.height / self.ny
 
-        ex, ey = np.meshgrid(np.arange(self.nx), np.arange(self.ny))
-        ex = ex.ravel()
-        ey = ey.ravel()
+        ey, ex = np.divmod(np.arange(self.n_elements), self.nx)
         ll = ey * (self.nx + 1) + ex
-        lr = ll + 1
-        ul = ll + (self.nx + 1)
-        ur = ul + 1
-        self.element_nodes = np.column_stack([ll, lr, ur, ul])
+        self.element_nodes = ll[:, None] + CORNERS @ [1, self.nx + 1]
         self._free_layouts: dict[bytes, CsrLayout] = {}
 
     def _at_offsets(self, offsets, nx: int, ny: int, dtype=np.intp):
@@ -345,8 +342,9 @@ class BoundaryConditions:
 
 def _shape_gradients(xi: float, eta: float, width: float, height: float):
     """dN/dx, dN/dy of the four bilinear shape functions at (xi, eta)."""
-    dn_dxi = np.array([0.25 * cx * (1.0 + cy * eta) for cx, cy in _CORNERS])
-    dn_deta = np.array([0.25 * cy * (1.0 + cx * xi) for cx, cy in _CORNERS])
+    cx, cy = (2 * CORNERS - 1).T
+    dn_dxi = 0.25 * cx * (1.0 + cy * eta)
+    dn_deta = 0.25 * cy * (1.0 + cx * xi)
     return dn_dxi * (2.0 / width), dn_deta * (2.0 / height)
 
 

@@ -38,8 +38,10 @@ def as_vector(x, n: int | None = None, name: str = "vector") -> np.ndarray:
 
 
 def is_integer(value) -> bool:
-    """Whether ``operator.index`` takes the value: a Python or numpy
-    integer, and not a float, even an integral one."""
+    """Whether ``operator.index`` takes the value and it is no bool: a
+    Python or numpy integer, and not a float, even an integral one."""
+    if isinstance(value, bool):  # operator.index takes True, not np.True_
+        return False
     try:
         operator.index(value)
     except TypeError:

@@ -4,10 +4,12 @@ reduced stiffness systems of the voxel mesh, singular ones included.
 :func:`hierarchy` builds the levels once per run.  Each axis coarsens
 from n to ceil(n/2) elements, coarse node j sitting at fine node
 min(2j, n), with linear interpolation between coarse nodes, so odd sizes
-keep coarsening.  The DOF prolongation kron(kron(Py, Px), I2) keeps the
-free fine DOFs as rows and the free coarse DOFs as columns; a coarse DOF
-is free iff the fine DOF at its node is.  Coarsening stops once a level
-has at most ``COARSEST_DOFS`` free DOFs.
+keep coarsening.  The DOF prolongation is scipy's CSR kron(Py, kron(Px,
+I2)) of the two axis interpolations, whose zero weights are dropped, so
+it stores none; each level keeps its free fine DOFs as rows and its free
+coarse DOFs as columns, a coarse DOF being free iff the fine DOF at its
+node is.  Coarsening stops once a level has at most ``COARSEST_DOFS``
+free DOFs.
 
 The Galerkin operator of level l is Q^T A Q, Q the product of the
 prolongations down to it, and it is built from element blocks, not from
@@ -56,8 +58,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem import (
-    STENCIL, BoundaryConditions, Material, Mesh, element_stiffness, node_pair_sums,
-    upper_blocks,
+    CORNERS, STENCIL, BoundaryConditions, Material, Mesh, element_stiffness,
+    node_pair_sums, upper_blocks,
 )
 from .krylov import csr_operator, jacobi_preconditioner
 from .linalg import SparseSymMatrix, pseudo_inverse
@@ -67,9 +69,6 @@ COARSEST_DOFS = 100
 # damped Jacobi weight, unless the element bound asks for less
 SMOOTHING_WEIGHT = 0.6
 
-# local (x, y) grid position of element corners LL, LR, UR, UL
-_CORNER_X = np.array([0, 1, 1, 0])
-_CORNER_Y = np.array([0, 0, 1, 1])
 # a child element's two nodes along one axis from its parent's two: the
 # left half, the right half, or the whole parent (the last element of an
 # odd axis, whose parent covers it alone)
@@ -80,41 +79,32 @@ _HALVES = np.array([
 ])
 
 
-def _interpolation(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _interpolation(n: int) -> sp.csr_matrix:
     """Linear interpolation of the n + 1 nodes of an axis from the
-    ceil(n/2) + 1 of its coarsening: fine node i takes weight[i, a] of
-    coarse node left[i] + a, a = 0, 1."""
+    ceil(n/2) + 1 of its coarsening, in CSR without its zero weights."""
     nc = (n + 1) // 2
     fine = np.arange(n + 1)
     left = np.minimum(fine // 2, nc - 1)  # coarse node at fine node 2 * left
     weight = (fine - 2 * left) / (np.minimum(2 * left + 2, n) - 2 * left)
-    return left, np.column_stack([1.0 - weight, weight])
+    p = sp.csr_matrix(
+        (np.column_stack([1.0 - weight, weight]).ravel(),
+         np.column_stack([left, left + 1]).ravel(), 2 * np.arange(n + 2)),
+        shape=(n + 1, nc + 1),
+    )
+    p.eliminate_zeros()
+    return p
 
 
 def _prolongation(nx: int, ny: int) -> tuple[sp.csr_matrix, np.ndarray]:
-    """The DOF prolongation kron(kron(Py, Px), I2) of an nx-by-ny mesh onto
+    """The DOF prolongation kron(Py, kron(Px, I2)) of an nx-by-ny mesh onto
     it from its coarsening, without its zero weights, and the fine node at
     each coarse node."""
-    (left_x, wx), (left_y, wy) = _interpolation(nx), _interpolation(ny)
-    ncx = (nx + 1) // 2 + 1
-    # fine node (ix, iy) takes coarse node (left_x + a, left_y + c) with
-    # weight wy[iy, c] * wx[ix, a], listed by ascending coarse node
-    weight = (wy[:, None, :, None] * wx[None, :, None, :]).reshape(-1, 1, 4)
-    node = (left_y[:, None] * ncx + left_x)[:, :, None, None] + (
-        np.arange(2)[:, None] * ncx + np.arange(2)
-    )
-    # each node's two DOFs take their coarse nodes' DOFs of the same axis
-    dof = (2 * node.reshape(-1, 1, 4) + np.arange(2)[:, None]).astype(np.int32)
-    weight = np.broadcast_to(weight, dof.shape)
-    nonzero = weight != 0.0
-    indptr = np.zeros(dof.shape[0] * 2 + 1, dtype=np.int32)
-    np.cumsum(nonzero.sum(axis=2, dtype=np.int32).ravel(), out=indptr[1:])
-    p = sp.csr_matrix(
-        (weight[nonzero], dof[nonzero], indptr),
-        shape=(len(indptr) - 1, 2 * ncx * ((ny + 1) // 2 + 1)),
-    )
-    at_x = np.minimum(2 * np.arange(ncx), nx)
-    at_y = np.minimum(2 * np.arange((ny + 1) // 2 + 1), ny)
+    px, py = _interpolation(nx), _interpolation(ny)
+    # in CSR throughout: scipy takes a dense factor such as I2 as blocks of
+    # a BSR matrix, whose zeros it stores
+    p = sp.kron(py, sp.kron(px, sp.identity(2), format="csr"), format="csr")
+    at_x = np.minimum(2 * np.arange(px.shape[1]), nx)
+    at_y = np.minimum(2 * np.arange(py.shape[1]), ny)
     # nodes are numbered row-major from the bottom left, as fem numbers them
     return p, (at_y[:, None] * (nx + 1) + at_x).ravel()
 
@@ -137,8 +127,9 @@ def _steps(mesh: Mesh, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     code = position + 9 * (mask @ (1 << np.arange(8)))
     codes, which = np.unique(code, return_inverse=True)
     position, bits = codes % 9, codes // 9
-    hx = _HALVES[position % 3][:, _CORNER_X][:, :, _CORNER_X]
-    hy = _HALVES[position // 3][:, _CORNER_Y][:, :, _CORNER_Y]
+    cx, cy = CORNERS.T
+    hx = _HALVES[position % 3][:, cx][:, :, cx]
+    hy = _HALVES[position // 3][:, cy][:, :, cy]
     # nodes, then the two DOFs of each node: kron(W_nodes, I2)
     w = ((hx * hy)[:, :, None, :, None] * np.eye(2)[:, None, :]).reshape(-1, 8, 8)
     m = (bits[:, None] >> np.arange(8)) & 1
@@ -201,8 +192,7 @@ def hierarchy(mesh: Mesh, bc: BoundaryConditions, mat: Material) -> list[Level]:
     nx, ny = mesh.nx, mesh.ny
     free = np.ones(mesh.n_dofs, dtype=bool)
     free[bc.fixed_dofs] = False
-    fine_x, fine_y = np.meshgrid(np.arange(nx), np.arange(ny))
-    fine_x, fine_y = fine_x.ravel(), fine_y.ravel()
+    fine_y, fine_x = np.divmod(np.arange(mesh.n_elements), nx)
     level_mesh = mesh
     # the composite C_f of every fine element f onto its ancestor on the
     # current level: its distinct values, and which one f takes

@@ -63,8 +63,10 @@ class InfeasibleConstraintError(RuntimeError):
 
 
 class LoadOutsideRangeError(RuntimeError):
-    """A load acts on a free DOF whose stiffness row is empty, so the
-    equilibrium system has no solution."""
+    """The load lies outside the range of the stiffness, so the equilibrium
+    system has no solution: a load acts on a free DOF whose stiffness row
+    is empty, or a mesh with no supports carries a load with a net force or
+    moment, which every design's stiffness leaves unbalanced."""
 
 
 @dataclass
@@ -87,8 +89,8 @@ class OptimizerConfig:
         outer = self.max_outer_iterations
         if not (is_integer(outer) and outer >= 1):
             raise ValueError("max_outer_iterations must be an integer >= 1")
-        if not self.move_limit > 0:
-            raise ValueError("move_limit must be positive")
+        if not 0 < self.move_limit < np.inf:
+            raise ValueError("move_limit must be positive and finite")
 
 
 @dataclass
@@ -260,6 +262,30 @@ def _cycle_period(designs: list[np.ndarray]) -> int:
     return 0
 
 
+def _check_balanced(mesh: Mesh, b: np.ndarray) -> None:
+    """Raise :class:`LoadOutsideRangeError` unless the full-DOF load b on a
+    mesh with no supports is balanced.  With no DOF fixed, every design's
+    stiffness annihilates the three rigid-body modes, so b lies in its
+    range only if the net force (sum fx, sum fy) and the net moment
+    sum(x fy - y fx) about the origin both vanish."""
+    f = b.reshape(-1, 2)
+    iy, ix = np.divmod(np.arange(mesh.n_nodes), mesh.nx + 1)
+    x, y = ix * mesh.elem_width, iy * mesh.elem_height
+    moment = np.column_stack([x * f[:, 1], -y * f[:, 0]])
+    force = f.sum(axis=0)
+    # a sum within 1e-12 of the sum of its terms' magnitudes is rounding
+    if np.any(np.abs(force) > 1e-12 * np.abs(f).sum(axis=0)):
+        raise LoadOutsideRangeError(
+            f"the mesh has no supports, and the load's net force "
+            f"({force[0]:.6g}, {force[1]:.6g}) is not zero"
+        )
+    if abs(moment.sum()) > 1e-12 * np.abs(moment).sum():
+        raise LoadOutsideRangeError(
+            f"the mesh has no supports, and the load's net moment about the "
+            f"origin, {moment.sum():.6g}, is not zero"
+        )
+
+
 def optimize(spec: "ProblemSpec") -> OptimizationHistory:
     """Run the full optimization loop for a problem specification.
 
@@ -272,7 +298,9 @@ def optimize(spec: "ProblemSpec") -> OptimizationHistory:
     (expected for singular or ill-conditioned states) are recorded and the
     loop continues; genuine numerical failures propagate.  A load on a node
     with no adjacent material raises :class:`LoadOutsideRangeError` before
-    the solve: b has left the range of A, so the system has no solution.  An
+    the solve: b has left the range of A, so the system has no solution.  So
+    does, before anything is built, a load with a net force or moment on a
+    mesh with no supports (:func:`_check_balanced`).  An
     unset ``solver.max_iterations`` takes the paper's cap, one Krylov
     iteration per mesh node, and an unset ``solver.preconditioning`` is
     ``"mg"`` for CG and ``"jacobi"`` for CR; the history records the
@@ -295,6 +323,8 @@ def optimize(spec: "ProblemSpec") -> OptimizationHistory:
     """
     mesh = spec.build_mesh()
     bc = spec.build_boundary_conditions(mesh)
+    if bc.fixed_dofs.size == 0:
+        _check_balanced(mesh, build_load(mesh, bc))
     mat = spec.material
     opt = spec.optimizer
     solver = spec.solver

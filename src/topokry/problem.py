@@ -96,6 +96,8 @@ class ProblemSpec:
                 and 0 <= load.y <= self.domain_height
             ):
                 raise ConfigError(f"loads[{i}] lies outside the domain")
+            if not (math.isfinite(load.fx) and math.isfinite(load.fy)):
+                raise ConfigError(f"loads[{i}] needs finite force components")
 
     def build_mesh(self) -> Mesh:
         return Mesh(self.nx, self.ny, self.domain_width, self.domain_height)

@@ -21,6 +21,7 @@ import topokry.cli as cli
 import topokry.optimizer
 from topokry.cli import run
 from topokry.fem import Material, Mesh
+from topokry.krylov import STAGNATED
 from topokry.optimizer import CONVERGED, CYCLING, MAX_ITERATIONS, MULTIPLIER_BRACKET
 from topokry.problem import load_problem
 from singular_lab import (
@@ -211,20 +212,29 @@ def test_summary_counts_capped_solves(truss_outputs):
         assert reported == capped == CAPPED_SOLVES[combo], combo_name(*combo)
 
 
-def test_summary_counts_stagnated_solves(truss_outputs, tmp_path):
+def test_summary_counts_stagnated_solves(truss_outputs, tmp_path, capsys):
     for combo, data in truss_outputs.items():
-        stagnated = data["history"].solver_status.count("stagnated_least_squares")
+        stagnated = data["history"].solver_status.count(STAGNATED)
         reported = int(data["summary"]["stagnated_solves"])
         assert reported == stagnated, combo_name(*combo)
-    # with no supports the load is outside the range of the stiffness, so
-    # every solve stagnates at a least-squares solution, and the run exits
-    # 0 at its cap of 100 outer iterations
+    # the shipped runs stagnate nowhere, so a history that does counts too
+    history = truss_outputs[("cg", "oc")]["history"]
+    status = list(history.solver_status)
+    status[1::3] = [STAGNATED] * len(status[1::3])
+    path = tmp_path / "summary.txt"
+    cli._write_summary(load_problem(CONFIG), replace(history, solver_status=status), 1.0, path)
+    assert int(read_summary(path)["stagnated_solves"]) == status.count(STAGNATED) > 0
+    # with no supports the load's net force pushes along a rigid-body mode,
+    # outside the range of every design's stiffness: the run stops before
+    # its first solve, with exit code 4 and no output
     config = tmp_path / "unsupported.cfg"
     config.write_text(UNSUPPORTED_4X4)
-    assert run(load_problem(config), tmp_path / "out") == 0
-    summary = read_summary(tmp_path / "out" / "summary.txt")
-    assert summary["outer_iters"] == summary["stagnated_solves"] == "100"
-    assert float(summary["max_true_rel_residual"]) > 0.1
+    assert run(load_problem(config), tmp_path / "out") == 4
+    assert capsys.readouterr().err == (
+        "load outside the range: the mesh has no supports, "
+        "and the load's net force (0, -1) is not zero\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_summary_counts_repeating_solves(truss_outputs):

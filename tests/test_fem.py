@@ -130,6 +130,9 @@ class TestMesh:
             Mesh(0, 1, 1.0, 1.0)
         with pytest.raises(ValueError, match="whole number"):
             Mesh(2.5, 1, 1.0, 1.0)
+        # True built a 1x2 mesh
+        with pytest.raises(ValueError, match="whole number"):
+            Mesh(True, 2, 1.0, 2.0)
         with pytest.raises(ValueError):
             Mesh(1, 1, -1.0, 1.0)
         for width, height in ((np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0)):
@@ -178,6 +181,11 @@ class TestBoundaryConditions:
         # it was truncated: a load at DOF 5.7 landed on DOF 5
         with pytest.raises(ValueError, match="integer"):
             BoundaryConditions(n_dofs=8, point_loads=((5.7, 1.0),))
+
+    def test_bool_load_dof(self):
+        # True loaded DOF 1
+        with pytest.raises(ValueError, match="must be an integer"):
+            BoundaryConditions(n_dofs=8, point_loads=((True, 1.0),))
 
     def test_fractional_dof_count(self):
         with pytest.raises(ValueError, match="whole number"):

@@ -533,7 +533,8 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="rel_tolerance must be positive and finite"):
             SolverConfig(rel_tolerance=tolerance)
 
-    @pytest.mark.parametrize("cap", [3.5, 3.0, "3"])
+    # True set a cap of 1
+    @pytest.mark.parametrize("cap", [3.5, 3.0, "3", True])
     def test_non_integer_cap(self, cap):
         with pytest.raises(ValueError, match="max_iterations must be an integer"):
             SolverConfig(max_iterations=cap)

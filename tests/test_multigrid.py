@@ -78,7 +78,28 @@ def uniform_truss_system(nx):
     return mesh_cycle(mesh, spec.material, bc, rho, a_red), a_red, b_red
 
 
+def axis_interpolation_oracle(n):
+    """The dense interpolation of an axis of n elements from its
+    coarsening: coarse node j sits at fine node min(2j, n), and the fine
+    nodes in between interpolate it linearly."""
+    at = np.minimum(2 * np.arange((n + 1) // 2 + 1), n)
+    fine = np.arange(n + 1)
+    return np.column_stack([np.interp(fine, at, unit) for unit in np.eye(at.size)])
+
+
 class TestProlongation:
+    @pytest.mark.parametrize(
+        "nx,ny", [(1, 1), (2, 1), (3, 2), (7, 3), (15, 7), (21, 37), (20, 40)]
+    )
+    def test_matches_dense_oracle(self, nx, ny):
+        p, _ = _prolongation(nx, ny)
+        ty, tx = axis_interpolation_oracle(ny), axis_interpolation_oracle(nx)
+        np.testing.assert_array_equal(p.toarray(), np.kron(np.kron(ty, tx), np.eye(2)))
+        # each row's columns strictly ascending, and no stored zero
+        row = np.repeat(np.arange(p.shape[0]), np.diff(p.indptr))
+        assert np.all((np.diff(p.indices) > 0) | (np.diff(row) > 0))
+        assert np.all(p.data != 0.0)
+
     @pytest.mark.parametrize("nx,ny", [(1, 1), (3, 2), (15, 7), (20, 40)])
     def test_shape_and_partition_of_unity(self, nx, ny):
         p, at = _prolongation(nx, ny)

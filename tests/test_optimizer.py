@@ -309,6 +309,39 @@ class TestOptimize:
         ):
             optimize(spec)
 
+    @pytest.mark.parametrize("loads,unbalanced", [
+        ((PointLoad(4.0, 2.0, 0.0, -1.0),), r"net force \(0, -1\)"),
+        # a couple: no net force, a net moment
+        (
+            (PointLoad(4.0, 2.0, 0.0, -1.0), PointLoad(0.0, 2.0, 0.0, 1.0)),
+            r"net moment about the origin, -4,",
+        ),
+    ], ids=["net-force", "net-moment"])
+    def test_unbalanced_load_without_supports_raises(self, loads, unbalanced):
+        # with no DOF fixed every design's stiffness annihilates the rigid
+        # body modes, so the load must have no net force or moment
+        spec = replace(cantilever_spec(4, 4, 0.5), support_edges=(), loads=loads)
+        with pytest.raises(
+            LoadOutsideRangeError,
+            match=f"^the mesh has no supports, and the load's {unbalanced} is not zero$",
+        ):
+            optimize(spec)
+
+    def test_balanced_load_without_supports_solves(self):
+        # a pull of 0.1 + 0.2 against one of 0.3 on the same line balances
+        # only to rounding, and passes
+        loads = (
+            PointLoad(4.0, 2.0, 0.1, 0.0), PointLoad(4.0, 2.0, 0.2, 0.0),
+            PointLoad(0.0, 2.0, -0.3, 0.0),
+        )
+        spec = replace(
+            cantilever_spec(4, 4, 0.5, max_outer_iterations=3),
+            support_edges=(), loads=loads,
+        )
+        history = optimize(spec)
+        assert history.solver_status == ["converged"] * 3
+        assert max(history.true_relative_residual) < 1e-7
+
     @pytest.mark.parametrize("rule", ["oc", "conlin"])
     def test_desk_problem_feasible_and_settling(self, rule):
         spec = cantilever_spec(4, 4, 0.5, rule=rule, max_outer_iterations=30)
@@ -546,7 +579,8 @@ def test_element_stiffness_computed_once_per_run():
         ke[0, 0] = 0.0
 
 
-@pytest.mark.parametrize("cap", [2.5, 2.0])
+# True set a cap of 1
+@pytest.mark.parametrize("cap", [2.5, 2.0, True])
 def test_outer_cap_must_be_an_integer(cap):
     with pytest.raises(ValueError, match="max_outer_iterations must be an integer"):
         OptimizerConfig(volume_fraction=0.5, max_outer_iterations=cap)

@@ -408,3 +408,23 @@ class TestNonFiniteInputs:
         for value in (np.inf, np.nan):
             with pytest.raises(ConfigError, match="positive and finite"):
                 replace(spec, **{field: value})
+
+    def test_move_limit(self):
+        # move_limit = inf dumped "optimizer.move_limit = inf", which does
+        # not load back
+        optimizer = self.truss().optimizer
+        for value in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="move_limit must be positive and finite"):
+                replace(optimizer, move_limit=value)
+
+    @pytest.mark.parametrize("component", ["fx", "fy"])
+    def test_load(self, component):
+        # fy = nan ended in a bare ValueError from BoundaryConditions, which
+        # cli.run does not catch
+        spec = self.truss()
+        for value in (np.inf, -np.inf, np.nan):
+            load = replace(spec.loads[0], **{component: value})
+            with pytest.raises(
+                ConfigError, match=r"^loads\[1\] needs finite force components$"
+            ):
+                replace(spec, loads=(spec.loads[0], load))
